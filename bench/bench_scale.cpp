@@ -3,7 +3,11 @@
 // websearch workload under each receiver-driven transport. Reports raw event
 // throughput (events/sec), packet throughput (delivered data packets/sec)
 // and peak RSS, as google-benchmark-shaped JSON that
-// tools/bench_compare.py --scale can diff across builds.
+// tools/bench_compare.py --scale can diff across builds. Flow-fidelity rows
+// report ms per event and flows per second instead: a fluid event is a
+// whole max-min recompute, so events/sec says nothing about its cost. The
+// JSON context names the host (nproc, CPU model, compiler), so a committed
+// baseline says which machine it came from.
 //
 //   bench_scale [--k N] [--transport amrt|phost|homa|ndp|all]
 //               [--flows N] [--load F] [--shards N] [--repeat R]
@@ -25,7 +29,9 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -69,6 +75,7 @@ struct RunResult {
   std::size_t completed = 0;
   long peak_rss_kb = 0;
   unsigned shards = 1;
+  bool flow = false;  // a flow-fidelity row
 };
 
 long peak_rss_kb() {
@@ -137,8 +144,8 @@ RunResult run_one(const Options& opt, transport::Protocol proto) {
 // tools/bench_compare.py --scale can diff either against a baseline.
 RunResult run_one_flow(const Options& opt, transport::Protocol proto) {
   const auto t0 = std::chrono::steady_clock::now();
-  const harness::FlowFatTreeResult f =
-      harness::run_fat_tree_flow(opt.k, proto, opt.flows, opt.load, opt.seed);
+  const harness::FlowFatTreeResult f = harness::run_fat_tree_flow(
+      opt.k, harness::rate_model_for(proto), opt.flows, opt.load, opt.seed);
   const auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;
@@ -150,6 +157,7 @@ RunResult run_one_flow(const Options& opt, transport::Protocol proto) {
   r.flows = f.flows;
   r.completed = f.completed;
   r.peak_rss_kb = peak_rss_kb();
+  r.flow = true;
   return r;
 }
 
@@ -232,15 +240,56 @@ RunResult run_repeated(const Options& opt, transport::Protocol proto, bool flow_
   return runs[static_cast<std::size_t>(reps - 1) / 2];
 }
 
+// Host facts for the JSON context: a committed baseline names its machine.
+std::string cpu_model() {
+  std::ifstream in{"/proc/cpuinfo"};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto start = line.find_first_not_of(" \t", line.find(':') + 1);
+    if (start != std::string::npos) return line.substr(start);
+  }
+  return "unknown";
+}
+
+const char* compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "GNU " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>& results) {
   std::fprintf(out,
                "{\n  \"context\": {\"k\": %d, \"flows\": %zu, \"load\": %.3f, \"shards\": %u, "
-               "\"repeat\": %d},\n",
-               opt.k, opt.flows, opt.load, opt.shards, opt.repeat);
+               "\"repeat\": %d,\n"
+               "              \"nproc\": %u, \"cpu\": \"%s\", \"compiler\": \"%s\"},\n",
+               opt.k, opt.flows, opt.load, opt.shards, opt.repeat,
+               std::thread::hardware_concurrency(), cpu_model().c_str(), compiler());
   std::fprintf(out, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
     const double secs = r.real_ms / 1e3;
+    const char* sep = i + 1 < results.size() ? "," : "";
+    if (r.flow) {
+      std::fprintf(out,
+                   "    {\"name\": \"%s\", \"run_type\": \"iteration\", \"iterations\": 1,\n"
+                   "     \"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"ms\",\n"
+                   "     \"shards\": %u, \"wall_ms\": %.3f,\n"
+                   "     \"events\": %llu, \"ms_per_event\": %.4f,\n"
+                   "     \"flows_per_second\": %.0f, \"delivered_pkts\": %llu,\n"
+                   "     \"flows\": %zu, \"completed\": %zu, \"peak_rss_mb\": %.1f}%s\n",
+                   r.name.c_str(), r.real_ms, r.real_ms, r.shards, r.real_ms,
+                   static_cast<unsigned long long>(r.events),
+                   r.events > 0 ? r.real_ms / static_cast<double>(r.events) : 0.0,
+                   secs > 0 ? static_cast<double>(r.flows) / secs : 0.0,
+                   static_cast<unsigned long long>(r.delivered_pkts), r.flows, r.completed,
+                   static_cast<double>(r.peak_rss_kb) / 1024.0, sep);
+      continue;
+    }
     const double eps = secs > 0 ? static_cast<double>(r.events) / secs : 0.0;
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"run_type\": \"iteration\", \"iterations\": 1,\n"
@@ -255,8 +304,7 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>
                  eps / static_cast<double>(r.shards == 0 ? 1 : r.shards),
                  static_cast<unsigned long long>(r.delivered_pkts),
                  secs > 0 ? static_cast<double>(r.delivered_pkts) / secs : 0.0, r.flows,
-                 r.completed, static_cast<double>(r.peak_rss_kb) / 1024.0,
-                 i + 1 < results.size() ? "," : "");
+                 r.completed, static_cast<double>(r.peak_rss_kb) / 1024.0, sep);
   }
   std::fprintf(out, "  ]\n}\n");
 }
@@ -338,12 +386,19 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   bool ok = true;
   auto report = [&](const RunResult& r) {
+    char rate[64];
+    if (r.flow) {
+      std::snprintf(rate, sizeof rate, "%.3f ms/event, %.0f flows/s",
+                    r.events > 0 ? r.real_ms / static_cast<double>(r.events) : 0.0,
+                    r.real_ms > 0 ? static_cast<double>(r.flows) / r.real_ms * 1e3 : 0.0);
+    } else {
+      std::snprintf(rate, sizeof rate, "%.2fM ev/s, %u shard%s",
+                    r.real_ms > 0 ? static_cast<double>(r.events) / r.real_ms / 1e3 : 0.0,
+                    r.shards, r.shards == 1 ? "" : "s");
+    }
     std::fprintf(stderr,
-                 "%-28s %9.1f ms  %12llu events (%.2fM ev/s, %u shard%s)  %9llu pkts  "
-                 "%zu/%zu flows  rss %.1f MB\n",
-                 r.name.c_str(), r.real_ms, static_cast<unsigned long long>(r.events),
-                 r.real_ms > 0 ? static_cast<double>(r.events) / r.real_ms / 1e3 : 0.0,
-                 r.shards, r.shards == 1 ? "" : "s",
+                 "%-28s %9.1f ms  %12llu events (%s)  %9llu pkts  %zu/%zu flows  rss %.1f MB\n",
+                 r.name.c_str(), r.real_ms, static_cast<unsigned long long>(r.events), rate,
                  static_cast<unsigned long long>(r.delivered_pkts), r.completed, r.flows,
                  static_cast<double>(r.peak_rss_kb) / 1024.0);
     if (r.completed != r.flows) {

@@ -30,6 +30,13 @@ Fabric Fabric::leaf_spine(int leaves, int spines, int hosts_per_leaf, sim::Bandw
   return f;
 }
 
+void Fabric::set_capacity_bps(LinkId l, double bps) {
+  if (l >= capacity_bps_.size() || !(bps > 0.0)) {
+    throw std::invalid_argument("flowsim::Fabric::set_capacity_bps: bad link or capacity");
+  }
+  capacity_bps_[l] = bps;
+}
+
 LinkId Fabric::leaf_up(int leaf, int spine) const {
   return static_cast<LinkId>(2 * n_hosts_ +
                              static_cast<std::size_t>(leaf) * static_cast<std::size_t>(spines_) +

@@ -36,6 +36,10 @@ class Fabric {
   [[nodiscard]] double capacity_bps(LinkId l) const { return capacity_bps_[l]; }
   [[nodiscard]] Kind kind() const { return kind_; }
 
+  // Overrides one link's capacity (a degraded link, a thinner tier). Set it
+  // before a FlowSim over this fabric runs.
+  void set_capacity_bps(LinkId l, double bps);
+
   // Appends the directed links flow `id` crosses from `src` to `dst` (host
   // indices in topology order). The multipath choice is a pure function of
   // the flow id, so repeated resolution — and the mixed-fidelity replay of

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace amrt::flowsim {
@@ -68,12 +69,14 @@ void FlowSim::recompute_targets() {
   const double rtt_s = cfg_.rtt.to_seconds();
   const double slot_step = cfg_.mtu_bytes / rtt_s;  // one packet slot per RTT, bytes/sec
 
-  // Per-link active-flow counts and payload capacities, over used links only.
+  // Per-link active-flow counts and payload capacities, over used links only,
+  // in first-use order.
   used_links_.clear();
   for (const Active& f : active_) {
     for (std::uint32_t i = 0; i < f.path_len; ++i) {
       const LinkId l = path_arena_[f.path_off + i];
       if (link_cnt_[l] == 0) {
+        link_pos_[l] = static_cast<std::uint32_t>(used_links_.size());
         used_links_.push_back(l);
         cap_rem_[l] = fabric_.capacity_bps(l) / 8.0 * cfg_.payload_fraction;
       }
@@ -81,40 +84,81 @@ void FlowSim::recompute_targets() {
     }
   }
 
-  // Water-filling: repeatedly freeze every flow crossing the current
-  // bottleneck (the link with the smallest per-flow share) at that share.
-  std::vector<char> frozen(active_.size(), 0);
-  std::size_t left = active_.size();
-  while (left > 0) {
-    double best = -1.0;
-    LinkId best_link = 0;
-    for (const LinkId l : used_links_) {
-      if (link_cnt_[l] == 0) continue;
-      const double share = cap_rem_[l] / static_cast<double>(link_cnt_[l]);
-      if (best < 0.0 || share < best) {
-        best = share;
-        best_link = l;
-      }
+  // Link -> flow lists, indexed by position. Filling back to front leaves
+  // each list in active_ order, the order the freezes below subtract in.
+  const std::size_t n_used = used_links_.size();
+  flows_off_.resize(n_used + 1);
+  std::uint32_t total = 0;
+  for (std::size_t p = 0; p < n_used; ++p) {
+    total += link_cnt_[used_links_[p]];
+    flows_off_[p] = total;
+  }
+  flows_off_[n_used] = total;
+  link_flows_.resize(total);
+  for (std::size_t i = active_.size(); i-- > 0;) {
+    const Active& f = active_[i];
+    for (std::uint32_t p = 0; p < f.path_len; ++p) {
+      link_flows_[--flows_off_[link_pos_[path_arena_[f.path_off + p]]]] =
+          static_cast<std::uint32_t>(i);
     }
-    if (best < 0.0) break;  // no constrained link left (cannot happen: host links)
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      if (frozen[i] != 0) continue;
-      Active& f = active_[i];
-      bool on_bottleneck = false;
-      for (std::uint32_t p = 0; p < f.path_len; ++p) {
-        if (path_arena_[f.path_off + p] == best_link) {
-          on_bottleneck = true;
-          break;
-        }
-      }
-      if (!on_bottleneck) continue;
-      frozen[i] = 1;
+  }
+
+  // A flow alone on every link it crosses is touched by no other freeze, so
+  // water-filling would give it its path's smallest capacity whenever its
+  // turn came: settle it now and keep its links out of the heap.
+  frozen_.assign(active_.size(), 0);
+  std::size_t left = active_.size();
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    Active& f = active_[i];
+    const LinkId* path = path_arena_.data() + f.path_off;
+    if (!std::all_of(path, path + f.path_len, [&](LinkId l) { return link_cnt_[l] == 1; })) {
+      continue;
+    }
+    f.target = std::numeric_limits<double>::infinity();
+    for (std::uint32_t p = 0; p < f.path_len; ++p) {
+      f.target = std::min(f.target, cap_rem_[path[p]]);
+      link_cnt_[path[p]] = 0;
+    }
+    frozen_[i] = 1;
+    --left;
+  }
+
+  // Water-filling: repeatedly freeze every flow crossing the current
+  // bottleneck (the link with the smallest per-flow share, the first in
+  // used_links_ order on a tie) at that share. The heap holds a current
+  // entry for every link that still has flows; an entry whose share no
+  // longer matches its link's is stale and dropped when popped.
+  const auto later = [](const Bottleneck& a, const Bottleneck& b) {
+    return a.share != b.share ? a.share > b.share : a.pos > b.pos;
+  };
+  const auto share_of = [&](LinkId l) {
+    return cap_rem_[l] / static_cast<double>(link_cnt_[l]);
+  };
+  heap_.clear();
+  for (std::uint32_t p = 0; p < n_used; ++p) {
+    if (link_cnt_[used_links_[p]] > 0) heap_.push_back({share_of(used_links_[p]), p});
+  }
+  std::make_heap(heap_.begin(), heap_.end(), later);
+  while (left > 0 && !heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Bottleneck b = heap_.back();
+    heap_.pop_back();
+    const LinkId bl = used_links_[b.pos];
+    if (link_cnt_[bl] == 0 || share_of(bl) != b.share) continue;
+    for (std::uint32_t k = flows_off_[b.pos]; k < flows_off_[b.pos + 1]; ++k) {
+      const std::uint32_t i = link_flows_[k];
+      if (frozen_[i] != 0) continue;
+      frozen_[i] = 1;
       --left;
-      f.target = best;
+      Active& f = active_[i];
+      f.target = b.share;
       for (std::uint32_t p = 0; p < f.path_len; ++p) {
         const LinkId l = path_arena_[f.path_off + p];
-        cap_rem_[l] = std::max(0.0, cap_rem_[l] - best);
-        --link_cnt_[l];
+        cap_rem_[l] = std::max(0.0, cap_rem_[l] - b.share);
+        if (--link_cnt_[l] > 0 && l != bl) {
+          heap_.push_back({share_of(l), link_pos_[l]});
+          std::push_heap(heap_.begin(), heap_.end(), later);
+        }
       }
     }
   }
@@ -217,6 +261,8 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
   std::sort(inputs_.begin(), inputs_.end(), [](const Input& a, const Input& b) {
     return a.start != b.start ? a.start < b.start : a.id < b.id;
   });
+
+  link_pos_.assign(fabric_.link_count(), 0);
 
   FlowSimResult res;
   res.started = 0;

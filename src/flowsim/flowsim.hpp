@@ -132,10 +132,21 @@ class FlowSim {
   std::vector<Active> active_;
   sim::TimePoint now_{};
 
-  // Scratch for the water-filling (sized to link_count, reused).
+  // Scratch for the water-filling (DESIGN.md §15 "Sharing"): link-indexed
+  // vectors are sized to link_count, the rest grow to their peak once and
+  // are reused by every recompute.
   std::vector<double> cap_rem_;
   std::vector<std::uint32_t> link_cnt_;
-  std::vector<LinkId> used_links_;
+  std::vector<LinkId> used_links_;         // first-use order: the tie-break order
+  std::vector<std::uint32_t> link_pos_;    // link -> its position in used_links_
+  std::vector<std::uint32_t> link_flows_;  // per used link, its active_ indices in order
+  std::vector<std::uint32_t> flows_off_;   // position -> start of its run in link_flows_
+  std::vector<char> frozen_;
+  struct Bottleneck {
+    double share;
+    std::uint32_t pos;
+  };
+  std::vector<Bottleneck> heap_;  // lazy min-heap on (share, pos)
 
   // Usage recording.
   sim::Duration usage_bin_ = sim::Duration::zero();

@@ -275,7 +275,7 @@ ExperimentResult run_leaf_spine_mixed(const ExperimentConfig& cfg) {
   return out;
 }
 
-FlowFatTreeResult run_fat_tree_flow(int k, transport::Protocol proto, std::size_t n_flows,
+FlowFatTreeResult run_fat_tree_flow(int k, flowsim::RateModel model, std::size_t n_flows,
                                     double load, std::uint64_t seed) {
   const net::FatTreeConfig defaults;  // rate/delay shared with the packet bench
   const flowsim::Fabric fabric = flowsim::Fabric::fat_tree(k, defaults.link_rate);
@@ -300,7 +300,6 @@ FlowFatTreeResult run_fat_tree_flow(int k, transport::Protocol proto, std::size_
   const auto flows = gen.generate(traffic);
 
   flowsim::FlowSim fsim{fabric, fscfg};
-  const flowsim::RateModel model = rate_model_for(proto);
   for (const auto& f : flows) {
     fsim.add_flow(f.id, f.src_host, f.dst_host, f.bytes, f.start, model);
   }
@@ -313,6 +312,7 @@ FlowFatTreeResult run_fat_tree_flow(int k, transport::Protocol proto, std::size_
   r.flows = flows.size();
   r.completed = recorder.completed().size();
   r.sim_seconds = run.end_time.to_seconds();
+  r.records = recorder.completed();
   return r;
 }
 

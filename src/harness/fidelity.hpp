@@ -38,15 +38,17 @@ namespace amrt::harness {
 [[nodiscard]] flowsim::RateModel rate_model_for(transport::Protocol proto);
 
 // Flow-level fat-tree run for bench_scale --fidelity=flow: same websearch
-// workload and seed stream as bench_scale's packet run_one.
+// workload and seed stream as bench_scale's packet run_one, every flow under
+// `model` (rate_model_for(proto) for a transport's fluid analogue).
 struct FlowFatTreeResult {
   std::uint64_t events = 0;
   std::uint64_t delivered_bytes = 0;
   std::size_t flows = 0;
   std::size_t completed = 0;
   double sim_seconds = 0.0;
+  std::vector<stats::FlowRecord> records;  // completed flows, in completion order
 };
-[[nodiscard]] FlowFatTreeResult run_fat_tree_flow(int k, transport::Protocol proto,
+[[nodiscard]] FlowFatTreeResult run_fat_tree_flow(int k, flowsim::RateModel model,
                                                   std::size_t n_flows, double load,
                                                   std::uint64_t seed);
 

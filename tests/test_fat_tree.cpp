@@ -200,6 +200,6 @@ TEST_P(FatTreeConservation, CrossPodTrafficDeliveredExactlyOnce) {
 
 INSTANTIATE_TEST_SUITE_P(AllTransports, FatTreeConservation,
                          ::testing::ValuesIn(testutil::kAllProtocols),
-                         [](const ::testing::TestParamInfo<Protocol>& info) {
-                           return std::string(transport::to_string(info.param));
+                         [](const ::testing::TestParamInfo<Protocol>& p) {
+                           return std::string(transport::to_string(p.param));
                          });

@@ -145,7 +145,9 @@ TEST(FlatMap, DifferentialFuzzAgainstUnorderedMap) {
         const auto* fv = flat.find(key);
         const auto rv = ref.find(key);
         ASSERT_EQ(fv != nullptr, rv != ref.end()) << "membership diverged for " << key;
-        if (fv != nullptr) ASSERT_EQ(*fv, rv->second);
+        if (fv != nullptr) {
+          ASSERT_EQ(*fv, rv->second);
+        }
         break;
       }
     }

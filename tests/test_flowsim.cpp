@@ -1,13 +1,18 @@
 // Unit tests for the flow-level fast path (src/flowsim): fabric link layout
 // and path resolution, max-min water-filling, the AMRT/DCTCP/traditional
-// rate ramps, usage recording and observer accounting.
+// rate ramps, usage recording, observer accounting and the flow-fidelity
+// golden fixture.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "flowsim/fabric.hpp"
 #include "flowsim/flowsim.hpp"
+#include "harness/experiment.hpp"
+#include "harness/fidelity.hpp"
 #include "stats/fct.hpp"
 
 using namespace amrt;
@@ -304,4 +309,209 @@ TEST(FlowSim, RejectsBadConfigAndFlows) {
   EXPECT_THROW(fs.add_flow(1, 0, 1, 0, TimePoint::zero(), RateModel::kInstant),
                std::invalid_argument);
   EXPECT_THROW(fs.record_link_usage(Duration::zero()), std::invalid_argument);
+
+  Fabric g = small_ls();
+  EXPECT_THROW(g.set_capacity_bps(static_cast<LinkId>(g.link_count()), kCapBps),
+               std::invalid_argument);
+  EXPECT_THROW(g.set_capacity_bps(0, 0.0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Water-filling edge cases, derived by hand and compared exactly.
+
+namespace {
+
+// Payload equals raw capacity and completions carry no pipeline latency, so
+// a flow of B bytes at share r ends exactly B/r after its rate last changed.
+FlowSimConfig exact_config() {
+  FlowSimConfig cfg = quiet_config();
+  cfg.payload_fraction = 1.0;
+  cfg.prop_delay = Duration::zero();
+  cfg.mtu_tx = Duration::zero();
+  return cfg;
+}
+
+constexpr double kC = 1e9;  // payload bytes/sec of an 8 Gb/s link
+
+// One leaf of `hosts` hosts, every link at 4C: a flow from host s to host d
+// crosses exactly host_up(s) then host_down(d).
+Fabric one_leaf(int hosts) { return Fabric::leaf_spine(1, 1, hosts, Bandwidth::gbps(32)); }
+
+void set_payload(Fabric& f, LinkId l, double bytes_per_sec) {
+  f.set_capacity_bps(l, bytes_per_sec * 8.0);
+}
+
+struct Spec {
+  std::uint64_t id;
+  std::size_t src;
+  std::size_t dst;
+  std::uint64_t bytes;
+};
+
+// Starts every flow at t=0 under the instant model; returns end ns by id.
+std::map<std::uint64_t, std::int64_t> end_ns(const Fabric& f, const std::vector<Spec>& flows) {
+  FlowSim fs{f, exact_config()};
+  for (const Spec& s : flows) {
+    fs.add_flow(s.id, s.src, s.dst, s.bytes, TimePoint::zero(), RateModel::kInstant);
+  }
+  stats::FctRecorder rec{Bandwidth::gbps(10), 100_us};
+  fs.run(&rec);
+  std::map<std::uint64_t, std::int64_t> out;
+  for (const auto& r : rec.completed()) out[r.flow] = r.end.ns();
+  EXPECT_EQ(out.size(), flows.size());
+  return out;
+}
+
+}  // namespace
+
+TEST(FlowSimWaterFill, TiedBottlenecksGiveTheSameSharesInEitherFirstUseOrder) {
+  // host_down(0) (2C, flows a b) and host_up(3) (2C, flows c d) tie at C.
+  // Freezing either first leaves e (on host_up(1) and host_down(4), 4C
+  // each) 3C on both, a second tie: a=b=c=d=C, e=3C. At 1 ms a..d drain;
+  // e has 3e6 of 6e6 left and runs alone at 4C for 0.75 ms more.
+  Fabric f = one_leaf(6);
+  set_payload(f, f.host_down(0), 2 * kC);
+  set_payload(f, f.host_up(3), 2 * kC);
+  const auto run = [&](std::uint64_t a, std::uint64_t b, std::uint64_t c, std::uint64_t d) {
+    return end_ns(f, {{a, 1, 0, 1'000'000},
+                      {b, 2, 0, 1'000'000},
+                      {c, 3, 4, 1'000'000},
+                      {d, 3, 5, 1'000'000},
+                      {5, 1, 4, 6'000'000}});
+  };
+  // Ids order arrivals, and arrival order is first-use order: host_down(0)
+  // is listed before host_up(3) in the first run and after it in the second.
+  for (const auto& ends : {run(1, 2, 3, 4), run(3, 4, 1, 2)}) {
+    for (std::uint64_t id = 1; id <= 4; ++id) EXPECT_EQ(ends.at(id), 1'000'000) << id;
+    EXPECT_EQ(ends.at(5), 1'750'000);
+  }
+}
+
+TEST(FlowSimWaterFill, IsolatedFlowsTakeTheirPathMinimumBesideSharedFlows) {
+  // iso1 (0->1) and iso2 (2->3) share no link with anyone: each runs at the
+  // smaller capacity on its path, 1.5C and 0.5C. s1 (4->6) and s2 (5->6)
+  // share host_down(6) (2C); s2's 0.5C uplink freezes it first, so s1 gets
+  // the 1.5C left, then the whole 2C once s2 drains at 1 ms.
+  Fabric f = one_leaf(8);
+  set_payload(f, f.host_up(0), 3 * kC);
+  set_payload(f, f.host_down(1), 1.5 * kC);
+  set_payload(f, f.host_up(2), 0.5 * kC);
+  set_payload(f, f.host_up(5), 0.5 * kC);
+  set_payload(f, f.host_down(6), 2 * kC);
+  const auto ends = end_ns(f, {{1, 0, 1, 4'500'000},    // iso1: 4.5e6 / 1.5C = 3 ms
+                               {2, 4, 6, 3'500'000},    // s1: 1.5e6 by 1 ms, 2e6 at 2C
+                               {3, 2, 3, 750'000},      // iso2: 7.5e5 / 0.5C = 1.5 ms
+                               {4, 5, 6, 500'000}});    // s2: 5e5 / 0.5C = 1 ms
+  EXPECT_EQ(ends.at(1), 3'000'000);
+  EXPECT_EQ(ends.at(2), 2'000'000);
+  EXPECT_EQ(ends.at(3), 1'500'000);
+  EXPECT_EQ(ends.at(4), 1'000'000);
+}
+
+TEST(FlowSimWaterFill, ResidualRoundingBelowZeroIsClamped) {
+  // Three flows from leaf 0 into host 4 share leaf_up, spine_down and
+  // host_down(4) at 10 Gb/s = 1.25e9 B/s: a three-way tie at C10/3. d
+  // (0->1) shares a's uplink and gets the 2*C10/3 left there, then the
+  // whole link once the three drain at 3 ms.
+  const double c10 = 1.25e9;
+  const double third = c10 / 3.0;
+  // Subtracting the rounded third three times overshoots zero, so these
+  // residuals go through the max(0, ...) clamp.
+  ASSERT_LT(c10 - third - third - third, 0.0);
+  const Fabric f = Fabric::leaf_spine(2, 1, 4, Bandwidth::gbps(10));
+  const auto ends = end_ns(f, {{1, 0, 4, 1'250'000},    // 1.25e6 / (C10/3) = 3 ms
+                               {2, 1, 4, 1'250'000},
+                               {3, 2, 4, 1'250'000},
+                               {4, 0, 1, 5'000'000}});  // 2.5e6 by 3 ms, 2.5e6 at C10
+  for (std::uint64_t id = 1; id <= 3; ++id) EXPECT_EQ(ends.at(id), 3'000'000) << id;
+  EXPECT_EQ(ends.at(4), 5'000'000);
+}
+
+TEST(FlowSimWaterFill, ChainOfThreeSuccessiveBottlenecks) {
+  // host_down(0) (C, a b) freezes first at 0.5C; that leaves host_up(2)
+  // (1.25C, b c) 0.75C for c; that leaves host_down(3) (3C, c d e) 2.25C
+  // for d and e, 1.125C each. At 2 ms all but e drain; e has 2.25e6 left
+  // and runs alone at 3C for 0.75 ms.
+  Fabric f = one_leaf(6);
+  set_payload(f, f.host_down(0), kC);
+  set_payload(f, f.host_up(2), 1.25 * kC);
+  set_payload(f, f.host_down(3), 3 * kC);
+  const auto ends = end_ns(f, {{1, 1, 0, 1'000'000},    // a
+                               {2, 2, 0, 1'000'000},    // b
+                               {3, 2, 3, 1'500'000},    // c
+                               {4, 4, 3, 2'250'000},    // d
+                               {5, 5, 3, 4'500'000}});  // e
+  for (std::uint64_t id = 1; id <= 4; ++id) EXPECT_EQ(ends.at(id), 2'000'000) << id;
+  EXPECT_EQ(ends.at(5), 2'750'000);
+}
+
+// ---------------------------------------------------------------------------
+// Golden fixture: the water-filling pinned to the nanosecond.
+
+namespace {
+
+struct GoldenRecord {
+  std::uint64_t flow;
+  std::uint64_t bytes;
+  std::int64_t start_ns;
+  std::int64_t end_ns;
+};
+#include "golden_flow_fct.inc"
+
+// Must match tools/regen_golden_fct.cpp exactly.
+harness::ExperimentConfig flow_golden_cfg() {
+  harness::ExperimentConfig cfg;
+  cfg.fidelity = harness::Fidelity::kFlow;
+  cfg.proto = transport::Protocol::kAmrt;
+  cfg.background_dctcp_fraction = 0.25;
+  cfg.workload = workload::Kind::kWebSearch;
+  cfg.load = 0.6;
+  cfg.n_flows = 200;
+  cfg.leaves = 4;
+  cfg.spines = 1;
+  cfg.hosts_per_leaf = 8;
+  cfg.seed = 42;
+  return cfg;
+}
+
+void expect_golden(const std::vector<stats::FlowRecord>& got, const GoldenRecord* golden,
+                   std::size_t count) {
+  ASSERT_EQ(got.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(got[i].flow, golden[i].flow) << "record " << i;
+    EXPECT_EQ(got[i].bytes, golden[i].bytes) << "record " << i;
+    EXPECT_EQ(got[i].start.ns(), golden[i].start_ns) << "record " << i;
+    EXPECT_EQ(got[i].end.ns(), golden[i].end_ns) << "record " << i;
+  }
+}
+
+}  // namespace
+
+TEST(FlowSimGolden, FlowFidelityFctFixtureUnchanged) {
+  // Any change to the order in which the water-filling freezes flows or
+  // subtracts shares moves a target by an ulp and a completion by a
+  // nanosecond somewhere in these runs. Regenerate golden_flow_fct.inc
+  // (tools/regen_golden.sh) only for a change that is *supposed* to alter
+  // flow-level results, and say so in the commit.
+  {
+    SCOPED_TRACE("oversubscribed leaf-spine");
+    expect_golden(harness::run_leaf_spine(flow_golden_cfg()).flow_records,
+                  kGoldenFlowLeafSpine, std::size(kGoldenFlowLeafSpine));
+  }
+  const struct {
+    RateModel model;
+    const GoldenRecord* golden;
+    std::size_t count;
+  } fat_tree[] = {
+      {RateModel::kInstant, kGoldenFlowFatTreeInstant, std::size(kGoldenFlowFatTreeInstant)},
+      {RateModel::kAmrtGrantClock, kGoldenFlowFatTreeAmrt, std::size(kGoldenFlowFatTreeAmrt)},
+      {RateModel::kDctcpThreshold, kGoldenFlowFatTreeDctcp, std::size(kGoldenFlowFatTreeDctcp)},
+      {RateModel::kTraditional, kGoldenFlowFatTreeTraditional,
+       std::size(kGoldenFlowFatTreeTraditional)},
+  };
+  for (const auto& f : fat_tree) {
+    SCOPED_TRACE(to_string(f.model));
+    expect_golden(harness::run_fat_tree_flow(4, f.model, 200, 0.6, 42).records, f.golden,
+                  f.count);
+  }
 }

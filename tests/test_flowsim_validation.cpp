@@ -250,7 +250,7 @@ TEST(FlowsimValidation, FatTreeFlowMatchesPacket) {
 
   // The bench helper runs the identical schedule: same byte count.
   const FlowFatTreeResult bench =
-      run_fat_tree_flow(k, transport::Protocol::kAmrt, kNFlows, kLoad, kSeed);
+      run_fat_tree_flow(k, rate_model_for(transport::Protocol::kAmrt), kNFlows, kLoad, kSeed);
   EXPECT_EQ(bench.delivered_bytes, flow_rec.bytes_delivered());
   EXPECT_EQ(bench.completed, flows.size());
 }

@@ -1,14 +1,22 @@
 // Regenerates tests/golden_fct.inc: the pinned golden-seed scenario run
-// under every transport, emitted as one C array per protocol.
+// under every transport, emitted as one C array per protocol. With --flow it
+// regenerates tests/golden_flow_fct.inc instead: the flow-level fast path
+// (src/flowsim) on an oversubscribed leaf-spine and on a k=4 fat-tree under
+// every rate model.
 //
 //   build/tools/regen_golden_fct > tests/golden_fct.inc     (or tools/regen_golden.sh)
+//   build/tools/regen_golden_fct --flow > tests/golden_flow_fct.inc
 //
 // The fixture is a behaviour lock, not a correctness statement: regenerate
 // it only for a change that is *supposed* to alter observable results, and
 // say so in the commit message (see the GoldenSeedFctFixtureUnchanged test).
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "harness/experiment.hpp"
+#include "harness/fidelity.hpp"
 
 using namespace amrt;
 
@@ -28,10 +36,28 @@ harness::ExperimentConfig golden_cfg(transport::Protocol proto) {
   return cfg;
 }
 
-void emit(const char* suffix, transport::Protocol proto) {
-  const auto r = harness::run_leaf_spine(golden_cfg(proto));
-  std::printf("inline constexpr GoldenRecord kGoldenFct%s[] = {\n", suffix);
-  for (const auto& rec : r.flow_records) {
+// This scenario and emit_flow()'s fat-tree runs must match
+// tests/test_flowsim.cpp exactly: 8 hosts per leaf behind a single spine
+// (8:1 oversubscribed uplinks, so bottleneck ties are common), AMRT
+// foreground with a quarter of the flows on the DCTCP ramp.
+harness::ExperimentConfig flow_golden_cfg() {
+  harness::ExperimentConfig cfg;
+  cfg.fidelity = harness::Fidelity::kFlow;
+  cfg.proto = transport::Protocol::kAmrt;
+  cfg.background_dctcp_fraction = 0.25;
+  cfg.workload = workload::Kind::kWebSearch;
+  cfg.load = 0.6;
+  cfg.n_flows = 200;
+  cfg.leaves = 4;
+  cfg.spines = 1;
+  cfg.hosts_per_leaf = 8;
+  cfg.seed = 42;
+  return cfg;
+}
+
+void emit_records(const char* name, const std::vector<stats::FlowRecord>& records) {
+  std::printf("inline constexpr GoldenRecord %s[] = {\n", name);
+  for (const auto& rec : records) {
     std::printf("    {%lluULL, %lluULL, %lldLL, %lldLL},\n",
                 static_cast<unsigned long long>(rec.flow),
                 static_cast<unsigned long long>(rec.bytes),
@@ -40,9 +66,42 @@ void emit(const char* suffix, transport::Protocol proto) {
   std::printf("};\n");
 }
 
+void emit(const char* suffix, transport::Protocol proto) {
+  const std::string name = std::string{"kGoldenFct"} + suffix;
+  emit_records(name.c_str(), harness::run_leaf_spine(golden_cfg(proto)).flow_records);
+}
+
+int emit_flow() {
+  std::printf(
+      "// Flow-fidelity golden fixtures: the max-min water-filling of\n"
+      "// src/flowsim pinned bit for bit. kGoldenFlowLeafSpine is WebSearch,\n"
+      "// load 0.6, 200 flows on a 4x1x8 leaf-spine (8:1 oversubscribed), AMRT\n"
+      "// with 25%% DCTCP background, seed 42; kGoldenFlowFatTree* is WebSearch,\n"
+      "// load 0.6, 200 flows on a k=4 fat-tree, seed 42, one array per rate\n"
+      "// model. Regenerate with tools/regen_golden.sh only for a change that is\n"
+      "// *supposed* to alter flow-level results, and say so in the commit.\n"
+      "// Fields: flow id, bytes, start ns, end ns.\n");
+  emit_records("kGoldenFlowLeafSpine", harness::run_leaf_spine(flow_golden_cfg()).flow_records);
+  const struct {
+    const char* name;
+    flowsim::RateModel model;
+  } models[] = {
+      {"kGoldenFlowFatTreeInstant", flowsim::RateModel::kInstant},
+      {"kGoldenFlowFatTreeAmrt", flowsim::RateModel::kAmrtGrantClock},
+      {"kGoldenFlowFatTreeDctcp", flowsim::RateModel::kDctcpThreshold},
+      {"kGoldenFlowFatTreeTraditional", flowsim::RateModel::kTraditional},
+  };
+  for (const auto& m : models) {
+    std::printf("\n");
+    emit_records(m.name, harness::run_fat_tree_flow(4, m.model, 200, 0.6, 42).records);
+  }
+  return 0;
+}
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1 && std::strcmp(argv[1], "--flow") == 0) return emit_flow();
   std::printf(
       "// Golden-seed FCT fixtures: WebSearch, load 0.6, 80 flows, 2x2x4\n"
       "// leaf-spine, seed 42, one array per transport. The first four arrays\n"
