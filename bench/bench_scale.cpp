@@ -5,7 +5,9 @@
 // and peak RSS, as google-benchmark-shaped JSON that
 // tools/bench_compare.py --scale can diff across builds. Flow-fidelity rows
 // report ms per event and flows per second instead: a fluid event is a
-// whole max-min recompute, so events/sec says nothing about its cost. The
+// max-min recompute, so events/sec says nothing about its cost. They also
+// report flows_per_refill, the mean number of flows a recompute re-water-
+// fills (the components its arrivals and completions reach). The
 // JSON context names the host (nproc, CPU model, compiler), so a committed
 // baseline says which machine it came from.
 //
@@ -76,6 +78,7 @@ struct RunResult {
   long peak_rss_kb = 0;
   unsigned shards = 1;
   bool flow = false;  // a flow-fidelity row
+  double flows_per_refill = 0.0;  // flow rows: flows water-filled per recompute
 };
 
 long peak_rss_kb() {
@@ -158,6 +161,9 @@ RunResult run_one_flow(const Options& opt, transport::Protocol proto) {
   r.completed = f.completed;
   r.peak_rss_kb = peak_rss_kb();
   r.flow = true;
+  r.flows_per_refill = f.recomputes > 0 ? static_cast<double>(f.flows_refilled) /
+                                              static_cast<double>(f.recomputes)
+                                        : 0.0;
   return r;
 }
 
@@ -280,12 +286,13 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>
                    "     \"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"ms\",\n"
                    "     \"shards\": %u, \"wall_ms\": %.3f,\n"
                    "     \"events\": %llu, \"ms_per_event\": %.4f,\n"
-                   "     \"flows_per_second\": %.0f, \"delivered_pkts\": %llu,\n"
+                   "     \"flows_per_second\": %.0f, \"flows_per_refill\": %.1f,\n"
+                   "     \"delivered_pkts\": %llu,\n"
                    "     \"flows\": %zu, \"completed\": %zu, \"peak_rss_mb\": %.1f}%s\n",
                    r.name.c_str(), r.real_ms, r.real_ms, r.shards, r.real_ms,
                    static_cast<unsigned long long>(r.events),
                    r.events > 0 ? r.real_ms / static_cast<double>(r.events) : 0.0,
-                   secs > 0 ? static_cast<double>(r.flows) / secs : 0.0,
+                   secs > 0 ? static_cast<double>(r.flows) / secs : 0.0, r.flows_per_refill,
                    static_cast<unsigned long long>(r.delivered_pkts), r.flows, r.completed,
                    static_cast<double>(r.peak_rss_kb) / 1024.0, sep);
       continue;
@@ -386,11 +393,12 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   bool ok = true;
   auto report = [&](const RunResult& r) {
-    char rate[64];
+    char rate[96];
     if (r.flow) {
-      std::snprintf(rate, sizeof rate, "%.3f ms/event, %.0f flows/s",
+      std::snprintf(rate, sizeof rate, "%.3f ms/event, %.0f flows/s, %.1f flows/refill",
                     r.events > 0 ? r.real_ms / static_cast<double>(r.events) : 0.0,
-                    r.real_ms > 0 ? static_cast<double>(r.flows) / r.real_ms * 1e3 : 0.0);
+                    r.real_ms > 0 ? static_cast<double>(r.flows) / r.real_ms * 1e3 : 0.0,
+                    r.flows_per_refill);
     } else {
       std::snprintf(rate, sizeof rate, "%.2fM ev/s, %u shard%s",
                     r.real_ms > 0 ? static_cast<double>(r.events) / r.real_ms / 1e3 : 0.0,

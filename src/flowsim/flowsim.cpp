@@ -64,17 +64,105 @@ sim::Duration FlowSim::completion_latency(const Active& f) const {
          cfg_.fixed_latency;
 }
 
+void FlowSim::collect_touched() {
+  // Walk link -> member flow -> its links from every seed; seeds_ doubles as
+  // the work stack and is empty again on return. A completed flow's links
+  // are all seeds, so its hops are unlinked here, in the event it leaves.
+  ++epoch_;
+  touched_.clear();
+  while (!seeds_.empty()) {
+    const LinkId l = seeds_.back();
+    seeds_.pop_back();
+    if (link_seen_[l] == epoch_) continue;
+    link_seen_[l] = epoch_;
+    for (std::uint32_t* link = &link_head_[l]; *link != kNil;) {
+      const std::uint32_t h = *link;
+      const std::uint32_t in = hop_owner_[h];
+      if (act_pos_[in] == kNil) {
+        *link = hop_next_[h];
+        continue;
+      }
+      link = &hop_next_[h];
+      if (flow_seen_[in] == epoch_) continue;
+      flow_seen_[in] = epoch_;
+      touched_.push_back(act_pos_[in]);
+      const Input& src = inputs_[in];
+      for (std::uint32_t p = src.path_off; p < src.path_off + src.path_len; ++p) {
+        if (link_seen_[path_arena_[p]] != epoch_) seeds_.push_back(path_arena_[p]);
+      }
+    }
+  }
+  // active_ order: the order every list and loop below must follow.
+  std::sort(touched_.begin(), touched_.end());
+}
+
+void FlowSim::heap_place(std::size_t slot, Bottleneck b) {
+  heap_[slot] = b;
+  heap_slot_[b.pos] = static_cast<std::uint32_t>(slot);
+}
+
+void FlowSim::heap_sift_up(std::size_t slot) {
+  const Bottleneck b = heap_[slot];
+  while (slot > 0) {
+    const std::size_t parent = (slot - 1) / 2;
+    if (!(b < heap_[parent])) break;
+    heap_place(slot, heap_[parent]);
+    slot = parent;
+  }
+  heap_place(slot, b);
+}
+
+void FlowSim::heap_sift_down(std::size_t slot) {
+  const Bottleneck b = heap_[slot];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * slot + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < b)) break;
+    heap_place(slot, heap_[child]);
+    slot = child;
+  }
+  heap_place(slot, b);
+}
+
+void FlowSim::heap_update(std::uint32_t pos, double share) {
+  const std::size_t slot = heap_slot_[pos];
+  const double old = heap_[slot].share;
+  heap_[slot].share = share;
+  if (share > old) {
+    heap_sift_down(slot);
+  } else if (share < old) {
+    heap_sift_up(slot);
+  }
+}
+
+void FlowSim::heap_remove(std::uint32_t pos) {
+  const std::size_t slot = heap_slot_[pos];
+  const Bottleneck last = heap_.back();
+  heap_.pop_back();
+  if (slot == heap_.size()) return;
+  heap_place(slot, last);
+  heap_sift_up(slot);
+  heap_sift_down(heap_slot_[last.pos]);
+}
+
 void FlowSim::recompute_targets() {
   ++recomputes_;
+  collect_touched();
+  flows_refilled_ += touched_.size();
+  const std::size_t n = touched_.size();
   const double rtt_s = cfg_.rtt.to_seconds();
   const double slot_step = cfg_.mtu_bytes / rtt_s;  // one packet slot per RTT, bytes/sec
 
-  // Per-link active-flow counts and payload capacities, over used links only,
-  // in first-use order.
+  // Per-link touched-flow counts and payload capacities, over the links the
+  // touched flows cross, in first-use order. The touched set is a union of
+  // whole components, so these counts are the links' full memberships.
   used_links_.clear();
-  for (const Active& f : active_) {
-    for (std::uint32_t i = 0; i < f.path_len; ++i) {
-      const LinkId l = path_arena_[f.path_off + i];
+  for (const std::uint32_t i : touched_) {
+    const Active& f = active_[i];
+    for (std::uint32_t p = 0; p < f.path_len; ++p) {
+      const LinkId l = path_arena_[f.path_off + p];
       if (link_cnt_[l] == 0) {
         link_pos_[l] = static_cast<std::uint32_t>(used_links_.size());
         used_links_.push_back(l);
@@ -84,8 +172,9 @@ void FlowSim::recompute_targets() {
     }
   }
 
-  // Link -> flow lists, indexed by position. Filling back to front leaves
-  // each list in active_ order, the order the freezes below subtract in.
+  // Link -> flow lists (touched_ slots), indexed by position. Filling back to
+  // front leaves each list in active_ order, the order the freezes below
+  // subtract in.
   const std::size_t n_used = used_links_.size();
   flows_off_.resize(n_used + 1);
   std::uint32_t total = 0;
@@ -95,21 +184,21 @@ void FlowSim::recompute_targets() {
   }
   flows_off_[n_used] = total;
   link_flows_.resize(total);
-  for (std::size_t i = active_.size(); i-- > 0;) {
-    const Active& f = active_[i];
+  for (std::size_t k = n; k-- > 0;) {
+    const Active& f = active_[touched_[k]];
     for (std::uint32_t p = 0; p < f.path_len; ++p) {
       link_flows_[--flows_off_[link_pos_[path_arena_[f.path_off + p]]]] =
-          static_cast<std::uint32_t>(i);
+          static_cast<std::uint32_t>(k);
     }
   }
 
   // A flow alone on every link it crosses is touched by no other freeze, so
   // water-filling would give it its path's smallest capacity whenever its
   // turn came: settle it now and keep its links out of the heap.
-  frozen_.assign(active_.size(), 0);
-  std::size_t left = active_.size();
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    Active& f = active_[i];
+  frozen_.assign(n, 0);
+  std::size_t left = n;
+  for (std::size_t k = 0; k < n; ++k) {
+    Active& f = active_[touched_[k]];
     const LinkId* path = path_arena_.data() + f.path_off;
     if (!std::all_of(path, path + f.path_len, [&](LinkId l) { return link_cnt_[l] == 1; })) {
       continue;
@@ -119,53 +208,66 @@ void FlowSim::recompute_targets() {
       f.target = std::min(f.target, cap_rem_[path[p]]);
       link_cnt_[path[p]] = 0;
     }
-    frozen_[i] = 1;
+    frozen_[k] = 1;
     --left;
   }
 
   // Water-filling: repeatedly freeze every flow crossing the current
   // bottleneck (the link with the smallest per-flow share, the first in
-  // used_links_ order on a tie) at that share. The heap holds a current
-  // entry for every link that still has flows; an entry whose share no
-  // longer matches its link's is stale and dropped when popped.
-  const auto later = [](const Bottleneck& a, const Bottleneck& b) {
-    return a.share != b.share ? a.share > b.share : a.pos > b.pos;
-  };
+  // used_links_ order on a tie) at that share. The heap holds exactly the
+  // links that still have flows, each keyed on its current share.
   const auto share_of = [&](LinkId l) {
     return cap_rem_[l] / static_cast<double>(link_cnt_[l]);
   };
   heap_.clear();
+  heap_slot_.resize(n_used);
   for (std::uint32_t p = 0; p < n_used; ++p) {
-    if (link_cnt_[used_links_[p]] > 0) heap_.push_back({share_of(used_links_[p]), p});
+    if (link_cnt_[used_links_[p]] == 0) continue;
+    heap_slot_[p] = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back({share_of(used_links_[p]), p});
   }
-  std::make_heap(heap_.begin(), heap_.end(), later);
+  for (std::size_t slot = heap_.size() / 2; slot-- > 0;) heap_sift_down(slot);
+  is_changed_.assign(n_used, 0);
   while (left > 0 && !heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    const Bottleneck b = heap_.back();
-    heap_.pop_back();
+    const Bottleneck b = heap_.front();
+    heap_remove(b.pos);
     const LinkId bl = used_links_[b.pos];
-    if (link_cnt_[bl] == 0 || share_of(bl) != b.share) continue;
     for (std::uint32_t k = flows_off_[b.pos]; k < flows_off_[b.pos + 1]; ++k) {
-      const std::uint32_t i = link_flows_[k];
-      if (frozen_[i] != 0) continue;
-      frozen_[i] = 1;
+      const std::uint32_t slot = link_flows_[k];
+      if (frozen_[slot] != 0) continue;
+      frozen_[slot] = 1;
       --left;
-      Active& f = active_[i];
+      Active& f = active_[touched_[slot]];
       f.target = b.share;
       for (std::uint32_t p = 0; p < f.path_len; ++p) {
         const LinkId l = path_arena_[f.path_off + p];
         cap_rem_[l] = std::max(0.0, cap_rem_[l] - b.share);
-        if (--link_cnt_[l] > 0 && l != bl) {
-          heap_.push_back({share_of(l), link_pos_[l]});
-          std::push_heap(heap_.begin(), heap_.end(), later);
+        --link_cnt_[l];
+        if (l != bl && is_changed_[link_pos_[l]] == 0) {
+          is_changed_[link_pos_[l]] = 1;
+          changed_.push_back(link_pos_[l]);
         }
       }
     }
+    // Re-key each changed link once, after all of this bottleneck's freezes.
+    for (const std::uint32_t pos : changed_) {
+      is_changed_[pos] = 0;
+      const LinkId l = used_links_[pos];
+      if (link_cnt_[l] == 0) {
+        heap_remove(pos);
+      } else {
+        heap_update(pos, share_of(l));
+      }
+    }
+    changed_.clear();
   }
   for (const LinkId l : used_links_) link_cnt_[l] = 0;  // restore the zeroed invariant
 
-  // Model transitions: how each flow's actual rate tracks its new share.
-  for (Active& f : active_) {
+  // Model transitions: how each touched flow's actual rate tracks its new
+  // share. An untouched flow kept its target, and re-running its transition
+  // would change nothing (DESIGN.md §15 "Sharing").
+  for (const std::uint32_t i : touched_) {
+    Active& f = active_[i];
     if (f.fresh) {
       // Arrival: the unscheduled burst plus an immediately-scheduled grant
       // clock put a new flow at its share within the first RTT.
@@ -262,7 +364,17 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
     return a.start != b.start ? a.start < b.start : a.id < b.id;
   });
 
-  link_pos_.assign(fabric_.link_count(), 0);
+  const std::size_t n_links = fabric_.link_count();
+  link_pos_.assign(n_links, 0);
+  link_head_.assign(n_links, kNil);
+  link_seen_.assign(n_links, 0);
+  hop_next_.resize(path_arena_.size());
+  hop_owner_.resize(path_arena_.size());
+  for (std::uint32_t i = 0; i < inputs_.size(); ++i) {
+    std::fill_n(hop_owner_.begin() + inputs_[i].path_off, inputs_[i].path_len, i);
+  }
+  act_pos_.assign(inputs_.size(), 0);
+  flow_seen_.assign(inputs_.size(), 0);
 
   FlowSimResult res;
   res.started = 0;
@@ -303,16 +415,23 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
         observer->on_flow_completed(f.id, now_ + completion_latency(f));
       }
       ++res.completed;
-      f.path_len = 0;  // mark for removal; keeps indices stable until the erase
+      act_pos_[f.input] = kNil;  // its hops leave the link lists in the next traversal
+      seeds_.insert(seeds_.end(), path_arena_.begin() + f.path_off,
+                    path_arena_.begin() + f.path_off + f.path_len);
+      f.path_len = 0;  // mark for removal; keeps indices stable until the compaction
       f.rate = 0.0;
       f.total_bytes = 0;
       f.delivered = 0.0;
       membership_changed = true;
     }
     if (membership_changed) {
-      active_.erase(std::remove_if(active_.begin(), active_.end(),
-                                   [](const Active& f) { return f.path_len == 0; }),
-                    active_.end());
+      std::uint32_t kept = 0;
+      for (const Active& f : active_) {
+        if (f.path_len == 0) continue;
+        act_pos_[f.input] = kept;
+        active_[kept++] = f;
+      }
+      active_.resize(kept);
     }
 
     // Arrivals due now.
@@ -325,7 +444,14 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
       f.start = in.start;
       f.path_off = in.path_off;
       f.path_len = in.path_len;
+      f.input = static_cast<std::uint32_t>(next);
+      act_pos_[next] = static_cast<std::uint32_t>(active_.size());
       active_.push_back(f);
+      for (std::uint32_t h = f.path_off; h < f.path_off + f.path_len; ++h) {
+        hop_next_[h] = link_head_[path_arena_[h]];
+        link_head_[path_arena_[h]] = h;
+        seeds_.push_back(path_arena_[h]);
+      }
       if (observer != nullptr) observer->on_flow_started(in.id, in.bytes, in.start);
       ++res.started;
       ++next;
@@ -356,6 +482,7 @@ FlowSimResult FlowSim::run(stats::FlowObserver* observer) {
 
   res.events = events_;
   res.recomputes = recomputes_;
+  res.flows_refilled = flows_refilled_;
   res.end_time = now_;
   return res;
 }

@@ -62,8 +62,9 @@ struct FlowSimConfig {
 };
 
 struct FlowSimResult {
-  std::uint64_t events = 0;      // processed event boundaries
-  std::uint64_t recomputes = 0;  // max-min water-fillings
+  std::uint64_t events = 0;          // processed event boundaries
+  std::uint64_t recomputes = 0;      // max-min water-fillings
+  std::uint64_t flows_refilled = 0;  // flows water-filled, summed over recomputes
   std::size_t started = 0;
   std::size_t completed = 0;
   sim::TimePoint end_time{};
@@ -107,9 +108,11 @@ class FlowSim {
     sim::TimePoint start{};
     std::uint32_t path_off = 0;
     std::uint32_t path_len = 0;
-    bool fresh = true;  // not yet given an initial rate
+    std::uint32_t input = 0;  // its index in inputs_
+    bool fresh = true;        // not yet given an initial rate
   };
 
+  void collect_touched();
   void recompute_targets();
   void advance_to(sim::TimePoint t, stats::FlowObserver* observer);
   void apply_ramp_tick();
@@ -132,21 +135,54 @@ class FlowSim {
   std::vector<Active> active_;
   sim::TimePoint now_{};
 
-  // Scratch for the water-filling (DESIGN.md §15 "Sharing"): link-indexed
-  // vectors are sized to link_count, the rest grow to their peak once and
-  // are reused by every recompute.
+  // Link membership, kept between events (DESIGN.md §15 "Sharing"): each
+  // link threads its active flows' path hops (path_arena_ positions) on a
+  // singly linked list. Sized once in run(); an arrival links its hops in
+  // O(path_len), and a completed flow's hops are unlinked by the traversal
+  // that its links seed.
+  static constexpr std::uint32_t kNil = 0xffffffffU;
+  std::vector<std::uint32_t> link_head_;  // link -> first hop, or kNil
+  std::vector<std::uint32_t> hop_next_;
+  std::vector<std::uint32_t> hop_owner_;  // hop -> inputs_ index
+  std::vector<std::uint32_t> act_pos_;    // inputs_ index -> active_ position, kNil once done
+
+  // The touched set: the flows sharing a link, transitively, with a flow that
+  // arrived or completed in this event. Epoch stamps mark what a traversal
+  // has reached, so nothing is cleared per event.
+  std::vector<LinkId> seeds_;  // links whose membership changed this event
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> link_seen_;
+  std::vector<std::uint32_t> flow_seen_;  // by inputs_ index
+  std::vector<std::uint32_t> touched_;    // active_ positions, ascending
+
+  // Scratch for the water-filling over touched_: link-indexed vectors are
+  // sized to link_count, the rest grow to their peak once and are reused.
   std::vector<double> cap_rem_;
   std::vector<std::uint32_t> link_cnt_;
   std::vector<LinkId> used_links_;         // first-use order: the tie-break order
   std::vector<std::uint32_t> link_pos_;    // link -> its position in used_links_
-  std::vector<std::uint32_t> link_flows_;  // per used link, its active_ indices in order
+  std::vector<std::uint32_t> link_flows_;  // per used link, its touched_ slots in order
   std::vector<std::uint32_t> flows_off_;   // position -> start of its run in link_flows_
-  std::vector<char> frozen_;
+  std::vector<char> frozen_;               // by touched_ slot
+  std::vector<std::uint32_t> changed_;     // positions a bottleneck's freezes changed
+  std::vector<char> is_changed_;           // by position
+
+  // Min-heap of used-link positions keyed on (share, position), indexed so
+  // a position's key is changed or removed in place.
   struct Bottleneck {
     double share;
     std::uint32_t pos;
+    bool operator<(const Bottleneck& o) const {
+      return share != o.share ? share < o.share : pos < o.pos;
+    }
   };
-  std::vector<Bottleneck> heap_;  // lazy min-heap on (share, pos)
+  std::vector<Bottleneck> heap_;
+  std::vector<std::uint32_t> heap_slot_;  // position -> its index in heap_
+  void heap_place(std::size_t slot, Bottleneck b);
+  void heap_sift_up(std::size_t slot);
+  void heap_sift_down(std::size_t slot);
+  void heap_update(std::uint32_t pos, double share);
+  void heap_remove(std::uint32_t pos);
 
   // Usage recording.
   sim::Duration usage_bin_ = sim::Duration::zero();
@@ -157,6 +193,7 @@ class FlowSim {
 
   std::uint64_t events_ = 0;
   std::uint64_t recomputes_ = 0;
+  std::uint64_t flows_refilled_ = 0;
 };
 
 }  // namespace amrt::flowsim

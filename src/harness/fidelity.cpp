@@ -308,6 +308,8 @@ FlowFatTreeResult run_fat_tree_flow(int k, flowsim::RateModel model, std::size_t
 
   FlowFatTreeResult r;
   r.events = run.events;
+  r.recomputes = run.recomputes;
+  r.flows_refilled = run.flows_refilled;
   r.delivered_bytes = recorder.bytes_delivered();
   r.flows = flows.size();
   r.completed = recorder.completed().size();

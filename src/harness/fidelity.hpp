@@ -42,6 +42,8 @@ namespace amrt::harness {
 // `model` (rate_model_for(proto) for a transport's fluid analogue).
 struct FlowFatTreeResult {
   std::uint64_t events = 0;
+  std::uint64_t recomputes = 0;
+  std::uint64_t flows_refilled = 0;
   std::uint64_t delivered_bytes = 0;
   std::size_t flows = 0;
   std::size_t completed = 0;

@@ -35,8 +35,8 @@ void SweepRunner::for_each(std::size_t n, const std::function<void(std::size_t)>
   const unsigned workers = static_cast<unsigned>(
       std::min<std::size_t>(threads_, n));
   std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> done{0};
-  std::mutex mu;  // guards first_error and the progress callback
+  std::mutex mu;  // guards first_error, done and the progress callback
+  std::size_t done = 0;
   std::exception_ptr first_error;
 
   auto worker = [&] {
@@ -49,10 +49,10 @@ void SweepRunner::for_each(std::size_t n, const std::function<void(std::size_t)>
         std::lock_guard<std::mutex> lock{mu};
         if (!first_error) first_error = std::current_exception();
       }
-      const std::size_t finished = done.fetch_add(1, std::memory_order_relaxed) + 1;
       if (on_progress_) {
+        // Counted under the lock, so the callback sees done = 1..n in order.
         std::lock_guard<std::mutex> lock{mu};
-        on_progress_(finished, n);
+        on_progress_(++done, n);
       }
     }
   };

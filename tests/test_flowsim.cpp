@@ -1,12 +1,13 @@
 // Unit tests for the flow-level fast path (src/flowsim): fabric link layout
 // and path resolution, max-min water-filling, the AMRT/DCTCP/traditional
-// rate ramps, usage recording, observer accounting and the flow-fidelity
-// golden fixture.
+// rate ramps, usage recording, observer accounting, component-local
+// recomputes and the flow-fidelity golden fixture.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <iterator>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "flowsim/fabric.hpp"
@@ -346,20 +347,31 @@ struct Spec {
   std::size_t src;
   std::size_t dst;
   std::uint64_t bytes;
+  std::int64_t start_ns = 0;
+  RateModel model = RateModel::kInstant;
 };
 
-// Starts every flow at t=0 under the instant model; returns end ns by id.
-std::map<std::uint64_t, std::int64_t> end_ns(const Fabric& f, const std::vector<Spec>& flows) {
+struct Outcome {
+  std::map<std::uint64_t, std::int64_t> end_ns;  // by flow id
+  FlowSimResult result;
+};
+
+Outcome run_specs(const Fabric& f, const std::vector<Spec>& flows) {
   FlowSim fs{f, exact_config()};
   for (const Spec& s : flows) {
-    fs.add_flow(s.id, s.src, s.dst, s.bytes, TimePoint::zero(), RateModel::kInstant);
+    fs.add_flow(s.id, s.src, s.dst, s.bytes, TimePoint::zero() + Duration::nanoseconds(s.start_ns),
+                s.model);
   }
   stats::FctRecorder rec{Bandwidth::gbps(10), 100_us};
-  fs.run(&rec);
-  std::map<std::uint64_t, std::int64_t> out;
-  for (const auto& r : rec.completed()) out[r.flow] = r.end.ns();
-  EXPECT_EQ(out.size(), flows.size());
+  Outcome out;
+  out.result = fs.run(&rec);
+  for (const auto& r : rec.completed()) out.end_ns[r.flow] = r.end.ns();
+  EXPECT_EQ(out.end_ns.size(), flows.size());
   return out;
+}
+
+std::map<std::uint64_t, std::int64_t> end_ns(const Fabric& f, const std::vector<Spec>& flows) {
+  return run_specs(f, flows).end_ns;
 }
 
 }  // namespace
@@ -446,6 +458,79 @@ TEST(FlowSimWaterFill, ChainOfThreeSuccessiveBottlenecks) {
 }
 
 // ---------------------------------------------------------------------------
+// Component-local recomputes: only the flows that share a link, transitively,
+// with an arrival or a completion are water-filled again. Every link of
+// one_leaf() carries 4C; flows_refilled counts the flows each recompute
+// water-filled.
+
+TEST(FlowSimIncremental, ArrivalLeavesADisjointPairUntouched) {
+  // a (0->1) and b (2->1) split host_down(1) at 2C and drain their 4e6 in
+  // 2 ms. c (3->4) arrives alone at 0.5 ms and drains 2e6 at 4C by 1 ms.
+  // Recomputes: t=0 {a, b}; 0.5 ms {c}; 1 ms (c leaves, no survivors) {};
+  // 2 ms {}. Re-water-filling everyone would count 2 + 3 + 2 + 0.
+  const Outcome out = run_specs(one_leaf(6), {{1, 0, 1, 4'000'000},
+                                              {2, 2, 1, 4'000'000},
+                                              {3, 3, 4, 2'000'000, 500'000}});
+  EXPECT_EQ(out.end_ns.at(1), 2'000'000);
+  EXPECT_EQ(out.end_ns.at(2), 2'000'000);
+  EXPECT_EQ(out.end_ns.at(3), 1'000'000);
+  EXPECT_EQ(out.result.recomputes, 4u);
+  EXPECT_EQ(out.result.flows_refilled, 3u);
+}
+
+TEST(FlowSimIncremental, DepartureSplitsAChainAndBothEndsRiseToFullShare) {
+  // A (0->1) and B (0->2) share host_up(0); B and C (3->2) share
+  // host_down(2). Both links tie at 2C, so A = B = C = 2C. B drains 2e6 at
+  // 1 ms; A and C are then alone on every link and rise to 4C: C's last
+  // 2e6 take 0.5 ms, A's last 4e6 take 1 ms. Recomputes: t=0 {A, B, C};
+  // 1 ms {A, C}; 1.5 ms {}; 2 ms {}.
+  const Outcome out = run_specs(one_leaf(4), {{1, 0, 1, 6'000'000},
+                                              {2, 0, 2, 2'000'000},
+                                              {3, 3, 2, 4'000'000}});
+  EXPECT_EQ(out.end_ns.at(1), 2'000'000);
+  EXPECT_EQ(out.end_ns.at(2), 1'000'000);
+  EXPECT_EQ(out.end_ns.at(3), 1'500'000);
+  EXPECT_EQ(out.result.recomputes, 4u);
+  EXPECT_EQ(out.result.flows_refilled, 5u);
+}
+
+TEST(FlowSimIncremental, UntouchedTraditionalFlowKeepsItsCutRate) {
+  // T (0->1, traditional) runs alone at 4C until x (2->1) joins at 0.5 ms
+  // and cuts it to 2C. x drains 1e6 by 1 ms; T's target goes back to 4C,
+  // but a traditional rate never recovers. y (3->4) arrives at 1.5 ms in
+  // a disjoint component and drains 2e6 at 4C by 2 ms, outside T's
+  // component, so T keeps 2C: 2e6 + 1e6 by 1 ms, the last 3e6 by 2.5 ms.
+  // Recomputes: {T}; {T, x}; {T}; {y}; {}; {}.
+  const Outcome out = run_specs(one_leaf(5),
+                                {{1, 0, 1, 6'000'000, 0, RateModel::kTraditional},
+                                 {2, 2, 1, 1'000'000, 500'000},
+                                 {3, 3, 4, 2'000'000, 1'500'000}});
+  EXPECT_EQ(out.end_ns.at(1), 2'500'000);
+  EXPECT_EQ(out.end_ns.at(2), 1'000'000);
+  EXPECT_EQ(out.end_ns.at(3), 2'000'000);
+  EXPECT_EQ(out.result.recomputes, 6u);
+  EXPECT_EQ(out.result.flows_refilled, 5u);
+}
+
+TEST(FlowSimIncremental, SimultaneousCompletionAndArrivalInDifferentComponents) {
+  // p (0->1) runs alone at 4C and drains 4e6 at 1 ms, the instant r
+  // (5->6) arrives in another component; r drains 1e6 at 4C by 1.25 ms.
+  // q1 (2->3) and q2 (4->3) split host_down(3) at 2C until q2 drains 3e6
+  // at 1.5 ms; q1 has 3e6 left and takes 0.75 ms more at 4C. Recomputes:
+  // t=0 {p, q1, q2}; 1 ms {r}; 1.25 ms {}; 1.5 ms {q1}; 2.25 ms {}.
+  const Outcome out = run_specs(one_leaf(7), {{1, 0, 1, 4'000'000},
+                                              {2, 2, 3, 6'000'000},
+                                              {3, 4, 3, 3'000'000},
+                                              {4, 5, 6, 1'000'000, 1'000'000}});
+  EXPECT_EQ(out.end_ns.at(1), 1'000'000);
+  EXPECT_EQ(out.end_ns.at(2), 2'250'000);
+  EXPECT_EQ(out.end_ns.at(3), 1'500'000);
+  EXPECT_EQ(out.end_ns.at(4), 1'250'000);
+  EXPECT_EQ(out.result.recomputes, 5u);
+  EXPECT_EQ(out.result.flows_refilled, 5u);
+}
+
+// ---------------------------------------------------------------------------
 // Golden fixture: the water-filling pinned to the nanosecond.
 
 namespace {
@@ -498,20 +583,32 @@ TEST(FlowSimGolden, FlowFidelityFctFixtureUnchanged) {
     expect_golden(harness::run_leaf_spine(flow_golden_cfg()).flow_records,
                   kGoldenFlowLeafSpine, std::size(kGoldenFlowLeafSpine));
   }
+  // The k=8 runs at load 0.3 keep many small link-disjoint components
+  // splitting and merging; kTraditional keeps rate < target forever.
   const struct {
+    int k;
     RateModel model;
+    std::size_t flows;
+    double load;
     const GoldenRecord* golden;
     std::size_t count;
-  } fat_tree[] = {
-      {RateModel::kInstant, kGoldenFlowFatTreeInstant, std::size(kGoldenFlowFatTreeInstant)},
-      {RateModel::kAmrtGrantClock, kGoldenFlowFatTreeAmrt, std::size(kGoldenFlowFatTreeAmrt)},
-      {RateModel::kDctcpThreshold, kGoldenFlowFatTreeDctcp, std::size(kGoldenFlowFatTreeDctcp)},
-      {RateModel::kTraditional, kGoldenFlowFatTreeTraditional,
+  } fat_trees[] = {
+      {4, RateModel::kInstant, 200, 0.6, kGoldenFlowFatTreeInstant,
+       std::size(kGoldenFlowFatTreeInstant)},
+      {4, RateModel::kAmrtGrantClock, 200, 0.6, kGoldenFlowFatTreeAmrt,
+       std::size(kGoldenFlowFatTreeAmrt)},
+      {4, RateModel::kDctcpThreshold, 200, 0.6, kGoldenFlowFatTreeDctcp,
+       std::size(kGoldenFlowFatTreeDctcp)},
+      {4, RateModel::kTraditional, 200, 0.6, kGoldenFlowFatTreeTraditional,
        std::size(kGoldenFlowFatTreeTraditional)},
+      {8, RateModel::kAmrtGrantClock, 400, 0.3, kGoldenFlowFatTree8Amrt,
+       std::size(kGoldenFlowFatTree8Amrt)},
+      {8, RateModel::kTraditional, 400, 0.3, kGoldenFlowFatTree8Traditional,
+       std::size(kGoldenFlowFatTree8Traditional)},
   };
-  for (const auto& f : fat_tree) {
-    SCOPED_TRACE(to_string(f.model));
-    expect_golden(harness::run_fat_tree_flow(4, f.model, 200, 0.6, 42).records, f.golden,
-                  f.count);
+  for (const auto& t : fat_trees) {
+    SCOPED_TRACE(std::string{"k="} + std::to_string(t.k) + " " + to_string(t.model));
+    expect_golden(harness::run_fat_tree_flow(t.k, t.model, t.flows, t.load, 42).records,
+                  t.golden, t.count);
   }
 }

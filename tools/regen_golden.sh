@@ -6,20 +6,30 @@
 #
 #   cmake --build build --target regen_golden_fct && tools/regen_golden.sh
 #
+#   tools/regen_golden.sh [--check] [BUILD_DIR]    (BUILD_DIR defaults to build)
+#
 # With --check, regenerates to temp files and asserts they are byte-identical
-# to the committed fixtures (exit 1 with a diff otherwise). This is the
+# to the committed fixtures (exit 1 with a diff otherwise); the golden_check
+# ctest runs it against its own build tree. This is the
 # faults-disabled determinism gate: fault-injection machinery compiled in
 # but not armed must not change a single byte of the golden run. The flow
 # fixture gates the max-min water-filling the same way: a faster sharing
 # algorithm must reproduce every completion time to the nanosecond.
 set -eu
+check=0
+if [ "${1:-}" = "--check" ]; then
+  check=1
+  shift
+fi
+# Resolve BUILD_DIR against the caller's directory before moving to the root.
+build="$(cd "${1:-$(dirname "$0")/../build}" && pwd)"
 cd "$(dirname "$0")/.."
 
-if [ "${1:-}" = "--check" ]; then
+if [ "$check" = 1 ]; then
   tmp="$(mktemp)"
   flow_tmp="$(mktemp)"
   trap 'rm -f "$tmp" "$flow_tmp"' EXIT
-  build/tools/regen_golden_fct > "$tmp"
+  "$build"/tools/regen_golden_fct > "$tmp"
   if cmp -s "$tmp" tests/golden_fct.inc; then
     echo "golden fixture byte-identical"
   else
@@ -27,7 +37,7 @@ if [ "${1:-}" = "--check" ]; then
     diff -u tests/golden_fct.inc "$tmp" >&2 || true
     exit 1
   fi
-  build/tools/regen_golden_fct --flow > "$flow_tmp"
+  "$build"/tools/regen_golden_fct --flow > "$flow_tmp"
   if cmp -s "$flow_tmp" tests/golden_flow_fct.inc; then
     echo "flow golden fixture byte-identical"
   else
@@ -44,8 +54,8 @@ if [ "${1:-}" = "--check" ]; then
   trap 'rm -f "$tmp" "$flow_tmp" "$default_out" "$packet_out"' EXIT
   # The wall-clock figure is the only field allowed to differ between runs.
   strip_wall='s/ in [0-9.]*s wall/ in -s wall/'
-  build/tools/amrt_sim --flows=200 --seed=7 > "$default_out"
-  build/tools/amrt_sim --flows=200 --seed=7 --fidelity=packet > "$packet_out"
+  "$build"/tools/amrt_sim --flows=200 --seed=7 > "$default_out"
+  "$build"/tools/amrt_sim --flows=200 --seed=7 --fidelity=packet > "$packet_out"
   sed -i "$strip_wall" "$default_out" "$packet_out"
   if cmp -s "$default_out" "$packet_out"; then
     echo "packet fidelity byte-identical to default"
@@ -57,9 +67,9 @@ if [ "${1:-}" = "--check" ]; then
   exit 0
 fi
 
-build/tools/regen_golden_fct > tests/golden_fct.inc.new
+"$build"/tools/regen_golden_fct > tests/golden_fct.inc.new
 mv tests/golden_fct.inc.new tests/golden_fct.inc
 echo "wrote tests/golden_fct.inc"
-build/tools/regen_golden_fct --flow > tests/golden_flow_fct.inc.new
+"$build"/tools/regen_golden_fct --flow > tests/golden_flow_fct.inc.new
 mv tests/golden_flow_fct.inc.new tests/golden_flow_fct.inc
 echo "wrote tests/golden_flow_fct.inc"

@@ -1,8 +1,9 @@
 // Regenerates tests/golden_fct.inc: the pinned golden-seed scenario run
 // under every transport, emitted as one C array per protocol. With --flow it
 // regenerates tests/golden_flow_fct.inc instead: the flow-level fast path
-// (src/flowsim) on an oversubscribed leaf-spine and on a k=4 fat-tree under
-// every rate model.
+// (src/flowsim) on an oversubscribed leaf-spine, on a k=4 fat-tree under
+// every rate model, and on a lightly loaded k=8 fat-tree whose flows form
+// many small link-disjoint components that split and merge.
 //
 //   build/tools/regen_golden_fct > tests/golden_fct.inc     (or tools/regen_golden.sh)
 //   build/tools/regen_golden_fct --flow > tests/golden_flow_fct.inc
@@ -78,22 +79,30 @@ int emit_flow() {
       "// load 0.6, 200 flows on a 4x1x8 leaf-spine (8:1 oversubscribed), AMRT\n"
       "// with 25%% DCTCP background, seed 42; kGoldenFlowFatTree* is WebSearch,\n"
       "// load 0.6, 200 flows on a k=4 fat-tree, seed 42, one array per rate\n"
-      "// model. Regenerate with tools/regen_golden.sh only for a change that is\n"
-      "// *supposed* to alter flow-level results, and say so in the commit.\n"
+      "// model; kGoldenFlowFatTree8* is WebSearch, load 0.3, 400 flows on a\n"
+      "// k=8 fat-tree, seed 42, under the AMRT and traditional models (many\n"
+      "// small link-disjoint components that split and merge). Regenerate\n"
+      "// with tools/regen_golden.sh only for a change that is *supposed* to\n"
+      "// alter flow-level results, and say so in the commit.\n"
       "// Fields: flow id, bytes, start ns, end ns.\n");
   emit_records("kGoldenFlowLeafSpine", harness::run_leaf_spine(flow_golden_cfg()).flow_records);
   const struct {
     const char* name;
+    int k;
     flowsim::RateModel model;
-  } models[] = {
-      {"kGoldenFlowFatTreeInstant", flowsim::RateModel::kInstant},
-      {"kGoldenFlowFatTreeAmrt", flowsim::RateModel::kAmrtGrantClock},
-      {"kGoldenFlowFatTreeDctcp", flowsim::RateModel::kDctcpThreshold},
-      {"kGoldenFlowFatTreeTraditional", flowsim::RateModel::kTraditional},
+    std::size_t flows;
+    double load;
+  } fat_trees[] = {
+      {"kGoldenFlowFatTreeInstant", 4, flowsim::RateModel::kInstant, 200, 0.6},
+      {"kGoldenFlowFatTreeAmrt", 4, flowsim::RateModel::kAmrtGrantClock, 200, 0.6},
+      {"kGoldenFlowFatTreeDctcp", 4, flowsim::RateModel::kDctcpThreshold, 200, 0.6},
+      {"kGoldenFlowFatTreeTraditional", 4, flowsim::RateModel::kTraditional, 200, 0.6},
+      {"kGoldenFlowFatTree8Amrt", 8, flowsim::RateModel::kAmrtGrantClock, 400, 0.3},
+      {"kGoldenFlowFatTree8Traditional", 8, flowsim::RateModel::kTraditional, 400, 0.3},
   };
-  for (const auto& m : models) {
+  for (const auto& t : fat_trees) {
     std::printf("\n");
-    emit_records(m.name, harness::run_fat_tree_flow(4, m.model, 200, 0.6, 42).records);
+    emit_records(t.name, harness::run_fat_tree_flow(t.k, t.model, t.flows, t.load, 42).records);
   }
   return 0;
 }
