@@ -23,7 +23,9 @@
 // baselines/scale_k16_flow.json headroom figure is produced. --check
 // shrinks the fabric (k=4, a few hundred flows) and exits non-zero unless
 // every flow completes under every requested transport — the scale_smoke /
-// shard_smoke ctests run exactly that in a few seconds.
+// shard_smoke ctests run exactly that in a few seconds. Packet rows stop at
+// the harness's max_sim_time horizon, so a run that strands flows reports
+// FAIL and exits 1 instead of running forever.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -36,16 +38,11 @@
 #include <thread>
 #include <vector>
 
-#include "core/factory.hpp"
 #include "harness/fidelity.hpp"
-#include "harness/sharded.hpp"
-#include "net/partition.hpp"
+#include "harness/run.hpp"
+#include "net/packet.hpp"
 #include "net/topology.hpp"
-#include "sim/shard.hpp"
-#include "sim/simulation.hpp"
-#include "stats/fct.hpp"
-#include "transport/endpoint.hpp"
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 using namespace amrt;
@@ -87,58 +84,43 @@ long peak_rss_kb() {
   return ru.ru_maxrss;  // KiB on Linux
 }
 
-RunResult run_one(const Options& opt, transport::Protocol proto) {
-  sim::Simulation simu{opt.seed};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
+// A packet row: the harness run object on a fat-tree with the stock 100us
+// links, serial or pod-sharded across `opt.shards` worker threads. The
+// schedule is drawn from the seed's stream before the fabric is built, so
+// every shard count (and the flow row) runs the same flows.
+RunResult run_packet(const Options& opt, transport::Protocol proto) {
+  harness::RunSpec spec;
+  spec.fabric.topology = harness::Topology::kFatTree;
+  spec.fabric.fat_k = opt.k;
+  spec.fabric.link_delay = net::FatTreeConfig{}.link_delay;
+  spec.proto = proto;
+  spec.seed = opt.seed;
+  spec.shards = opt.shards;
 
-  net::FatTreeConfig topo_cfg;
-  topo_cfg.k = opt.k;
-  topo_cfg.queue_factory = core::make_queue_factory(proto);
-  topo_cfg.marker_factory = core::make_marker_factory(proto);
-  const net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = topo_cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-  stats::FctRecorder recorder{topo_cfg.link_rate, topo.base_rtt};
-
-  std::vector<transport::TransportEndpoint*> eps;
-  eps.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    auto ep = core::make_endpoint(proto, simu, *host, tcfg, &recorder);
-    eps.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), simu.rng()};
   workload::TrafficConfig traffic;
   traffic.load = opt.load;
   traffic.n_flows = opt.flows;
-  traffic.n_hosts = topo.hosts.size();
-  traffic.host_rate = topo_cfg.link_rate;
-  const auto flows = gen.generate(traffic);
+  traffic.n_hosts = spec.fabric.host_count();
+  traffic.host_rate = spec.fabric.link_rate;
+  sim::Rng rng{opt.seed};
+  const auto flows = workload::generate_traffic(
+      {}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
 
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = eps[f.src_host];
-    sched.at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
+  harness::PacketRun run{spec, flows};
   const auto t0 = std::chrono::steady_clock::now();
-  sched.run();  // natural drain: no samplers keep the loop alive
+  run.run();  // natural drain under the harness horizon: no samplers
   const auto t1 = std::chrono::steady_clock::now();
 
   RunResult r;
   r.name = std::string{"BM_Scale/fattree_k"} + std::to_string(opt.k) + "/" +
            transport::to_string(proto);
   r.real_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.events = sched.events_processed();
-  r.delivered_pkts = recorder.bytes_delivered() / net::kMssBytes;
+  r.events = run.events();
+  r.delivered_pkts = run.recorder().bytes_delivered() / net::kMssBytes;
   r.flows = flows.size();
-  r.completed = recorder.completed().size();
+  r.completed = run.recorder().completed().size();
   r.peak_rss_kb = peak_rss_kb();
+  r.shards = opt.shards;
   return r;
 }
 
@@ -167,69 +149,6 @@ RunResult run_one_flow(const Options& opt, transport::Protocol proto) {
   return r;
 }
 
-// The partitioned executor: same topology, same (master-seeded) workload,
-// pod-sharded across `opt.shards` worker threads.
-RunResult run_one_sharded(const Options& opt, transport::Protocol proto) {
-  sim::ShardGroup group{opt.seed, opt.shards};
-  net::Network network{group.master()};
-
-  net::FatTreeConfig topo_cfg;
-  topo_cfg.k = opt.k;
-  topo_cfg.queue_factory = core::make_queue_factory(proto);
-  topo_cfg.marker_factory = core::make_marker_factory(proto);
-  const net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-  net::Partition part = net::partition_fat_tree(network, topo, opt.shards);
-  harness::ShardedScenario scen{group, network, std::move(part), topo_cfg.link_rate,
-                                topo.base_rtt};
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = topo_cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-
-  std::vector<transport::TransportEndpoint*> eps;
-  eps.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    // The endpoint caches the scheduler of the Simulation it is built with,
-    // so constructing against the host's shard pins its timers there.
-    auto ep = core::make_endpoint(proto, scen.sim_of(host->id()), *host, tcfg,
-                                  &scen.recorder_of(host->id()));
-    eps.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  // The master rng is seed-identical to the serial path: same flows.
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), group.master().rng()};
-  workload::TrafficConfig traffic;
-  traffic.load = opt.load;
-  traffic.n_flows = opt.flows;
-  traffic.n_hosts = topo.hosts.size();
-  traffic.host_rate = topo_cfg.link_rate;
-  const auto flows = gen.generate(traffic);
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = eps[f.src_host];
-    scen.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  scen.run({});
-  const auto t1 = std::chrono::steady_clock::now();
-
-  RunResult r;
-  r.name = std::string{"BM_Scale/fattree_k"} + std::to_string(opt.k) + "/" +
-           transport::to_string(proto);
-  r.real_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.events = scen.events();
-  r.delivered_pkts = scen.merged().bytes_delivered() / net::kMssBytes;
-  r.flows = flows.size();
-  r.completed = scen.merged().completed().size();
-  r.peak_rss_kb = peak_rss_kb();
-  r.shards = opt.shards;
-  return r;
-}
-
 // Median-of-R by wall time (the simulation itself is deterministic per
 // mode, so only timing varies across repeats).
 RunResult run_repeated(const Options& opt, transport::Protocol proto, bool flow_fidelity) {
@@ -237,9 +156,7 @@ RunResult run_repeated(const Options& opt, transport::Protocol proto, bool flow_
   const int reps = opt.repeat < 1 ? 1 : opt.repeat;
   runs.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
-    runs.push_back(flow_fidelity        ? run_one_flow(opt, proto)
-                   : opt.shards > 1 ? run_one_sharded(opt, proto)
-                                    : run_one(opt, proto));
+    runs.push_back(flow_fidelity ? run_one_flow(opt, proto) : run_packet(opt, proto));
   }
   std::sort(runs.begin(), runs.end(),
             [](const RunResult& a, const RunResult& b) { return a.real_ms < b.real_ms; });

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "sim/rng.hpp"
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 using namespace amrt;
@@ -32,13 +32,14 @@ int main() {
 
   std::printf("\nPoisson arrivals at load 0.5, 16 hosts x 10Gbps (Web Search):\n");
   sim::Rng rng{7};
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), rng};
+  const auto& sizes = workload::cdf(workload::Kind::kWebSearch);
   workload::TrafficConfig traffic;
   traffic.load = 0.5;
   traffic.n_flows = 10;
   traffic.n_hosts = 16;
-  const auto flows = gen.generate(traffic);
-  std::printf("  mean inter-arrival: %s\n", gen.mean_interarrival(traffic).str().c_str());
+  const auto flows = workload::generate_traffic({}, &sizes, traffic, rng);
+  std::printf("  mean inter-arrival: %s\n",
+              workload::mean_interarrival(traffic, sizes.mean_bytes()).str().c_str());
   for (const auto& f : flows) {
     std::printf("  flow %llu: host %zu -> %zu, %llu bytes at %s\n",
                 static_cast<unsigned long long>(f.id), f.src_host, f.dst_host,

@@ -2,21 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
-
 #include <stdexcept>
+#include <string>
 
 #include "fault/fault.hpp"
 #include "harness/fidelity.hpp"
-#include "harness/sharded.hpp"
+#include "harness/run.hpp"
 #include "net/monitor.hpp"
-#include "net/partition.hpp"
-#include "net/topology.hpp"
-#include "sim/shard.hpp"
 #include "stats/summary.hpp"
 #include "workload/flow_trace.hpp"
-#include "workload/traffic.hpp"
 
 namespace amrt::harness {
 
@@ -113,293 +111,129 @@ void finish_group_stats(const stats::GroupBook& book, ExperimentResult& out) {
   out.request_stats = book.request_stats(out.flow_records);
 }
 
-// Partitioned variant: same topology, workload draws and flow schedule as
-// the serial path (everything builds against the master shard, which carries
-// cfg.seed unchanged), executed across cfg.shards worker threads. No
-// PortSamplers and no completion-poll loop — periodic callbacks would keep
-// every shard's window advancing forever — so the run drains naturally under
-// the max_sim_time horizon, utilization is not measured, and the queue
-// high-water comes from the queues' own counters.
-ExperimentResult run_leaf_spine_sharded(const ExperimentConfig& cfg) {
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  if (cfg.fault_incidents > 0) {
-    throw std::invalid_argument(
-        "run_leaf_spine: fault injection and sharded execution are mutually exclusive "
-        "(the injector mutates link state from a serial-only control path)");
-  }
-  if (cfg.background_dctcp_fraction > 0.0) {
-    throw std::invalid_argument(
-        "run_leaf_spine: mixed transports are serial-only (the coexistence metrics "
-        "need the serial utilization samplers)");
-  }
-
-  sim::ShardGroup group{cfg.seed, cfg.shards};
-  net::Network network{group.master()};
-
-  net::LeafSpineConfig topo_cfg;
-  topo_cfg.leaves = cfg.leaves;
-  topo_cfg.spines = cfg.spines;
-  topo_cfg.hosts_per_leaf = cfg.hosts_per_leaf;
-  topo_cfg.link_rate = cfg.link_rate;
-  topo_cfg.link_delay = cfg.link_delay;
-  topo_cfg.host_nic_queue_pkts = cfg.queues.host_nic_pkts;
-  topo_cfg.queue_factory = core::make_queue_factory(cfg.proto, cfg.queues);
-  topo_cfg.marker_factory =
-      core::make_marker_factory(cfg.proto, net::kMtuBytes, cfg.queues.ecn_threshold_pkts);
-  topo_cfg.multipath = cfg.multipath;
-  net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-
-  ShardedScenario scen{group, network, net::partition_leaf_spine(network, topo, cfg.shards),
-                       cfg.link_rate, topo.base_rtt};
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-  tcfg.homa_overcommit = cfg.homa_overcommit;
-  tcfg.loss_timeout = cfg.loss_timeout;
-
-  std::vector<transport::TransportEndpoint*> endpoints;
-  endpoints.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    auto ep = core::make_endpoint(cfg.proto, scen.sim_of(host->id()), *host, tcfg,
-                                  &scen.recorder_of(host->id()));
-    endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  stats::GroupBook book;
-  const auto flows = detail::generate_flows(cfg, topo.hosts.size(), group.master().rng(), book);
-  if (flows.empty()) return {};
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = endpoints[f.src_host];
-    scen.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  ShardedScenario::RunLimits limits;
-  limits.horizon = sim::TimePoint::zero() + cfg.max_sim_time;
-  scen.run(limits);
-
-  const stats::FctRecorder& recorder = scen.merged();
-  ExperimentResult out;
-  out.fct_all = recorder.summarize();
-  out.fct_small = recorder.summarize(0, 100'000);
-  out.fct_large = recorder.summarize(1'000'000, UINT64_MAX);
-  out.fct_foreground = out.fct_all;  // sharded runs are single-transport
-  out.flows_started = recorder.started_count();
-  out.flows_completed = recorder.completed().size();
-  out.flow_records = recorder.completed();
-  finish_group_stats(book, out);
-  out.bytes_delivered = recorder.bytes_delivered();
-  out.events = group.events_processed();
-  out.sim_seconds = group.now_max().to_seconds();
-
-  for (const auto& sw : network.switches()) {
-    for (int p = 0; p < sw.port_count(); ++p) {
-      const auto& st = sw.port(p).queue().stats();
-      out.drops += st.dropped;
-      out.trims += st.trimmed;
-      out.max_queue_pkts = std::max(out.max_queue_pkts, st.max_data_pkts);
-    }
-  }
-  out.faulted = network.packets_faulted();
-
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  if (out.flows_completed < out.flows_started) {
-    group.master().trace().warn(
-        "run_leaf_spine[%s/%s, %u shards]: %zu of %zu flows incomplete at t=%s",
-        transport::to_string(cfg.proto), workload::abbrev(cfg.workload), cfg.shards,
-        out.flows_started - out.flows_completed, out.flows_started,
-        group.now_max().str().c_str());
-  }
-  return out;
-}
-
-}  // namespace
-
-namespace detail {
-
-// Generation, shared by the serial, sharded and flow-level paths: run the
-// configured traffic engine against the run's seeded stream, optionally dump
-// the schedule as a replayable trace, and register group/request membership.
-std::vector<workload::GeneratedFlow> generate_flows(const ExperimentConfig& cfg,
-                                                    std::size_t n_hosts, sim::Rng& rng,
-                                                    stats::GroupBook& book) {
+// The run's schedule, drawn once for every fidelity and shard count from a
+// fresh sim::Rng{cfg.seed}, optionally dumped as a replayable trace, with
+// group/request membership registered in `book`.
+std::vector<workload::GeneratedFlow> draw_schedule(const ExperimentConfig& cfg,
+                                                   stats::GroupBook& book) {
   workload::TrafficConfig traffic;
   traffic.load = cfg.load;
   traffic.n_flows = cfg.n_flows;
-  traffic.n_hosts = n_hosts;
+  traffic.n_hosts = static_cast<std::size_t>(cfg.leaves) * static_cast<std::size_t>(cfg.hosts_per_leaf);
   traffic.host_rate = cfg.link_rate;
   const workload::EmpiricalCdf* sizes =
       cfg.engine.engine == workload::Engine::kTrace ? nullptr : &workload::cdf(cfg.workload);
+  sim::Rng rng{cfg.seed};
   auto flows = workload::generate_traffic(cfg.engine, sizes, traffic, rng);
   if (!cfg.trace_out.empty()) workload::write_trace_file(cfg.trace_out, flows);
   for (const auto& f : flows) book.note(f.id, f.group_id, f.request_id);
   return flows;
 }
 
-ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
-                                       const SerialOverrides* overrides) {
-  const auto wall_start = std::chrono::steady_clock::now();
+RunSpec packet_spec(const ExperimentConfig& cfg) {
+  RunSpec spec;
+  spec.fabric.leaves = cfg.leaves;
+  spec.fabric.spines = cfg.spines;
+  spec.fabric.hosts_per_leaf = cfg.hosts_per_leaf;
+  spec.fabric.link_rate = cfg.link_rate;
+  spec.fabric.link_delay = cfg.link_delay;
+  spec.fabric.queues = cfg.queues;
+  spec.fabric.multipath = cfg.multipath;
+  spec.proto = cfg.proto;
+  spec.background_dctcp_fraction = cfg.background_dctcp_fraction;
+  spec.homa_overcommit = cfg.homa_overcommit;
+  spec.loss_timeout = cfg.loss_timeout;
+  spec.seed = cfg.seed;
+  spec.shards = cfg.shards;
+  spec.horizon = sim::TimePoint::zero() + cfg.max_sim_time;
+  return spec;
+}
 
-  const bool mixed = cfg.background_dctcp_fraction > 0.0;
-  if (mixed && cfg.proto != transport::Protocol::kAmrt) {
-    throw std::invalid_argument(
-        "run_leaf_spine: background_dctcp_fraction pairs DCTCP background with AMRT "
-        "foreground; set proto = kAmrt");
-  }
-
-  sim::Simulation simu{cfg.seed};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
-
-  net::LeafSpineConfig topo_cfg;
-  topo_cfg.leaves = cfg.leaves;
-  topo_cfg.spines = cfg.spines;
-  topo_cfg.hosts_per_leaf = cfg.hosts_per_leaf;
-  topo_cfg.link_rate = cfg.link_rate;
-  topo_cfg.link_delay = cfg.link_delay;
-  topo_cfg.host_nic_queue_pkts = cfg.queues.host_nic_pkts;
-  topo_cfg.queue_factory = mixed ? core::make_mixed_queue_factory(cfg.queues)
-                                 : core::make_queue_factory(cfg.proto, cfg.queues);
-  topo_cfg.marker_factory =
-      mixed ? core::make_mixed_marker_factory(cfg.queues)
-            : core::make_marker_factory(cfg.proto, net::kMtuBytes, cfg.queues.ecn_threshold_pkts);
-  topo_cfg.multipath = cfg.multipath;
-  net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-
-  // Injected fault schedule, drawn from its own seed stream (so a fault
-  // scenario can be pinned while the workload seed sweeps). The injector
-  // must outlive sched.run_until below — its scheduled callbacks read it.
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (cfg.fault_incidents > 0) {
-    std::vector<net::PortId> fabric_ports;
-    for (int l = 0; l < cfg.leaves; ++l) {
-      for (int h = 0; h < cfg.hosts_per_leaf; ++h) fabric_ports.push_back(topo.leaf_down[l][h]);
-      for (int s = 0; s < cfg.spines; ++s) {
-        fabric_ports.push_back(topo.leaf_up[l][s]);
-        fabric_ports.push_back(topo.spine_down[s][l]);
-      }
+// Injected fault schedule against every switch port of the fabric, drawn
+// from its own seed stream (so a fault scenario can be pinned while the
+// workload seed sweeps). The injector must outlive the run: its scheduled
+// callbacks read it.
+std::unique_ptr<fault::FaultInjector> arm_faults(const ExperimentConfig& cfg, PacketRun& run) {
+  if (cfg.fault_incidents == 0) return nullptr;
+  const net::LeafSpine& topo = run.leaf_spine();
+  std::vector<net::PortId> fabric_ports;
+  for (int l = 0; l < cfg.leaves; ++l) {
+    for (int h = 0; h < cfg.hosts_per_leaf; ++h) fabric_ports.push_back(topo.leaf_down[l][h]);
+    for (int s = 0; s < cfg.spines; ++s) {
+      fabric_ports.push_back(topo.leaf_up[l][s]);
+      fabric_ports.push_back(topo.spine_down[s][l]);
     }
-    fault::FaultPlan plan;
-    plan.seed = cfg.fault_seed;
-    sim::Rng fault_rng{cfg.fault_seed};
-    plan.draw(fault_rng, fabric_ports, topo.base_rtt, cfg.fault_incidents);
-    injector = std::make_unique<fault::FaultInjector>(network, std::move(plan));
-    injector->arm();
   }
+  fault::FaultPlan plan;
+  plan.seed = cfg.fault_seed;
+  sim::Rng fault_rng{cfg.fault_seed};
+  plan.draw(fault_rng, fabric_ports, topo.base_rtt, cfg.fault_incidents);
+  auto injector = std::make_unique<fault::FaultInjector>(run.network(), std::move(plan));
+  injector->arm();
+  return injector;
+}
 
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-  tcfg.homa_overcommit = cfg.homa_overcommit;
-  tcfg.loss_timeout = cfg.loss_timeout;
-
-  stats::FctRecorder recorder{cfg.link_rate, topo.base_rtt};
-  std::vector<transport::TransportEndpoint*> endpoints;
-  endpoints.reserve(topo.hosts.size());
-  const double bg_fraction = cfg.background_dctcp_fraction;
-  for (net::Host* host : topo.hosts) {
-    auto ep = mixed ? core::make_mixed_endpoint(
-                          simu, *host, tcfg, &recorder,
-                          [bg_fraction](net::FlowId id) { return is_background_flow(id, bg_fraction); })
-                    : core::make_endpoint(cfg.proto, simu, *host, tcfg, &recorder);
-    endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  // Workload, drawn from the simulation's own random stream — unless the
-  // caller (the mixed-fidelity runner) already drew the schedule.
-  stats::GroupBook book;
-  std::vector<workload::GeneratedFlow> flows;
-  if (overrides != nullptr && overrides->flows != nullptr) {
-    flows = *overrides->flows;
-    for (const auto& f : flows) book.note(f.id, f.group_id, f.request_id);
-  } else {
-    flows = generate_flows(cfg, topo.hosts.size(), simu.rng(), book);
-  }
-  if (flows.empty()) return {};
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = endpoints[f.src_host];
-    sched.at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  // Mixed fidelity: replay the fluid side's bandwidth usage as scheduled
-  // serialization-rate reservations on the shared fabric ports.
-  if (overrides != nullptr && overrides->rate_scale) {
-    for (const auto& ev : overrides->rate_scale(topo)) {
-      net::EgressPort* port = &network.port_at(ev.port);
-      const double scale = ev.scale;
-      sched.at(ev.at, [port, scale] { port->set_rate_scale(scale); });
+// The packet-level experiment in every execution mode: serial or sharded,
+// with or without faults and DCTCP background, and the packet half of mixed
+// fidelity. Serial runs monitor every receiver downlink (the typical
+// bottleneck) and the fabric ports with PortSamplers and stop as soon as
+// every flow has completed. Sharded runs have neither — periodic callbacks
+// would keep every shard's window advancing forever — so they drain under
+// the horizon, report no utilization and take the queue high-water from the
+// queues' own counters.
+ExperimentResult run_packet(const ExperimentConfig& cfg, std::vector<workload::GeneratedFlow> flows) {
+  std::optional<detail::FluidBackground> background;
+  if (cfg.fidelity == Fidelity::kMixed) {
+    background.emplace(cfg, flows);
+    if (flows.empty()) {
+      ExperimentResult out;
+      background->merge_into(out);
+      return out;
     }
   }
 
-  // Monitors on every receiver downlink (the typical bottleneck) plus the
-  // fabric, for queue high-water marks.
+  PacketRun run{packet_spec(cfg), flows};
+  const auto injector = arm_faults(cfg, run);
+  if (background) background->reserve(run);
+
   std::vector<std::unique_ptr<net::PortSampler>> downlinks;
   std::vector<std::unique_ptr<net::PortSampler>> fabric;
-  for (int l = 0; l < cfg.leaves; ++l) {
-    for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
-      downlinks.push_back(std::make_unique<net::PortSampler>(
-          simu, network.port_at(topo.leaf_down[l][h]), cfg.sample_interval));
-      downlinks.back()->start();
+  std::function<void()> poll;
+  if (!run.sharded()) {
+    sim::Simulation& simu = run.sim();
+    const net::LeafSpine& topo = run.leaf_spine();
+    auto sample = [&](std::vector<std::unique_ptr<net::PortSampler>>& into, net::PortId port) {
+      into.push_back(std::make_unique<net::PortSampler>(simu, run.network().port_at(port),
+                                                        cfg.sample_interval));
+      into.back()->start();
+    };
+    for (int l = 0; l < cfg.leaves; ++l) {
+      for (int h = 0; h < cfg.hosts_per_leaf; ++h) sample(downlinks, topo.leaf_down[l][h]);
+      for (int s = 0; s < cfg.spines; ++s) {
+        sample(fabric, topo.leaf_up[l][s]);
+        sample(fabric, topo.spine_down[s][l]);
+      }
     }
-    for (int s = 0; s < cfg.spines; ++s) {
-      fabric.push_back(std::make_unique<net::PortSampler>(
-          simu, network.port_at(topo.leaf_up[l][s]), cfg.sample_interval));
-      fabric.back()->start();
-      fabric.push_back(std::make_unique<net::PortSampler>(
-          simu, network.port_at(topo.spine_down[s][l]), cfg.sample_interval));
-      fabric.back()->start();
-    }
+    // Samplers and recovery timers would keep the loop alive forever.
+    sim::Scheduler& sched = simu.scheduler();
+    const std::size_t expected = flows.size();
+    const sim::TimePoint last_start = flows.back().start;
+    poll = [&run, &sched, &poll, expected, last_start] {
+      if (run.recorder().completed().size() >= expected && sched.now() > last_start) {
+        sched.stop();
+        return;
+      }
+      sched.after(sim::Duration::milliseconds(1), poll);
+    };
+    sched.after(sim::Duration::milliseconds(1), poll);
   }
 
-  // Stop as soon as every flow has completed (samplers and recovery timers
-  // would otherwise keep the event loop alive forever).
-  const std::size_t expected = flows.size();
-  const sim::TimePoint last_start = flows.back().start;
-  std::function<void()> poll = [&] {
-    if (recorder.completed().size() >= expected && sched.now() > last_start) {
-      sched.stop();
-      return;
-    }
-    sched.after(sim::Duration::milliseconds(1), poll);
-  };
-  sched.after(sim::Duration::milliseconds(1), poll);
-
-  sched.run_until(sim::TimePoint::zero() + cfg.max_sim_time);
+  run.run();
 
   ExperimentResult out;
-  out.fct_all = recorder.summarize();
-  out.fct_small = recorder.summarize(0, 100'000);
-  out.fct_large = recorder.summarize(1'000'000, UINT64_MAX);
-  out.flows_started = recorder.started_count();
-  out.flows_completed = recorder.completed().size();
-  out.flow_records = recorder.completed();
-  finish_group_stats(book, out);
-  out.bytes_delivered = recorder.bytes_delivered();
-  out.events = sched.events_processed();
-  out.sim_seconds = sched.now().to_seconds();
-
-  if (mixed) {
-    std::vector<stats::FlowRecord> fg;
-    std::vector<stats::FlowRecord> bg;
-    for (const auto& r : out.flow_records) {
-      (is_background_flow(r.flow, bg_fraction) ? bg : fg).push_back(r);
-    }
-    out.fct_foreground = summarize_records(fg);
-    out.fct_background = summarize_records(bg);
-  } else {
-    out.fct_foreground = out.fct_all;
-  }
+  detail::fill_records(run.recorder(), flows.size(), cfg.background_dctcp_fraction, out);
+  out.events = run.events();
+  out.sim_seconds = run.now().to_seconds();
 
   double util_sum = 0.0;
   double weight_sum = 0.0;
@@ -418,33 +252,103 @@ ExperimentResult run_leaf_spine_serial(const ExperimentConfig& cfg,
   }
   out.mean_utilization = weight_sum == 0.0 ? 0.0 : util_sum / weight_sum;
 
-  for (const auto& sw : network.switches()) {
+  for (const auto& sw : run.network().switches()) {
     for (int p = 0; p < sw.port_count(); ++p) {
-      out.drops += sw.port(p).queue().stats().dropped;
-      out.trims += sw.port(p).queue().stats().trimmed;
+      const auto& st = sw.port(p).queue().stats();
+      out.drops += st.dropped;
+      out.trims += st.trimmed;
+      if (run.sharded()) out.max_queue_pkts = std::max(out.max_queue_pkts, st.max_data_pkts);
     }
   }
-  out.faulted = network.packets_faulted();
-
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  out.faulted = run.network().packets_faulted();
 
   if (out.flows_completed < out.flows_started) {
-    simu.trace().warn("run_leaf_spine[%s/%s]: %zu of %zu flows incomplete at t=%s",
-                      transport::to_string(cfg.proto), workload::abbrev(cfg.workload),
-                      out.flows_started - out.flows_completed, out.flows_started,
-                      sched.now().str().c_str());
+    const std::string shards = cfg.shards > 1 ? ", " + std::to_string(cfg.shards) + " shards" : "";
+    run.sim().trace().warn("run_leaf_spine[%s/%s%s]: %zu of %zu flows incomplete at t=%s",
+                           transport::to_string(cfg.proto), workload::abbrev(cfg.workload),
+                           shards.c_str(), out.flows_started - out.flows_completed,
+                           out.flows_started, run.now().str().c_str());
   }
+  if (background) background->merge_into(out);
   return out;
+}
+
+}  // namespace
+
+namespace detail {
+
+void fill_records(const stats::FctRecorder& recorder, std::size_t scheduled,
+                  double background_fraction, ExperimentResult& out) {
+  out.fct_all = recorder.summarize();
+  out.fct_small = recorder.summarize(0, 100'000);
+  out.fct_large = recorder.summarize(1'000'000, UINT64_MAX);
+  out.flows_started = scheduled;
+  out.flows_completed = recorder.completed().size();
+  out.flow_records = recorder.completed();
+  out.bytes_delivered = recorder.bytes_delivered();
+  if (background_fraction <= 0.0) {
+    out.fct_foreground = out.fct_all;
+    return;
+  }
+  std::vector<stats::FlowRecord> fg;
+  std::vector<stats::FlowRecord> bg;
+  for (const auto& r : out.flow_records) {
+    (is_background_flow(r.flow, background_fraction) ? bg : fg).push_back(r);
+  }
+  out.fct_foreground = summarize_records(fg);
+  out.fct_background = summarize_records(bg);
 }
 
 }  // namespace detail
 
+void validate(const ExperimentConfig& cfg) {
+  auto reject = [](const std::string& why) {
+    throw std::invalid_argument("run_leaf_spine: " + why);
+  };
+  const bool coexist = cfg.background_dctcp_fraction > 0.0;
+  const std::string fidelity = std::string{to_string(cfg.fidelity)} + " fidelity";
+  if (cfg.engine.engine == workload::Engine::kTrace && cfg.engine.trace_path.empty()) {
+    reject("the trace engine needs engine.trace_path");
+  }
+  if (coexist && cfg.proto != transport::Protocol::kAmrt) {
+    reject("background_dctcp_fraction pairs DCTCP background with AMRT foreground; "
+           "set proto = kAmrt");
+  }
+  if (cfg.shards > 1 && cfg.fault_incidents > 0) {
+    reject("fault injection and sharded execution are mutually exclusive "
+           "(the injector mutates link state from a serial-only control path)");
+  }
+  if (cfg.shards > 1 && coexist) {
+    reject("mixed transports are serial-only (the coexistence metrics need the serial "
+           "utilization samplers)");
+  }
+  if (cfg.fidelity == Fidelity::kPacket) return;
+  if (cfg.shards > 1) reject(fidelity + " is serial-only (shards must be 1)");
+  if (cfg.fault_incidents > 0) reject(fidelity + " does not compose with fault injection");
+  if (cfg.fidelity == Fidelity::kMixed) {
+    if (coexist) {
+      reject("mixed fidelity and mixed transports are exclusive (the fluid side is the "
+             "background class; use flow_background_fraction)");
+    }
+    if (cfg.flow_background_fraction <= 0.0 || cfg.flow_background_fraction >= 1.0) {
+      reject("mixed fidelity needs flow_background_fraction in (0, 1)");
+    }
+  }
+}
+
 ExperimentResult run_leaf_spine(const ExperimentConfig& cfg) {
-  if (cfg.fidelity == Fidelity::kFlow) return run_leaf_spine_flow(cfg);
-  if (cfg.fidelity == Fidelity::kMixed) return run_leaf_spine_mixed(cfg);
-  if (cfg.shards > 1) return run_leaf_spine_sharded(cfg);
-  return detail::run_leaf_spine_serial(cfg, nullptr);
+  validate(cfg);
+  const auto wall_start = std::chrono::steady_clock::now();
+  stats::GroupBook book;
+  auto flows = draw_schedule(cfg, book);
+  if (flows.empty()) return {};
+  ExperimentResult out = cfg.fidelity == Fidelity::kFlow
+                             ? detail::run_leaf_spine_flow(cfg, flows)
+                             : run_packet(cfg, std::move(flows));
+  finish_group_stats(book, out);
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  return out;
 }
 
 }  // namespace amrt::harness

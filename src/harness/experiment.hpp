@@ -12,7 +12,6 @@
 #include "net/routing.hpp"
 #include "stats/fct.hpp"
 #include "stats/group.hpp"
-#include "workload/generator.hpp"
 #include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
@@ -28,6 +27,9 @@ namespace amrt::harness {
 //             as scheduled rate reservations.
 enum class Fidelity : std::uint8_t { kPacket, kFlow, kMixed };
 
+// The horizon every harness run stops at unless told otherwise.
+inline constexpr sim::Duration kDefaultMaxSimTime = sim::Duration::seconds(30);
+
 [[nodiscard]] const char* to_string(Fidelity f);
 [[nodiscard]] Fidelity fidelity_from_string(const std::string& name);
 
@@ -38,12 +40,12 @@ struct ExperimentConfig {
   std::size_t n_flows = 400;  // Fig. 13 x-axis
 
   // Traffic engine (DESIGN.md §14). The default — the legacy engine — is
-  // byte-identical to the original FlowGenerator: same draws, same schedule,
-  // same golden fixtures. kSkewed/kFanout open up the pair/arrival/structure
-  // axes; kTrace replays engine.trace_path and ignores workload/load/n_flows
-  // (the trace carries its own sizes and schedule). Every engine composes
-  // with `shards` — generation happens on the master shard before the clock
-  // starts. For kTrace the trace is read once per run, on every shard count.
+  // byte-identical to the original Poisson generator: same draws, same
+  // schedule, same golden fixtures. kSkewed/kFanout open up the
+  // pair/arrival/structure axes; kTrace replays engine.trace_path and ignores
+  // workload/load/n_flows (the trace carries its own sizes and schedule).
+  // Every engine composes with every fidelity and shard count: the schedule
+  // is drawn once, from sim::Rng{seed}, before any fabric is built.
   workload::WorkloadSpec engine{};
 
   // Non-empty: dump the generated schedule (whatever engine produced it) as
@@ -78,8 +80,8 @@ struct ExperimentConfig {
   // Partitioned execution: run the fabric across this many shard threads
   // under the conservative window protocol (src/net/partition.hpp). 1 = the
   // classic serial run, bit-identical to older builds. Values > 1 keep the
-  // same topology, workload draws and flow schedule (all built against the
-  // master shard, which carries `seed` unchanged) but interleave packet
+  // same topology, workload draws and flow schedule (the master shard
+  // carries `seed` unchanged) but interleave packet
   // events differently, so FCTs agree statistically rather than exactly.
   // Utilization sampling needs the serial event loop; sharded runs report
   // mean_utilization = 0 and take max_queue_pkts from the queues' own
@@ -94,7 +96,7 @@ struct ExperimentConfig {
   std::uint64_t fault_seed = 1;  // independent of `seed` so schedules can be pinned
 
   // Hard stop for pathological runs; completion normally stops the clock.
-  sim::Duration max_sim_time = sim::Duration::seconds(30);
+  sim::Duration max_sim_time = kDefaultMaxSimTime;
   sim::Duration sample_interval = sim::Duration::microseconds(100);
 
   // Simulation fidelity. kFlow and kMixed are serial-only and exclusive
@@ -152,6 +154,13 @@ void write_fct_csv(std::ostream& os, const std::vector<stats::FlowRecord>& recor
 // FctSummary over an arbitrary record subset (no slowdown; used for the
 // foreground/background split, where one recorder served both classes).
 [[nodiscard]] stats::FctSummary summarize_records(const std::vector<stats::FlowRecord>& records);
+
+// Throws std::invalid_argument for a combination the harness cannot run:
+// shards x faults, a trace engine without a path, DCTCP background without
+// an AMRT foreground, DCTCP background x shards, flow/mixed fidelity x
+// shards or faults, mixed fidelity x DCTCP background, and a mixed-fidelity
+// background fraction outside (0, 1). run_leaf_spine calls it first.
+void validate(const ExperimentConfig& cfg);
 
 [[nodiscard]] ExperimentResult run_leaf_spine(const ExperimentConfig& cfg);
 

@@ -6,18 +6,11 @@
 #include <vector>
 
 #include "audit/auditor.hpp"
-#include "core/factory.hpp"
 #include "fault/fault.hpp"
-#include "harness/experiment.hpp"
-#include "harness/sharded.hpp"
+#include "harness/run.hpp"
 #include "harness/sweep.hpp"
-#include "net/partition.hpp"
-#include "net/topology.hpp"
-#include "sim/shard.hpp"
-#include "sim/simulation.hpp"
 #include "stats/fct.hpp"
 #include "stats/group.hpp"
-#include "workload/generator.hpp"
 #include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
@@ -54,14 +47,7 @@ struct Fnv {
 
 // Everything a case draws before the simulation starts.
 struct CaseParams {
-  // Fabric.
-  int leaves = 2, spines = 1, hosts_per_leaf = 2;  // leaf-spine
-  int left_hosts = 2, right_hosts = 2;             // dumbbell
-  int chain_switches = 2, hosts_per_switch = 1;    // chain
-  int fat_k = 4;                                   // fat-tree
-  sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
-  sim::Duration link_delay = sim::Duration::microseconds(10);
-  core::QueueConfig queues;
+  FabricSpec fabric;  // every shape's knobs are drawn; c.topo picks one
   // Traffic.
   workload::Kind workload = workload::Kind::kWebSearch;
   double load = 0.5;
@@ -69,37 +55,39 @@ struct CaseParams {
   // Mixed cases only: fraction of flows (by id residue) that run DCTCP.
   double background_fraction = 0.0;
   // Engine cases only: drawn traffic-engine spec; the default is the legacy
-  // engine, which generates draw-for-draw like the old FlowGenerator.
+  // engine, which generates draw-for-draw like the original generator.
   workload::WorkloadSpec spec{};
 };
 
 CaseParams draw_params(const CaseConfig& c, sim::Rng& rng) {
   CaseParams p;
-  p.leaves = static_cast<int>(rng.uniform_int(2, 3));
-  p.spines = static_cast<int>(rng.uniform_int(1, 2));
-  p.hosts_per_leaf = static_cast<int>(rng.uniform_int(2, 4));
-  p.left_hosts = static_cast<int>(rng.uniform_int(2, 5));
-  p.right_hosts = static_cast<int>(rng.uniform_int(2, 5));
-  p.chain_switches = static_cast<int>(rng.uniform_int(2, 4));
-  p.hosts_per_switch = static_cast<int>(rng.uniform_int(1, 2));
+  FabricSpec& f = p.fabric;
+  f.topology = c.topo;
+  f.leaves = static_cast<int>(rng.uniform_int(2, 3));
+  f.spines = static_cast<int>(rng.uniform_int(1, 2));
+  f.hosts_per_leaf = static_cast<int>(rng.uniform_int(2, 4));
+  f.left_hosts = static_cast<int>(rng.uniform_int(2, 5));
+  f.right_hosts = static_cast<int>(rng.uniform_int(2, 5));
+  f.chain_switches = static_cast<int>(rng.uniform_int(2, 4));
+  f.hosts_per_switch = static_cast<int>(rng.uniform_int(1, 2));
 
   static constexpr int kRates[] = {10, 25, 40};
-  p.link_rate = sim::Bandwidth::gbps(kRates[rng.index(3)]);
-  p.link_delay = sim::Duration::microseconds(rng.uniform_int(1, 50));
+  f.link_rate = sim::Bandwidth::gbps(kRates[rng.index(3)]);
+  f.link_delay = sim::Duration::microseconds(rng.uniform_int(1, 50));
 
   static constexpr std::size_t kBuffers[] = {8, 16, 32, 64, 128};
-  p.queues.buffer_pkts = kBuffers[rng.index(5)];
+  f.queues.buffer_pkts = kBuffers[rng.index(5)];
   static constexpr std::size_t kTrim[] = {4, 8, 16};
-  p.queues.trim_threshold = kTrim[rng.index(3)];
+  f.queues.trim_threshold = kTrim[rng.index(3)];
   // AMRT's selective-drop discipline is an orthogonal switch feature; flip
   // it per case so both admission paths get fuzzed.
-  p.queues.selective_drop = c.proto == Protocol::kAmrt && rng.bernoulli(0.5);
+  f.queues.selective_drop = c.proto == Protocol::kAmrt && rng.bernoulli(0.5);
 
   p.workload = workload::kAllKinds[rng.index(workload::kAllKinds.size())];
   p.load = rng.uniform(0.3, 0.8);
   p.n_flows = static_cast<std::size_t>(rng.uniform_int(8, 40));
   // Drawn last so the older topologies' parameter streams are unchanged.
-  p.fat_k = rng.bernoulli(0.5) ? 6 : 4;
+  f.fat_k = rng.bernoulli(0.5) ? 6 : 4;
   // Mixed-only draw, strictly after every single-transport draw: non-mixed
   // cases consume exactly the old stream.
   if (c.mixed) p.background_fraction = rng.uniform(0.2, 0.7);
@@ -129,161 +117,8 @@ CaseParams draw_params(const CaseConfig& c, sim::Rng& rng) {
   return p;
 }
 
-// Factory selection shared by the four topology builders: mixed cases get
-// the strict-priority fabric with both ECN markers; everything else keeps
-// the per-protocol factories bit-for-bit.
-net::QueueFactory case_queue_factory(const CaseConfig& c, const CaseParams& p) {
-  return c.mixed ? core::make_mixed_queue_factory(p.queues)
-                 : core::make_queue_factory(c.proto, p.queues);
-}
-
-net::MarkerFactory case_marker_factory(const CaseConfig& c, const CaseParams& p) {
-  return c.mixed ? core::make_mixed_marker_factory(p.queues) : core::make_marker_factory(c.proto);
-}
-
-// A built scenario ready to run: the network plus per-host endpoints and
-// the base RTT the transports were configured with.
-struct Scenario {
-  std::vector<net::Host*> hosts;
-  std::vector<transport::TransportEndpoint*> endpoints;
-  sim::Duration base_rtt = sim::Duration::zero();
-};
-
-Scenario build_leaf_spine_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
-  net::LeafSpineConfig topo_cfg;
-  topo_cfg.leaves = p.leaves;
-  topo_cfg.spines = p.spines;
-  topo_cfg.hosts_per_leaf = p.hosts_per_leaf;
-  topo_cfg.link_rate = p.link_rate;
-  topo_cfg.link_delay = p.link_delay;
-  topo_cfg.host_nic_queue_pkts = p.queues.host_nic_pkts;
-  topo_cfg.queue_factory = case_queue_factory(c, p);
-  topo_cfg.marker_factory = case_marker_factory(c, p);
-  net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-  Scenario s;
-  s.hosts = topo.hosts;
-  s.base_rtt = topo.base_rtt;
-  return s;
-}
-
-Scenario build_dumbbell_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
-  auto qf = case_queue_factory(c, p);
-  auto mf = case_marker_factory(c, p);
-  auto marker = [&]() -> std::unique_ptr<net::DequeueMarker> { return mf ? mf() : nullptr; };
-  const auto rate = p.link_rate;
-  const auto delay = p.link_delay;
-
-  const net::SwitchId left = network.add_switch();
-  const net::SwitchId right = network.add_switch();
-  const net::PortId l_to_r =
-      network.add_switch_port(left, network.id_of(right), rate, delay, qf(false), marker());
-  const net::PortId r_to_l =
-      network.add_switch_port(right, network.id_of(left), rate, delay, qf(false), marker());
-
-  std::vector<net::HostId> hosts;
-  auto attach = [&](net::SwitchId sw, net::SwitchId far, net::PortId far_port, int count) {
-    for (int i = 0; i < count; ++i) {
-      const net::HostId host = network.add_host(
-          rate, delay, std::make_unique<net::DropTailQueue>(p.queues.host_nic_pkts));
-      const net::PortId down = network.attach_host(host, sw, qf(false), marker());
-      network.switch_at(sw).routes().add_route(network.id_of(host), down);
-      network.switch_at(far).routes().add_route(network.id_of(host), far_port);
-      hosts.push_back(host);
-    }
-  };
-  attach(left, right, r_to_l, p.left_hosts);
-  attach(right, left, l_to_r, p.right_hosts);
-  for (const net::HostId h : hosts) {
-    network.switch_at(left).routes().require_route(network.id_of(h));
-    network.switch_at(right).routes().require_route(network.id_of(h));
-  }
-  Scenario s;
-  for (const net::HostId h : hosts) s.hosts.push_back(&network.host(h));
-  // host -> ToR -> ToR -> host: three store-and-forward links.
-  s.base_rtt = net::path_base_rtt(3, rate, delay);
-  return s;
-}
-
-Scenario build_chain_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
-  auto qf = case_queue_factory(c, p);
-  auto mf = case_marker_factory(c, p);
-  auto marker = [&]() -> std::unique_ptr<net::DequeueMarker> { return mf ? mf() : nullptr; };
-  const auto rate = p.link_rate;
-  const auto delay = p.link_delay;
-  const int k = p.chain_switches;
-
-  std::vector<net::SwitchId> switches;
-  for (int i = 0; i < k; ++i) switches.push_back(network.add_switch());
-  // right_port[i]: switch i -> i+1; left_port[i]: switch i -> i-1.
-  std::vector<net::PortId> right_port(static_cast<std::size_t>(k), -1);
-  std::vector<net::PortId> left_port(static_cast<std::size_t>(k), -1);
-  for (int i = 0; i + 1 < k; ++i) {
-    right_port[i] = network.add_switch_port(switches[i], network.id_of(switches[i + 1]), rate,
-                                            delay, qf(false), marker());
-    left_port[i + 1] = network.add_switch_port(switches[i + 1], network.id_of(switches[i]), rate,
-                                               delay, qf(false), marker());
-  }
-
-  std::vector<net::HostId> hosts;
-  std::vector<int> host_at;  // host index -> switch index
-  for (int i = 0; i < k; ++i) {
-    for (int h = 0; h < p.hosts_per_switch; ++h) {
-      const net::HostId host = network.add_host(
-          rate, delay, std::make_unique<net::DropTailQueue>(p.queues.host_nic_pkts));
-      const net::PortId down = network.attach_host(host, switches[i], qf(false), marker());
-      network.switch_at(switches[i]).routes().add_route(network.id_of(host), down);
-      hosts.push_back(host);
-      host_at.push_back(i);
-    }
-  }
-  // Linear routing: every switch reaches every host by walking the chain.
-  for (std::size_t h = 0; h < hosts.size(); ++h) {
-    const int at = host_at[h];
-    const net::NodeId dst = network.id_of(hosts[h]);
-    for (int i = 0; i < k; ++i) {
-      if (i == at) continue;
-      network.switch_at(switches[i]).routes().add_route(dst, i < at ? right_port[i] : left_port[i]);
-    }
-    for (int i = 0; i < k; ++i) network.switch_at(switches[i]).routes().require_route(dst);
-  }
-  Scenario s;
-  for (const net::HostId h : hosts) s.hosts.push_back(&network.host(h));
-  // Worst case: end to end across all k switches, k+1 links.
-  s.base_rtt = net::path_base_rtt(k + 1, rate, delay);
-  return s;
-}
-
-Scenario build_fat_tree_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
-  net::FatTreeConfig topo_cfg;
-  topo_cfg.k = p.fat_k;
-  topo_cfg.link_rate = p.link_rate;
-  topo_cfg.link_delay = p.link_delay;
-  topo_cfg.host_nic_queue_pkts = p.queues.host_nic_pkts;
-  topo_cfg.queue_factory = case_queue_factory(c, p);
-  topo_cfg.marker_factory = case_marker_factory(c, p);
-  net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-  Scenario s;
-  s.hosts = topo.hosts;
-  s.base_rtt = topo.base_rtt;
-  return s;
-}
-
-Scenario build_case(net::Network& network, const CaseConfig& c, const CaseParams& p) {
-  switch (c.topo) {
-    case Topo::kLeafSpine:
-      return build_leaf_spine_case(network, c, p);
-    case Topo::kDumbbell:
-      return build_dumbbell_case(network, c, p);
-    case Topo::kChain:
-      return build_chain_case(network, c, p);
-    case Topo::kFatTree:
-      return build_fat_tree_case(network, c, p);
-  }
-  throw std::logic_error("fuzz: unknown topology");
-}
-
 // Draws a bounded fault schedule against the built fabric's switch egress
-// ports. Called after build_case with the same parameter stream, so these
+// ports. Called after the build with the same parameter stream, so these
 // draws sit strictly after every pre-existing one (replay contract: cases
 // with faults off consume exactly the old stream). All windows are bounded
 // multiples of the topology's base RTT — long enough to force every
@@ -314,12 +149,13 @@ fault::FaultPlan draw_fault_plan(const CaseConfig& c, const net::Network& networ
 // which is reported as a failure instead of hanging the fuzzer.
 constexpr std::uint64_t kEventLimit = 50'000'000;
 
-// Oracles 1-4 plus the replay fingerprint, shared by the serial and the
-// partitioned paths (the latter passes the merged per-shard recorder and the
-// master auditor, which holds the folded cross-shard ledger after the run).
-// Expects r.flows / r.completed / r.events / r.faulted to be set already.
-void check_oracles(CaseResult& r, const stats::FctRecorder& recorder, net::Network& network,
-                   const Scenario& scen, const CaseParams& params, audit::Auditor& auditor) {
+// Oracles 1-4 plus the replay fingerprint, for serial and partitioned runs
+// alike (a sharded run's recorder is the merged one and its master auditor
+// holds the folded cross-shard ledger). Expects r.flows / r.completed /
+// r.events / r.faulted to be set already.
+void check_oracles(CaseResult& r, PacketRun& run, const FabricSpec& fabric) {
+  const stats::FctRecorder& recorder = run.recorder();
+  net::Network& network = run.network();
   auto fail = [&r](std::string why) {
     if (r.ok) {
       r.ok = false;
@@ -337,7 +173,7 @@ void check_oracles(CaseResult& r, const stats::FctRecorder& recorder, net::Netwo
   // cross at least one propagation delay; queueing/loss only adds to that.
   for (const auto& rec : recorder.completed()) {
     const sim::Duration floor =
-        params.link_rate.tx_time(static_cast<std::int64_t>(rec.bytes)) + params.link_delay;
+        fabric.link_rate.tx_time(static_cast<std::int64_t>(rec.bytes)) + fabric.link_delay;
     if (rec.fct() < floor) {
       fail("fct below serialization floor: flow " + std::to_string(rec.flow) + " fct " +
            rec.fct().str() + " < " + floor.str());
@@ -363,12 +199,13 @@ void check_oracles(CaseResult& r, const stats::FctRecorder& recorder, net::Netwo
       check_queue(sw.port(i).queue(), network.label(sw.id()) + " port " + std::to_string(i));
     }
   }
-  for (net::Host* host : scen.hosts) {
+  for (net::Host* host : run.hosts()) {
     check_queue(host->nic().queue(), network.label(host->id()) + " nic");
   }
 
   // Oracle 4 (audit builds; all calls are no-op stubs otherwise): the
   // conservation ledger must be drained and nothing may have tripped.
+  audit::Auditor& auditor = run.auditor();
   auditor.check_drained();
   r.audit_violations = auditor.violation_count();
   if (r.audit_violations != 0) {
@@ -417,102 +254,6 @@ void check_group_oracle(CaseResult& r, const std::vector<workload::GeneratedFlow
   }
 }
 
-// Partitioned variant of run_case: same parameter stream and flow schedule
-// (everything builds against the master shard, which carries the case seed
-// unchanged), executed on `c.shards` worker threads under the conservative
-// window protocol. Only the partitionable topologies are supported.
-CaseResult run_case_sharded(const CaseConfig& c) {
-  if (c.faults) {
-    throw std::invalid_argument("fuzz: --faults and --shards are mutually exclusive "
-                                "(fault injection mutates link state serially)");
-  }
-  if (c.topo != Topo::kFatTree && c.topo != Topo::kLeafSpine) {
-    throw std::invalid_argument(std::string{"fuzz: --shards does not support topology "} +
-                                to_string(c.topo));
-  }
-
-  sim::Rng draw{mix(c.seed, case_salt(c))};
-  const CaseParams params = draw_params(c, draw);
-
-  sim::ShardGroup group{mix(c.seed, case_salt(c) ^ 0xA5A5ULL), c.shards};
-  net::Network network{group.master()};
-
-  Scenario scen;
-  net::Partition part;
-  if (c.topo == Topo::kFatTree) {
-    net::FatTreeConfig topo_cfg;
-    topo_cfg.k = params.fat_k;
-    topo_cfg.link_rate = params.link_rate;
-    topo_cfg.link_delay = params.link_delay;
-    topo_cfg.host_nic_queue_pkts = params.queues.host_nic_pkts;
-    topo_cfg.queue_factory = core::make_queue_factory(c.proto, params.queues);
-    topo_cfg.marker_factory = core::make_marker_factory(c.proto);
-    net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-    scen.hosts = topo.hosts;
-    scen.base_rtt = topo.base_rtt;
-    part = net::partition_fat_tree(network, topo, c.shards);
-  } else {
-    net::LeafSpineConfig topo_cfg;
-    topo_cfg.leaves = params.leaves;
-    topo_cfg.spines = params.spines;
-    topo_cfg.hosts_per_leaf = params.hosts_per_leaf;
-    topo_cfg.link_rate = params.link_rate;
-    topo_cfg.link_delay = params.link_delay;
-    topo_cfg.host_nic_queue_pkts = params.queues.host_nic_pkts;
-    topo_cfg.queue_factory = core::make_queue_factory(c.proto, params.queues);
-    topo_cfg.marker_factory = core::make_marker_factory(c.proto);
-    net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-    scen.hosts = topo.hosts;
-    scen.base_rtt = topo.base_rtt;
-    part = net::partition_leaf_spine(network, topo, c.shards);
-  }
-
-  ShardedScenario sharded{group, network, std::move(part), params.link_rate, scen.base_rtt};
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = params.link_rate;
-  tcfg.base_rtt = scen.base_rtt;
-
-  scen.endpoints.reserve(scen.hosts.size());
-  for (net::Host* host : scen.hosts) {
-    auto ep = core::make_endpoint(c.proto, sharded.sim_of(host->id()), *host, tcfg,
-                                  &sharded.recorder_of(host->id()));
-    scen.endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  workload::TrafficConfig traffic;
-  traffic.load = params.load;
-  traffic.n_flows = params.n_flows;
-  traffic.n_hosts = scen.hosts.size();
-  traffic.host_rate = params.link_rate;
-  const auto flows = workload::generate_traffic(params.spec, &workload::cdf(params.workload),
-                                                traffic, group.master().rng());
-
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, scen.hosts[f.src_host]->id(), scen.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = scen.endpoints[f.src_host];
-    // A flow starts on its sender's shard: the start event must fire on the
-    // thread that owns the sender's scheduler and timers.
-    sharded.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  ShardedScenario::RunLimits limits;
-  limits.event_limit = kEventLimit;
-  limits.audit_context = repro_line(c);
-  sharded.run(limits);
-
-  CaseResult r;
-  r.flows = flows.size();
-  r.completed = sharded.merged().completed().size();
-  r.events = sharded.events();
-  r.faulted = network.packets_faulted();
-  check_oracles(r, sharded.merged(), network, scen, params, group.master().auditor());
-  check_group_oracle(r, flows, sharded.merged());
-  return r;
-}
-
 }  // namespace
 
 const char* to_string(Topo t) {
@@ -557,70 +298,55 @@ CaseResult run_case(const CaseConfig& c) {
     throw std::invalid_argument("fuzz: --mixed and --shards are mutually exclusive "
                                 "(mixed transports are serial-only)");
   }
-  if (c.shards > 1) return run_case_sharded(c);
+  if (c.shards > 1 && c.faults) {
+    throw std::invalid_argument("fuzz: --faults and --shards are mutually exclusive "
+                                "(fault injection mutates link state serially)");
+  }
 
   sim::Rng draw{mix(c.seed, case_salt(c))};
   const CaseParams params = draw_params(c, draw);
 
-  sim::Simulation simu{mix(c.seed, case_salt(c) ^ 0xA5A5ULL)};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
-  Scenario scen = build_case(network, c, params);
-
-  // Fault schedule: drawn after the topology (it needs the built port pool),
-  // armed before the run. The injector owns the plan the scheduled
-  // callbacks read, so it must outlive sched.run() below.
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (c.faults) {
-    injector = std::make_unique<fault::FaultInjector>(
-        network, draw_fault_plan(c, network, scen.base_rtt, draw));
-    injector->arm();
-  }
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = params.link_rate;
-  tcfg.base_rtt = scen.base_rtt;
-
-  stats::FctRecorder recorder{params.link_rate, scen.base_rtt};
-  scen.endpoints.reserve(scen.hosts.size());
-  for (net::Host* host : scen.hosts) {
-    auto ep = c.mixed ? core::make_mixed_endpoint(
-                            simu, *host, tcfg, &recorder,
-                            [frac = params.background_fraction](net::FlowId id) {
-                              return is_background_flow(id, frac);
-                            })
-                      : core::make_endpoint(c.proto, simu, *host, tcfg, &recorder);
-    scen.endpoints.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
+  // No samplers and no horizon: once the last flow completes, recovery
+  // timers cancel and the event set empties, so the run returns at drain
+  // (or at the livelock valve).
+  RunSpec spec;
+  spec.fabric = params.fabric;
+  spec.proto = c.proto;
+  spec.background_dctcp_fraction = c.mixed ? params.background_fraction : 0.0;
+  spec.seed = mix(c.seed, case_salt(c) ^ 0xA5A5ULL);
+  spec.shards = c.shards;
+  spec.horizon = sim::TimePoint::max();
+  spec.event_limit = kEventLimit;
+  spec.audit_context = repro_line(c);
 
   workload::TrafficConfig traffic;
   traffic.load = params.load;
   traffic.n_flows = params.n_flows;
-  traffic.n_hosts = scen.hosts.size();
-  traffic.host_rate = params.link_rate;
+  traffic.n_hosts = spec.fabric.host_count();
+  traffic.host_rate = spec.fabric.link_rate;
+  sim::Rng flow_rng{spec.seed};
   const auto flows =
-      workload::generate_traffic(params.spec, &workload::cdf(params.workload), traffic, simu.rng());
+      workload::generate_traffic(params.spec, &workload::cdf(params.workload), traffic, flow_rng);
 
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, scen.hosts[f.src_host]->id(), scen.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = scen.endpoints[f.src_host];
-    sched.at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
+  PacketRun run{spec, flows};
+  // Fault schedule: drawn after the topology (it needs the built port pool),
+  // armed before the run. The injector owns the plan the scheduled
+  // callbacks read, so it must outlive run.run() below.
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (c.faults) {
+    injector = std::make_unique<fault::FaultInjector>(
+        run.network(), draw_fault_plan(c, run.network(), run.base_rtt(), draw));
+    injector->arm();
   }
-
-  // No samplers and no polling: once the last flow completes, recovery
-  // timers cancel and the event set empties, so run() returns at drain.
-  sched.set_event_limit(kEventLimit);
-  sched.run();
+  run.run();
 
   CaseResult r;
   r.flows = flows.size();
-  r.completed = recorder.completed().size();
-  r.events = sched.events_processed();
-  r.faulted = network.packets_faulted();
-  check_oracles(r, recorder, network, scen, params, simu.auditor());
-  check_group_oracle(r, flows, recorder);
+  r.completed = run.recorder().completed().size();
+  r.events = run.events();
+  r.faulted = run.network().packets_faulted();
+  check_oracles(r, run, params.fabric);
+  check_group_oracle(r, flows, run.recorder());
   return r;
 }
 

@@ -29,11 +29,12 @@
 #include <string>
 #include <vector>
 
+#include "harness/run.hpp"
 #include "transport/config.hpp"
 
 namespace amrt::harness::fuzz {
 
-enum class Topo : std::uint8_t { kLeafSpine, kDumbbell, kChain, kFatTree };
+using Topo = Topology;
 
 inline constexpr std::array<Topo, 4> kAllTopos = {Topo::kLeafSpine, Topo::kDumbbell, Topo::kChain,
                                                   Topo::kFatTree};

@@ -8,16 +8,12 @@
 // are folded, in shard order, into one merged recorder, so the combined
 // record list is deterministic for a fixed shard count.
 //
-// Usage (bench_scale, fuzz, run_leaf_spine all follow this shape):
-//   sim::ShardGroup group{seed, n};
-//   net::Network network{group.master()};          // build against master
-//   ... build topology, derive net::Partition ...
-//   harness::ShardedScenario scen{group, network, part, rate, base_rtt};
-//   for host: make_endpoint(proto, scen.sim_of(id), *host, cfg,
-//                           &scen.recorder_of(id))
-//   for flow: scen.sched_of(src).at(start, ...)    // start on the owner
-//   scen.run({...});
-//   scen.merged().completed() ...
+// harness::PacketRun (harness/run.hpp) is the one caller inside the
+// library: it builds the fabric against group.master(), derives the
+// partition, constructs endpoints against sim_of(host) with
+// recorder_of(host) as their observer, schedules each flow start on
+// sched_of(src), and reads merged() after run(). Build on PacketRun rather
+// than driving a ShardedScenario by hand.
 #pragma once
 
 #include <memory>

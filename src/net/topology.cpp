@@ -265,4 +265,88 @@ FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg) {
   return out;
 }
 
+SmallFabric build_dumbbell(Network& net, const SmallFabricConfig& cfg) {
+  const auto& qf = cfg.queue_factory;
+  auto marker = [&]() -> std::unique_ptr<DequeueMarker> {
+    return cfg.marker_factory ? cfg.marker_factory() : nullptr;
+  };
+  const auto rate = cfg.link_rate;
+  const auto delay = cfg.link_delay;
+
+  const SwitchId left = net.add_switch();
+  const SwitchId right = net.add_switch();
+  const PortId l_to_r = net.add_switch_port(left, net.id_of(right), rate, delay, qf(false), marker());
+  const PortId r_to_l = net.add_switch_port(right, net.id_of(left), rate, delay, qf(false), marker());
+
+  std::vector<HostId> hosts;
+  auto attach = [&](SwitchId sw, SwitchId far, PortId far_port, int count) {
+    for (int i = 0; i < count; ++i) {
+      const HostId host =
+          net.add_host(rate, delay, std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+      const PortId down = net.attach_host(host, sw, qf(false), marker());
+      net.switch_at(sw).routes().add_route(net.id_of(host), down);
+      net.switch_at(far).routes().add_route(net.id_of(host), far_port);
+      hosts.push_back(host);
+    }
+  };
+  attach(left, right, r_to_l, cfg.left_hosts);
+  attach(right, left, l_to_r, cfg.right_hosts);
+  for (const HostId h : hosts) {
+    net.switch_at(left).routes().require_route(net.id_of(h));
+    net.switch_at(right).routes().require_route(net.id_of(h));
+  }
+  SmallFabric out;
+  for (const HostId h : hosts) out.hosts.push_back(&net.host(h));
+  out.base_rtt = path_base_rtt(3, rate, delay);
+  return out;
+}
+
+SmallFabric build_chain(Network& net, const SmallFabricConfig& cfg) {
+  const auto& qf = cfg.queue_factory;
+  auto marker = [&]() -> std::unique_ptr<DequeueMarker> {
+    return cfg.marker_factory ? cfg.marker_factory() : nullptr;
+  };
+  const auto rate = cfg.link_rate;
+  const auto delay = cfg.link_delay;
+  const int k = cfg.switches;
+
+  std::vector<SwitchId> switches;
+  for (int i = 0; i < k; ++i) switches.push_back(net.add_switch());
+  // right_port[i]: switch i -> i+1; left_port[i]: switch i -> i-1.
+  std::vector<PortId> right_port(static_cast<std::size_t>(k), -1);
+  std::vector<PortId> left_port(static_cast<std::size_t>(k), -1);
+  for (int i = 0; i + 1 < k; ++i) {
+    right_port[i] = net.add_switch_port(switches[i], net.id_of(switches[i + 1]), rate, delay,
+                                        qf(false), marker());
+    left_port[i + 1] = net.add_switch_port(switches[i + 1], net.id_of(switches[i]), rate, delay,
+                                           qf(false), marker());
+  }
+
+  std::vector<HostId> hosts;
+  std::vector<int> host_at;  // host index -> switch index
+  for (int i = 0; i < k; ++i) {
+    for (int h = 0; h < cfg.hosts_per_switch; ++h) {
+      const HostId host =
+          net.add_host(rate, delay, std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+      const PortId down = net.attach_host(host, switches[i], qf(false), marker());
+      net.switch_at(switches[i]).routes().add_route(net.id_of(host), down);
+      hosts.push_back(host);
+      host_at.push_back(i);
+    }
+  }
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    const int at = host_at[h];
+    const NodeId dst = net.id_of(hosts[h]);
+    for (int i = 0; i < k; ++i) {
+      if (i == at) continue;
+      net.switch_at(switches[i]).routes().add_route(dst, i < at ? right_port[i] : left_port[i]);
+    }
+    for (int i = 0; i < k; ++i) net.switch_at(switches[i]).routes().require_route(dst);
+  }
+  SmallFabric out;
+  for (const HostId h : hosts) out.hosts.push_back(&net.host(h));
+  out.base_rtt = path_base_rtt(k + 1, rate, delay);
+  return out;
+}
+
 }  // namespace amrt::net

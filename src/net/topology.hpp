@@ -89,6 +89,32 @@ struct FatTree {
 
 [[nodiscard]] FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg);
 
+// The scenario fuzzer's small fabrics. A dumbbell is two switches joined by
+// one link, `left_hosts` under the first and `right_hosts` under the second.
+// A chain is `switches` switches in a line with `hosts_per_switch` hosts
+// each, every switch routing along the line. Hosts are numbered left to
+// right; base_rtt is the longest host-to-host path (3 links for the
+// dumbbell, switches + 1 for the chain).
+struct SmallFabricConfig {
+  int left_hosts = 2;        // dumbbell
+  int right_hosts = 2;       // dumbbell
+  int switches = 2;          // chain
+  int hosts_per_switch = 1;  // chain
+  sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
+  sim::Duration link_delay = sim::Duration::microseconds(10);
+  QueueFactory queue_factory;
+  MarkerFactory marker_factory;  // optional; applied to switch egress ports
+  std::size_t host_nic_queue_pkts = 8192;
+};
+
+struct SmallFabric {
+  std::vector<Host*> hosts;
+  sim::Duration base_rtt = sim::Duration::zero();
+};
+
+[[nodiscard]] SmallFabric build_dumbbell(Network& net, const SmallFabricConfig& cfg);
+[[nodiscard]] SmallFabric build_chain(Network& net, const SmallFabricConfig& cfg);
+
 // Minimum RTT over an `hops`-link one-way path at `rate`: a full data packet
 // out, a control packet back, plus propagation both ways. Store-and-forward
 // re-serializes at every hop.

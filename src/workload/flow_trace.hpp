@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 
 namespace amrt::workload {
 

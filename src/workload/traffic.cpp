@@ -161,21 +161,6 @@ std::unique_ptr<ArrivalProcess> make_arrivals(const WorkloadSpec& spec) {
   throw std::logic_error("make_arrivals: unknown arrival model");
 }
 
-// Mean inter-arrival per *flow* at the target load (the original
-// FlowGenerator formula); multi-flow arrival units scale their gap by the
-// member count so the offered byte rate is invariant across structures.
-// The round trip through Duration (integer ns) is load-bearing: the legacy
-// generator rounded its mean the same way, and the exponential draws are
-// only bit-identical if the argument is.
-double mean_flow_gap_seconds(const TrafficConfig& cfg, double mean_flow_bytes) {
-  const double agg_bps = cfg.load * static_cast<double>(cfg.n_hosts) *
-                         static_cast<double>(cfg.host_rate.bits_per_second());
-  const double mean_bits = mean_flow_bytes * 8.0;
-  if (agg_bps <= 0.0) throw std::invalid_argument("TrafficEngine: load must be positive");
-  const double lambda = agg_bps / mean_bits;
-  return sim::Duration::from_seconds(1.0 / lambda).to_seconds();
-}
-
 // --------------------------------------------------------------------------
 // Structure layer + the synthetic engines (legacy, skewed, fanout): one
 // generate loop, parameterized by the layers above.
@@ -191,7 +176,7 @@ class SyntheticEngine final : public TrafficEngine {
     const double mean_bytes = spec_.engine == Engine::kFanout && spec_.response_bytes > 0
                                   ? static_cast<double>(spec_.response_bytes)
                                   : sizes_.mean_bytes();
-    const double mean_gap_s = mean_flow_gap_seconds(cfg, mean_bytes);
+    const double mean_gap_s = mean_interarrival(cfg, mean_bytes).to_seconds();
 
     auto pairs = make_pairs(spec_);
     auto arrivals = make_arrivals(spec_);
@@ -339,6 +324,19 @@ class TraceEngine final : public TrafficEngine {
 };
 
 }  // namespace
+
+// Multi-flow arrival units scale this gap by their member count so the
+// offered byte rate is invariant across structures. The round trip through
+// Duration (integer ns) is load-bearing: the legacy engine's exponential
+// draws are only bit-identical to the original generator's if the mean is.
+sim::Duration mean_interarrival(const TrafficConfig& cfg, double mean_flow_bytes) {
+  const double agg_bps = cfg.load * static_cast<double>(cfg.n_hosts) *
+                         static_cast<double>(cfg.host_rate.bits_per_second());
+  const double mean_bits = mean_flow_bytes * 8.0;
+  if (agg_bps <= 0.0) throw std::invalid_argument("TrafficEngine: load must be positive");
+  const double lambda = agg_bps / mean_bits;
+  return sim::Duration::from_seconds(1.0 / lambda);
+}
 
 const char* to_string(Engine e) {
   switch (e) {

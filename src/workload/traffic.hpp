@@ -20,7 +20,8 @@
 // Four engines compose these layers behind one interface:
 //
 //   kLegacy — uniform pairs + Poisson + no structure. Draw-for-draw
-//             identical to the original FlowGenerator (the golden-fixture
+//             identical to the original FlowGenerator, kept as the
+//             reference in tests/flow_generator.hpp (the golden-fixture
 //             gate and the fuzzer's old seeds depend on this);
 //   kSkewed — the pair-model and arrival-model axes opened up, plus
 //             optional coflow groups;
@@ -42,10 +43,40 @@
 #include <vector>
 
 #include "sim/rng.hpp"
+#include "sim/time.hpp"
 #include "workload/cdf.hpp"
-#include "workload/generator.hpp"
 
 namespace amrt::workload {
+
+// One scheduled flow. Engines are network-agnostic: they emit host
+// *indices*, which the harness maps to hosts/endpoints.
+struct GeneratedFlow {
+  std::uint64_t id = 0;
+  std::size_t src_host = 0;
+  std::size_t dst_host = 0;
+  std::uint64_t bytes = 0;
+  sim::TimePoint start{};
+  // Structure layer: coflow/incast group and front-end fan-out request
+  // membership. 0 = ungrouped, which is what every legacy-engine flow
+  // carries.
+  std::uint64_t group_id = 0;
+  std::uint64_t request_id = 0;
+};
+
+// Load is defined as in the paper's evaluation: the aggregate arrival
+// byte-rate equals `load` times the aggregate host access capacity.
+struct TrafficConfig {
+  double load = 0.5;  // fraction of aggregate host capacity
+  std::size_t n_flows = 1000;
+  std::size_t n_hosts = 16;
+  sim::Bandwidth host_rate = sim::Bandwidth::gbps(10);
+  sim::TimePoint first_arrival = sim::TimePoint::zero();
+};
+
+// Mean inter-arrival per flow at `cfg`'s load for flows of
+// `mean_flow_bytes`, rounded to a whole nanosecond (the engines draw their
+// exponential gaps from exactly this value). Throws on a non-positive load.
+[[nodiscard]] sim::Duration mean_interarrival(const TrafficConfig& cfg, double mean_flow_bytes);
 
 enum class Engine : std::uint8_t { kLegacy, kSkewed, kFanout, kTrace };
 enum class PairModel : std::uint8_t { kUniform, kHotRack, kPermutation };

@@ -110,11 +110,54 @@ TEST(Coexistence, MixedRunIsDeterministic) {
 }
 
 TEST(Coexistence, MixedModeRejectsUnsupportedCombinations) {
-  auto wrong_proto = small_leaf_spine(0.25);
-  wrong_proto.proto = transport::Protocol::kNdp;
-  EXPECT_THROW((void)harness::run_leaf_spine(wrong_proto), std::invalid_argument);
-
-  auto sharded = small_leaf_spine(0.25);
-  sharded.shards = 2;
-  EXPECT_THROW((void)harness::run_leaf_spine(sharded), std::invalid_argument);
+  // One table for every combination harness::validate rejects; run_leaf_spine
+  // must refuse each one before building anything.
+  const struct {
+    const char* name;
+    void (*apply)(harness::ExperimentConfig&);
+  } rejected[] = {
+      {"mixed transports need AMRT",
+       [](harness::ExperimentConfig& c) { c.proto = transport::Protocol::kNdp; }},
+      {"mixed transports x shards", [](harness::ExperimentConfig& c) { c.shards = 2; }},
+      {"shards x faults",
+       [](harness::ExperimentConfig& c) {
+         c.background_dctcp_fraction = 0.0;
+         c.shards = 2;
+         c.fault_incidents = 1;
+       }},
+      {"trace engine without a path",
+       [](harness::ExperimentConfig& c) { c.engine.engine = workload::Engine::kTrace; }},
+      {"flow fidelity x shards",
+       [](harness::ExperimentConfig& c) {
+         c.background_dctcp_fraction = 0.0;
+         c.fidelity = harness::Fidelity::kFlow;
+         c.shards = 2;
+       }},
+      {"mixed fidelity x shards",
+       [](harness::ExperimentConfig& c) {
+         c.background_dctcp_fraction = 0.0;
+         c.fidelity = harness::Fidelity::kMixed;
+         c.shards = 2;
+       }},
+      {"flow fidelity x faults",
+       [](harness::ExperimentConfig& c) {
+         c.fidelity = harness::Fidelity::kFlow;
+         c.fault_incidents = 1;
+       }},
+      {"mixed fidelity x mixed transports",
+       [](harness::ExperimentConfig& c) { c.fidelity = harness::Fidelity::kMixed; }},
+      {"mixed fidelity needs a fraction in (0, 1)",
+       [](harness::ExperimentConfig& c) {
+         c.background_dctcp_fraction = 0.0;
+         c.fidelity = harness::Fidelity::kMixed;
+         c.flow_background_fraction = 1.0;
+       }},
+  };
+  EXPECT_NO_THROW(harness::validate(small_leaf_spine(0.25)));
+  for (const auto& row : rejected) {
+    auto cfg = small_leaf_spine(0.25);
+    row.apply(cfg);
+    EXPECT_THROW(harness::validate(cfg), std::invalid_argument) << row.name;
+    EXPECT_THROW((void)harness::run_leaf_spine(cfg), std::invalid_argument) << row.name;
+  }
 }

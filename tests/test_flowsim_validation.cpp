@@ -20,14 +20,10 @@
 #include "flowsim/flowsim.hpp"
 #include "harness/experiment.hpp"
 #include "harness/fidelity.hpp"
-#include "core/factory.hpp"
-#include "net/network.hpp"
+#include "harness/run.hpp"
 #include "net/packet.hpp"
-#include "net/topology.hpp"
-#include "sim/simulation.hpp"
 #include "stats/fct.hpp"
-#include "transport/endpoint.hpp"
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 using namespace amrt;
@@ -180,57 +176,40 @@ TEST(FlowsimValidation, FatTreeFlowMatchesPacket) {
   constexpr std::uint64_t kSeed = 1;
   constexpr double kLoad = 0.5;
 
-  // --- packet truth (bench_scale::run_one in miniature) -------------------
-  sim::Simulation simu{kSeed};
-  net::Network network{simu};
-  net::FatTreeConfig topo_cfg;
-  topo_cfg.k = k;
-  topo_cfg.link_delay = 10_us;
-  topo_cfg.queue_factory = core::make_queue_factory(transport::Protocol::kAmrt);
-  topo_cfg.marker_factory = core::make_marker_factory(transport::Protocol::kAmrt);
-  const net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = topo_cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-  stats::FctRecorder packet_rec{topo_cfg.link_rate, topo.base_rtt};
-
-  std::vector<transport::TransportEndpoint*> eps;
-  for (net::Host* host : topo.hosts) {
-    auto ep = core::make_endpoint(transport::Protocol::kAmrt, simu, *host, tcfg, &packet_rec);
-    eps.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), simu.rng()};
+  // --- packet truth (a bench_scale packet row in miniature) ---------------
+  RunSpec spec;
+  spec.fabric.topology = Topology::kFatTree;
+  spec.fabric.fat_k = k;
+  spec.fabric.link_delay = 10_us;
+  spec.proto = transport::Protocol::kAmrt;
+  spec.seed = kSeed;
   workload::TrafficConfig traffic;
   traffic.load = kLoad;
   traffic.n_flows = kNFlows;
-  traffic.n_hosts = topo.hosts.size();
-  traffic.host_rate = topo_cfg.link_rate;
-  const auto flows = gen.generate(traffic);
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = eps[f.src_host];
-    simu.scheduler().at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-  simu.scheduler().run();
-  const std::uint64_t packet_events = simu.scheduler().events_processed();
+  traffic.n_hosts = spec.fabric.host_count();
+  traffic.host_rate = spec.fabric.link_rate;
+  sim::Rng rng{kSeed};
+  const auto flows = workload::generate_traffic(
+      {}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
+  PacketRun packet{spec, flows};
+  packet.run();
+  const std::uint64_t packet_events = packet.events();
+  const stats::FctRecorder& packet_rec = packet.recorder();
   ASSERT_EQ(packet_rec.completed().size(), flows.size());
 
   // --- fluid side over the same schedule ----------------------------------
-  const flowsim::Fabric fabric = flowsim::Fabric::fat_tree(k, topo_cfg.link_rate);
+  const flowsim::Fabric fabric = flowsim::Fabric::fat_tree(k, spec.fabric.link_rate);
   flowsim::FlowSimConfig fcfg;
-  fcfg.rtt = topo.base_rtt;
+  fcfg.rtt = packet.base_rtt();
   fcfg.payload_fraction = static_cast<double>(net::kMssBytes) / net::kMtuBytes;
-  fcfg.prop_delay = topo_cfg.link_delay;
-  fcfg.mtu_tx = topo_cfg.link_rate.tx_time(net::kMtuBytes);
+  fcfg.prop_delay = spec.fabric.link_delay;
+  fcfg.mtu_tx = spec.fabric.link_rate.tx_time(net::kMtuBytes);
   flowsim::FlowSim fs{fabric, fcfg};
   for (const auto& f : flows) {
     fs.add_flow(f.id, f.src_host, f.dst_host, f.bytes, f.start,
                 flowsim::RateModel::kAmrtGrantClock);
   }
-  stats::FctRecorder flow_rec{topo_cfg.link_rate, topo.base_rtt};
+  stats::FctRecorder flow_rec{spec.fabric.link_rate, packet.base_rtt()};
   const flowsim::FlowSimResult fres = fs.run(&flow_rec);
   ASSERT_EQ(fres.completed, flows.size());
 

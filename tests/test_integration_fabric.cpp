@@ -43,15 +43,31 @@ TEST_P(Fabric, GoodputConservation) {
   auto cfg = tiny(GetParam());
   const auto r = harness::run_leaf_spine(cfg);
   sim::Rng rng{cfg.seed};
-  workload::FlowGenerator gen{workload::cdf(cfg.workload), rng};
   workload::TrafficConfig traffic;
   traffic.load = cfg.load;
   traffic.n_flows = cfg.n_flows;
   traffic.n_hosts = 8;
   traffic.host_rate = cfg.link_rate;
   std::uint64_t expected = 0;
-  for (const auto& f : gen.generate(traffic)) expected += f.bytes;
+  for (const auto& f :
+       workload::generate_traffic({}, &workload::cdf(cfg.workload), traffic, rng)) {
+    expected += f.bytes;
+  }
   EXPECT_EQ(r.bytes_delivered, expected);
+}
+
+TEST(FabricHorizon, UnfinishedFlowsReportAsIncomplete) {
+  // A horizon shorter than the schedule: flows cut off before they finish,
+  // or before they even start, count against completion in both executors.
+  for (const unsigned shards : {1u, 2u}) {
+    auto cfg = tiny(Protocol::kAmrt);
+    cfg.shards = shards;
+    cfg.max_sim_time = 200_us;
+    const auto r = harness::run_leaf_spine(cfg);
+    EXPECT_EQ(r.flows_started, 60u) << shards << " shards";
+    EXPECT_LT(r.flows_completed, r.flows_started) << shards << " shards";
+    EXPECT_EQ(r.flow_records.size(), r.flows_completed) << shards << " shards";
+  }
 }
 
 TEST_P(Fabric, DeterministicAcrossRuns) {

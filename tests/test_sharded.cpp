@@ -1,5 +1,5 @@
 // End-to-end gates for partitioned execution (net/partition.hpp +
-// harness/sharded.hpp): a k=4 fat-tree under the web-search workload must
+// harness/sharded.hpp, driven through harness/run.hpp): a k=4 fat-tree under the web-search workload must
 // complete every flow at every shard count, a fixed shard count must
 // reproduce bit-identically run-to-run, and the sharded FCT distribution
 // must stay within a stated tolerance of the serial one — the serial path
@@ -12,13 +12,9 @@
 #include <memory>
 #include <vector>
 
-#include "core/factory.hpp"
-#include "harness/sharded.hpp"
-#include "net/partition.hpp"
-#include "net/topology.hpp"
-#include "sim/shard.hpp"
+#include "harness/run.hpp"
 #include "stats/fct.hpp"
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 using namespace amrt;
@@ -36,58 +32,35 @@ struct RunOutput {
   stats::FctSummary summary;
 };
 
-// One k=4 fat-tree web-search run. shards == 1 uses the plain serial
-// scheduler; shards > 1 the windowed multi-threaded runner. Both build from
-// the same seed, so topology, workload draws and flow schedule agree.
+// One k=4 fat-tree web-search run through the harness run object. shards ==
+// 1 uses the plain serial scheduler; shards > 1 the windowed multi-threaded
+// runner. The schedule is drawn from the seed before the fabric is built,
+// so topology, workload draws and flow schedule agree across shard counts.
 RunOutput run_fat_tree(unsigned shards, Protocol proto = Protocol::kAmrt) {
-  sim::ShardGroup group{kSeed, shards};
-  net::Network network{group.master()};
+  harness::RunSpec spec;
+  spec.fabric.topology = harness::Topology::kFatTree;
+  spec.fabric.fat_k = 4;
+  spec.fabric.link_delay = sim::Duration::microseconds(5);
+  spec.proto = proto;
+  spec.seed = kSeed;
+  spec.shards = shards;
 
-  net::FatTreeConfig topo_cfg;
-  topo_cfg.k = 4;
-  topo_cfg.link_delay = sim::Duration::microseconds(5);
-  topo_cfg.queue_factory = core::make_queue_factory(proto);
-  topo_cfg.marker_factory = core::make_marker_factory(proto);
-  const net::FatTree topo = net::build_fat_tree(network, topo_cfg);
-
-  harness::ShardedScenario scen{group, network,
-                                net::partition_fat_tree(network, topo, shards),
-                                topo_cfg.link_rate, topo.base_rtt};
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = topo_cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-
-  std::vector<transport::TransportEndpoint*> eps;
-  eps.reserve(topo.hosts.size());
-  for (net::Host* host : topo.hosts) {
-    auto ep = core::make_endpoint(proto, scen.sim_of(host->id()), *host, tcfg,
-                                  &scen.recorder_of(host->id()));
-    eps.push_back(ep.get());
-    host->attach(std::move(ep));
-  }
-
-  workload::FlowGenerator gen{workload::cdf(workload::Kind::kWebSearch), group.master().rng()};
   workload::TrafficConfig traffic;
   traffic.load = kLoad;
   traffic.n_flows = kFlows;
-  traffic.n_hosts = topo.hosts.size();
-  traffic.host_rate = topo_cfg.link_rate;
-  const auto flows = gen.generate(traffic);
+  traffic.n_hosts = spec.fabric.host_count();
+  traffic.host_rate = spec.fabric.link_rate;
+  sim::Rng rng{kSeed};
+  const auto flows = workload::generate_traffic(
+      {}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
 
-  for (const auto& f : flows) {
-    transport::FlowSpec spec{f.id, topo.hosts[f.src_host]->id(), topo.hosts[f.dst_host]->id(),
-                             f.bytes, f.start};
-    transport::TransportEndpoint* src_ep = eps[f.src_host];
-    scen.sched_of(spec.src).at(f.start, [src_ep, spec] { src_ep->start_flow(spec); });
-  }
-
-  scen.run({});
+  harness::PacketRun run{spec, flows};
+  run.run();
 
   RunOutput out;
   out.flows = flows.size();
-  out.records = scen.merged().completed();
-  out.summary = scen.merged().summarize();
+  out.records = run.recorder().completed();
+  out.summary = run.recorder().summarize();
   return out;
 }
 

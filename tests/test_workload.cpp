@@ -1,7 +1,7 @@
 // Unit + property tests for the workload machinery (src/workload/).
 #include <gtest/gtest.h>
 
-#include "workload/generator.hpp"
+#include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
 using namespace amrt::workload;
@@ -104,9 +104,18 @@ TEST_P(WorkloadSampling, SampledTinyFractionMatchesCdf) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadSampling, ::testing::ValuesIn(kAllKinds),
                          [](const auto& pinfo) { return abbrev(pinfo.param); });
 
+// The Generator suite drives the default (legacy) traffic engine, which is
+// the original Poisson generator draw for draw.
+namespace {
+std::vector<GeneratedFlow> generate(Kind kind, const TrafficConfig& cfg, Rng& rng) {
+  return generate_traffic(WorkloadSpec{}, &cdf(kind), cfg, rng);
+}
+amrt::sim::Duration mean_gap(Kind kind, const TrafficConfig& cfg) {
+  return mean_interarrival(cfg, cdf(kind).mean_bytes());
+}
+}  // namespace
+
 TEST(Generator, MeanInterarrivalMatchesLoadFormula) {
-  Rng rng{5};
-  FlowGenerator gen{cdf(Kind::kWebSearch), rng};
   TrafficConfig cfg;
   cfg.load = 0.5;
   cfg.n_hosts = 10;
@@ -115,25 +124,22 @@ TEST(Generator, MeanInterarrivalMatchesLoadFormula) {
   const double mean_bits = cdf(Kind::kWebSearch).mean_bytes() * 8;
   const double expect_s = mean_bits / (0.5 * 10 * 10e9);
   // The generator rounds the interval to a whole nanosecond.
-  EXPECT_NEAR(gen.mean_interarrival(cfg).to_seconds(), expect_s, 1e-9);
+  EXPECT_NEAR(mean_gap(Kind::kWebSearch, cfg).to_seconds(), expect_s, 1e-9);
 }
 
 TEST(Generator, HigherLoadArrivesFaster) {
-  Rng rng{5};
-  FlowGenerator gen{cdf(Kind::kWebSearch), rng};
   TrafficConfig lo, hi;
   lo.load = 0.1;
   hi.load = 0.7;
-  EXPECT_GT(gen.mean_interarrival(lo), gen.mean_interarrival(hi));
+  EXPECT_GT(mean_gap(Kind::kWebSearch, lo), mean_gap(Kind::kWebSearch, hi));
 }
 
 TEST(Generator, FlowsSortedUniqueIdsDistinctEndpoints) {
   Rng rng{5};
-  FlowGenerator gen{cdf(Kind::kWebServer), rng};
   TrafficConfig cfg;
   cfg.n_flows = 500;
   cfg.n_hosts = 8;
-  const auto flows = gen.generate(cfg);
+  const auto flows = generate(Kind::kWebServer, cfg, rng);
   ASSERT_EQ(flows.size(), 500u);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     EXPECT_EQ(flows[i].id, i + 1);
@@ -148,37 +154,34 @@ TEST(Generator, FlowsSortedUniqueIdsDistinctEndpoints) {
 
 TEST(Generator, EmpiricalArrivalRateNearTarget) {
   Rng rng{9};
-  FlowGenerator gen{cdf(Kind::kWebSearch), rng};
   TrafficConfig cfg;
   cfg.n_flows = 5000;
   cfg.n_hosts = 16;
   cfg.load = 0.6;
-  const auto flows = gen.generate(cfg);
+  const auto flows = generate(Kind::kWebSearch, cfg, rng);
   const double span_s = (flows.back().start - flows.front().start).to_seconds();
   const double measured_rate = static_cast<double>(flows.size() - 1) / span_s;
-  const double target_rate = 1.0 / gen.mean_interarrival(cfg).to_seconds();
+  const double target_rate = 1.0 / mean_gap(Kind::kWebSearch, cfg).to_seconds();
   EXPECT_NEAR(measured_rate, target_rate, target_rate * 0.1);
 }
 
 TEST(Generator, RejectsDegenerateConfigs) {
   Rng rng{5};
-  FlowGenerator gen{cdf(Kind::kWebServer), rng};
   TrafficConfig cfg;
   cfg.n_hosts = 1;
-  EXPECT_THROW((void)gen.generate(cfg), std::invalid_argument);
+  EXPECT_THROW((void)generate(Kind::kWebServer, cfg, rng), std::invalid_argument);
   cfg.n_hosts = 4;
   cfg.load = 0.0;
-  EXPECT_THROW((void)gen.generate(cfg), std::invalid_argument);
+  EXPECT_THROW((void)generate(Kind::kWebServer, cfg, rng), std::invalid_argument);
 }
 
 TEST(Generator, DeterministicForSeed) {
   Rng a{42}, b{42};
-  FlowGenerator ga{cdf(Kind::kHadoop), a}, gb{cdf(Kind::kHadoop), b};
   TrafficConfig cfg;
   cfg.n_flows = 50;
   cfg.n_hosts = 6;
-  const auto fa = ga.generate(cfg);
-  const auto fb = gb.generate(cfg);
+  const auto fa = generate(Kind::kHadoop, cfg, a);
+  const auto fb = generate(Kind::kHadoop, cfg, b);
   for (std::size_t i = 0; i < fa.size(); ++i) {
     EXPECT_EQ(fa[i].bytes, fb[i].bytes);
     EXPECT_EQ(fa[i].start, fb[i].start);

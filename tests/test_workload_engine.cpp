@@ -14,7 +14,7 @@
 #include "harness/experiment.hpp"
 #include "stats/group.hpp"
 #include "workload/flow_trace.hpp"
-#include "workload/generator.hpp"
+#include "flow_generator.hpp"
 #include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 

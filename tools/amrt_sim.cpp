@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "harness/sweep.hpp"
@@ -200,43 +201,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (cfg.shards > 1 && cfg.fault_incidents > 0) {
-    std::fprintf(stderr, "amrt_sim: --faults and --shards are mutually exclusive\n");
-    return 2;
-  }
-  if (cfg.engine.engine == workload::Engine::kTrace && cfg.engine.trace_path.empty()) {
-    std::fprintf(stderr, "amrt_sim: --workload-engine=trace needs --trace=PATH\n");
-    return 2;
-  }
   if (!cfg.trace_out.empty() && n_seeds > 1) {
     std::fprintf(stderr, "amrt_sim: --trace-out only supports a single point (drop --seeds)\n");
     return 2;
   }
-  if (cfg.background_dctcp_fraction > 0.0) {
-    if (cfg.proto != transport::Protocol::kAmrt) {
-      std::fprintf(stderr, "amrt_sim: --mixed requires --proto=AMRT\n");
-      return 2;
-    }
-    if (cfg.shards > 1) {
-      std::fprintf(stderr, "amrt_sim: --mixed and --shards are mutually exclusive\n");
-      return 2;
-    }
-  }
-  if (cfg.fidelity != harness::Fidelity::kPacket) {
-    if (cfg.shards > 1) {
-      std::fprintf(stderr, "amrt_sim: --fidelity=%s and --shards are mutually exclusive\n",
-                   harness::to_string(cfg.fidelity));
-      return 2;
-    }
-    if (cfg.fault_incidents > 0) {
-      std::fprintf(stderr, "amrt_sim: --fidelity=%s and --faults are mutually exclusive\n",
-                   harness::to_string(cfg.fidelity));
-      return 2;
-    }
-    if (cfg.fidelity == harness::Fidelity::kMixed && cfg.background_dctcp_fraction > 0.0) {
-      std::fprintf(stderr, "amrt_sim: --fidelity=mixed and --mixed are mutually exclusive\n");
-      return 2;
-    }
+  try {
+    harness::validate(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "amrt_sim: %s\n", e.what());
+    return 2;
   }
 
   // One point per seed; a single run is just a one-point sweep.
@@ -274,6 +247,9 @@ int main(int argc, char** argv) {
     harness::write_results_json(out, points, results);
   }
 
+  bool all_complete = true;
+  for (const auto& r : results) all_complete = all_complete && r.flows_completed == r.flows_started;
+
   if (csv) {
     std::printf("proto,workload,engine,load,flows,seed,afct_us,p99_us,small_afct_us,large_afct_us,"
                 "slowdown,utilization,max_queue,drops,trims,faulted,completed,events,wall_s,"
@@ -294,10 +270,9 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(r.events), r.wall_seconds, r.group_stats.groups,
           r.group_stats.p99_us, r.request_stats.groups, r.request_stats.p99_us);
     }
-    return 0;
+    return all_complete ? 0 : 1;
   }
 
-  bool all_complete = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     const auto& r = results[i];
@@ -332,7 +307,6 @@ int main(int argc, char** argv) {
     std::printf("  max queue:    %zu packets\n", r.max_queue_pkts);
     std::printf("  simulated %.3fs in %.2fs wall (%llu events)\n", r.sim_seconds, r.wall_seconds,
                 static_cast<unsigned long long>(r.events));
-    all_complete = all_complete && r.flows_completed == r.flows_started;
   }
   return all_complete ? 0 : 1;
 }
