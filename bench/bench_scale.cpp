@@ -7,7 +7,10 @@
 // report ms per event and flows per second instead: a fluid event is a
 // max-min recompute, so events/sec says nothing about its cost. They also
 // report flows_per_refill, the mean number of flows a recompute re-water-
-// fills (the components its arrivals and completions reach). The
+// fills (the components its arrivals and completions reach). Packet rows
+// also report the event wheel's stats: its final bucket width, how often it
+// re-geared, the mean size of the buckets it drained and the pushes that
+// spilled past its near window (summed over shards). The
 // JSON context names the host (nproc, CPU model, compiler), so a committed
 // baseline says which machine it came from.
 //
@@ -76,6 +79,7 @@ struct RunResult {
   unsigned shards = 1;
   bool flow = false;  // a flow-fidelity row
   double flows_per_refill = 0.0;  // flow rows: flows water-filled per recompute
+  sim::EventQueue::WheelStats wheel;  // packet rows
 };
 
 long peak_rss_kb() {
@@ -121,6 +125,7 @@ RunResult run_packet(const Options& opt, transport::Protocol proto) {
   r.completed = run.recorder().completed().size();
   r.peak_rss_kb = peak_rss_kb();
   r.shards = opt.shards;
+  r.wheel = run.wheel_stats();
   return r;
 }
 
@@ -222,13 +227,18 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>
                  "     \"events\": %llu, \"events_per_second\": %.0f,\n"
                  "     \"events_per_second_per_shard\": %.0f,\n"
                  "     \"delivered_pkts\": %llu, \"delivered_pkts_per_second\": %.0f,\n"
+                 "     \"wheel_bucket_ns\": %lld, \"wheel_regears\": %llu,\n"
+                 "     \"wheel_mean_bucket\": %.1f, \"wheel_far_spills\": %llu,\n"
                  "     \"flows\": %zu, \"completed\": %zu, \"peak_rss_mb\": %.1f}%s\n",
                  r.name.c_str(), r.real_ms, r.real_ms, r.shards, r.real_ms,
                  static_cast<unsigned long long>(r.events), eps,
                  eps / static_cast<double>(r.shards == 0 ? 1 : r.shards),
                  static_cast<unsigned long long>(r.delivered_pkts),
-                 secs > 0 ? static_cast<double>(r.delivered_pkts) / secs : 0.0, r.flows,
-                 r.completed, static_cast<double>(r.peak_rss_kb) / 1024.0, sep);
+                 secs > 0 ? static_cast<double>(r.delivered_pkts) / secs : 0.0,
+                 static_cast<long long>(r.wheel.bucket_ns),
+                 static_cast<unsigned long long>(r.wheel.regears), r.wheel.mean_bucket(),
+                 static_cast<unsigned long long>(r.wheel.far_spills), r.flows, r.completed,
+                 static_cast<double>(r.peak_rss_kb) / 1024.0, sep);
   }
   std::fprintf(out, "  ]\n}\n");
 }
@@ -310,16 +320,20 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   bool ok = true;
   auto report = [&](const RunResult& r) {
-    char rate[96];
+    char rate[160];
     if (r.flow) {
       std::snprintf(rate, sizeof rate, "%.3f ms/event, %.0f flows/s, %.1f flows/refill",
                     r.events > 0 ? r.real_ms / static_cast<double>(r.events) : 0.0,
                     r.real_ms > 0 ? static_cast<double>(r.flows) / r.real_ms * 1e3 : 0.0,
                     r.flows_per_refill);
     } else {
-      std::snprintf(rate, sizeof rate, "%.2fM ev/s, %u shard%s",
+      std::snprintf(rate, sizeof rate,
+                    "%.2fM ev/s, %u shard%s, wheel %lld ns, %llu regears, %.1f/bucket, "
+                    "%llu far",
                     r.real_ms > 0 ? static_cast<double>(r.events) / r.real_ms / 1e3 : 0.0,
-                    r.shards, r.shards == 1 ? "" : "s");
+                    r.shards, r.shards == 1 ? "" : "s", static_cast<long long>(r.wheel.bucket_ns),
+                    static_cast<unsigned long long>(r.wheel.regears), r.wheel.mean_bucket(),
+                    static_cast<unsigned long long>(r.wheel.far_spills));
     }
     std::fprintf(stderr,
                  "%-28s %9.1f ms  %12llu events (%s)  %9llu pkts  %zu/%zu flows  rss %.1f MB\n",

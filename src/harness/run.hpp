@@ -99,6 +99,7 @@ class PacketRun {
   // a sharded one.
   [[nodiscard]] const stats::FctRecorder& recorder() const;
   [[nodiscard]] std::uint64_t events() const { return group_.events_processed(); }
+  [[nodiscard]] sim::EventQueue::WheelStats wheel_stats() const { return group_.wheel_stats(); }
   [[nodiscard]] sim::TimePoint now() const { return group_.now_max(); }
   // Sharded runs fold every shard's ledger into the master's.
   [[nodiscard]] audit::Auditor& auditor() { return group_.master().auditor(); }

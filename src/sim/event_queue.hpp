@@ -6,16 +6,33 @@
 //
 // Layout: event records live in fixed slabs that never move, recycled
 // through a freelist. The priority structure is a two-level timing wheel
-// rather than a heap: a near window of 2us buckets (each a small vector
-// kept (time, seq)-sorted by insertion from the back) plus an unsorted far
-// list for events beyond the window, re-bucketed when the window advances
-// past them. Simulated traffic schedules almost everything a few link-times
-// ahead, so a push is an append to a ~3-entry bucket and a pop is a pointer
-// bump — O(1) against the O(log n) sift of a heap — while the global
-// (time, seq) firing order is exactly the heap's: buckets partition time,
-// and each bucket is totally ordered. Together with the small-buffer
-// `InplaceCallback` this makes steady-state push/pop allocation-free —
-// slabs and bucket capacity are retained across the whole run.
+// rather than a heap: a near window of 2^20 ns (~1 ms) split into buckets
+// (each a small vector kept (time, seq)-sorted by insertion from the back)
+// plus an unsorted far list for events beyond the window, re-bucketed when
+// the window advances past them. A push is a short back-scan of one bucket
+// and a pop is a pointer bump, while the global (time, seq) firing order is
+// exactly a heap's: buckets partition time, and each bucket is totally
+// ordered.
+//
+// The bucket width adapts to the load (Brown's calendar-queue resize rule,
+// CACM 1988). The cost of a push is the bucket's size, and how many events
+// a fixed width puts in a bucket swings by two orders of magnitude: a 2 us
+// bucket held a mean of 48 entries per insert on a k=4 fat-tree and 651 at
+// k=16, where the sorted insert memmoved ~3 KB per event. So the drain
+// cursor measures the mean size of the non-empty buckets it retires, and
+// every 256 of them halves the width while that mean is above 128 or
+// doubles it while it is below 16, within 64 ns .. 16 us (16384 .. 64
+// buckets). The band sits that high because moving the cursor to a new
+// bucket costs a cold miss on that bucket's buffer: on the k=16 web-search
+// workload a [8, 64] band lost to this one in 7 of 8 interleaved pairs. A
+// re-gear re-buckets every pending entry under the new width and re-anchors
+// the window at the earliest one. It cannot change the firing order, which
+// is the exact (time, seq) order under any width. On the serial k=16
+// fat-tree the width falls to 64-256 ns while the fabric is busy and
+// coarsens as it drains, for a run mean of 35-41 entries per bucket.
+// Together with the small-buffer `InplaceCallback` this keeps steady-state
+// push/pop allocation-free between re-gears: slabs are retained, and a
+// retired bucket's buffer goes to a spare pool for the next bucket to fill.
 //
 // Handles are weak references carrying a generation counter: destroying a
 // Handle does not cancel the event, and a Handle whose slot has been
@@ -23,10 +40,10 @@
 // must not outlive its EventQueue. Cancellation is O(1) and lazy: a
 // cancelled record keeps its bucket entry until the drain cursor reaches it
 // and it is skipped, so `size()` over-counts — use `live_size()` for the
-// number of events that will actually fire.
+// number of events that will actually fire. Handles name a record slot, not
+// a bucket position, so they survive re-gears.
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -59,7 +76,7 @@ class EventQueue {
     std::uint32_t gen_ = 0;
   };
 
-  EventQueue() : buckets_(kBuckets) {}
+  EventQueue() : buckets_(bucket_count(kInitShift)), occupied_(word_count(kInitShift)) {}
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -97,6 +114,24 @@ class EventQueue {
   [[nodiscard]] std::size_t live_size() const { return live_; }
   // Timestamp of the earliest live event, if any.
   [[nodiscard]] std::optional<TimePoint> next_time();
+
+  // Wheel telemetry, counted on the cold paths only (bucket retirement,
+  // far-list pushes, re-gears).
+  struct WheelStats {
+    std::int64_t bucket_ns = 0;         // current bucket width
+    std::uint64_t regears = 0;          // width changes so far
+    std::uint64_t far_spills = 0;       // pushes that landed past the near window
+    std::uint64_t drained_buckets = 0;  // non-empty buckets the cursor retired
+    std::uint64_t drained_entries = 0;  // entries those buckets held
+    [[nodiscard]] double mean_bucket() const {
+      return drained_buckets == 0 ? 0.0
+                                  : static_cast<double>(drained_entries) /
+                                        static_cast<double>(drained_buckets);
+    }
+  };
+  [[nodiscard]] WheelStats wheel_stats() const {
+    return {std::int64_t{1} << shift_, regears_, far_spills_, drained_buckets_, drained_entries_};
+  }
 
   struct Ready {
     TimePoint when;
@@ -184,16 +219,28 @@ class EventQueue {
     return a.seq_slot > b.seq_slot;
   }
 
-  // Wheel geometry: 512 buckets of 2us cover a ~1ms near window — wider
-  // than any link tx time, propagation delay, or RTT in the experiments, so
-  // only long recovery backoffs ever take the far path. Coarser, fewer
-  // buckets beat finer, more: sorted insertion into a ~10-entry bucket is
-  // still a short back-scan, while bucket vectors are allocated (and freed)
-  // once per simulation each.
-  static constexpr int kBucketShift = 11;  // 2048 ns per bucket
-  static constexpr std::size_t kBuckets = 512;
-  static constexpr std::int64_t kBucketNs = std::int64_t{1} << kBucketShift;
-  static constexpr std::size_t kWords = kBuckets / 64;
+  // Wheel geometry. The near window is fixed at 2^20 ns (~1 ms), wider than
+  // any link tx time, propagation delay or RTT in the experiments, so only
+  // long recovery backoffs take the far path. The bucket width 2^shift_
+  // moves between kMinShift and kMaxShift; the bucket count is the window
+  // over the width. Every kRegearPeriod non-empty buckets the cursor
+  // retires, a mean size above kDenseBucket halves the width and one below
+  // kSparseBucket doubles it.
+  static constexpr int kWindowShift = 20;
+  static constexpr std::int64_t kWindowNs = std::int64_t{1} << kWindowShift;
+  static constexpr int kMinShift = 6;    // 64 ns, 16384 buckets
+  static constexpr int kMaxShift = 14;   // 16 us, 64 buckets
+  static constexpr int kInitShift = 11;  // 2 us, 512 buckets
+  static constexpr std::uint64_t kRegearPeriod = 256;
+  static constexpr std::uint64_t kDenseBucket = 128;
+  static constexpr std::uint64_t kSparseBucket = 16;
+  [[nodiscard]] static std::size_t bucket_count(int shift) {
+    return std::size_t{1} << (kWindowShift - shift);
+  }
+  [[nodiscard]] static std::size_t word_count(int shift) { return bucket_count(shift) / 64; }
+  [[nodiscard]] std::int64_t bucket_start(std::int64_t ns) const {
+    return ns & ~((std::int64_t{1} << shift_) - 1);
+  }
 
   // Positions the drain cursor on the earliest live entry, reclaiming
   // cancelled entries it passes; returns nullptr when no events remain. The
@@ -222,14 +269,21 @@ class EventQueue {
   // Keeps the bucket (when, seq)-sorted. Pushes mostly carry later
   // timestamps and always carry later sequence numbers than what a bucket
   // already holds, so the back-to-front scan usually stops immediately. The
-  // scan can never cross the drain cursor: every entry the cursor has passed
-  // fired at or before the current simulation time, and new events are never
-  // scheduled in the past, so they compare (time, seq)-after that prefix.
+  // scan stops at the drain cursor. Fired entries there are (time, seq)-
+  // before any new event, but the cursor also steps over cancelled entries
+  // while it looks for the next live one, and those may lie ahead of the
+  // clock: an event pushed before such an entry must still land at the
+  // cursor, not behind it, where it would never fire.
   void insort(std::size_t idx, const Entry& e) {
     std::vector<Entry>& b = buckets_[idx];
+    if (b.capacity() == 0 && !spare_.empty()) [[unlikely]] {
+      b = std::move(spare_.back());
+      spare_.pop_back();
+    }
+    const std::size_t lo = idx == cur_ ? drain_idx_ : 0;
     std::size_t pos = b.size();
     b.push_back(e);
-    while (pos > 0 && after(b[pos - 1], e)) {
+    while (pos > lo && after(b[pos - 1], e)) {
       b[pos] = b[pos - 1];
       --pos;
     }
@@ -243,22 +297,32 @@ class EventQueue {
     if (entry_count_ == 1) [[unlikely]] {
       rebase_empty(when_ns);
     }
-    std::int64_t idx = (when_ns - base_ns_) >> kBucketShift;
-    if (idx >= static_cast<std::int64_t>(kBuckets)) [[unlikely]] {
-      if (far_.empty() || when_ns < far_min_ns_) far_min_ns_ = when_ns;
-      far_.push_back(e);
+    if (when_ns - base_ns_ >= kWindowNs) [[unlikely]] {
+      ++far_spills_;
+      push_far(e);
       return;
     }
-    // An event earlier than the cursor's bucket (possible when the window
-    // was anchored ahead of the clock) still fires in order: fold it into
-    // the current bucket, where the sorted insert puts it ahead of every
-    // later-timestamped entry.
+    place_near(e);
+  }
+  // Puts an entry that falls before the window's end into its bucket. An
+  // event earlier than the cursor's bucket (possible when the window was
+  // anchored ahead of the clock, after a far re-anchor or a re-gear) still
+  // fires in order: fold it into the current bucket, where the sorted insert
+  // puts it ahead of every later-timestamped entry.
+  void place_near(const Entry& e) {
+    std::int64_t idx = (e.when_ns - base_ns_) >> shift_;
     if (idx < static_cast<std::int64_t>(cur_)) idx = static_cast<std::int64_t>(cur_);
     insort(static_cast<std::size_t>(idx), e);
+  }
+  void push_far(const Entry& e) {
+    if (far_.empty() || e.when_ns < far_min_ns_) far_min_ns_ = e.when_ns;
+    far_.push_back(e);
   }
 
   void rebase_empty(std::int64_t when_ns);
   bool advance_bucket();
+  void pull_far();
+  void regear(int shift);
 
   // Raw-lane side records. While free, `ctx` doubles as the freelist link
   // (stored as an index widened to a pointer-sized integer).
@@ -302,18 +366,32 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
 
-  // The wheel. `base_ns_` is bucket 0's window start (bucket-aligned);
-  // `cur_`/`drain_idx_` are the drain cursor. Buckets behind the cursor are
-  // empty; the bitmap tracks non-empty buckets at/ahead of it. `far_` holds
-  // events past the window (unsorted; re-bucketed when the window advances).
+  // The wheel. `base_ns_` is bucket 0's window start (aligned to the bucket
+  // width 2^shift_); `cur_`/`drain_idx_` are the drain cursor. Buckets behind
+  // the cursor are empty; the bitmap tracks non-empty buckets at/ahead of it.
+  // `far_` holds events past the window (unsorted; re-bucketed when the
+  // window advances).
+  int shift_ = kInitShift;
   std::vector<std::vector<Entry>> buckets_;
-  std::array<std::uint64_t, kWords> occupied_{};
+  std::vector<std::uint64_t> occupied_;
+  // Storage of retired buckets, handed to the next bucket that receives its
+  // first entry. Only the buckets that hold entries own a buffer, so the
+  // retained capacity follows the pending set rather than the window times
+  // its peak density.
+  std::vector<std::vector<Entry>> spare_;
   std::int64_t base_ns_ = 0;
   std::size_t cur_ = 0;
   std::size_t drain_idx_ = 0;
   std::size_t entry_count_ = 0;
   std::vector<Entry> far_;
   std::int64_t far_min_ns_ = 0;
+
+  // Cold-path counters behind wheel_stats() and the re-gear rule.
+  std::uint64_t regears_ = 0;
+  std::uint64_t far_spills_ = 0;
+  std::uint64_t drained_buckets_ = 0;
+  std::uint64_t drained_entries_ = 0;
+  std::uint64_t entries_at_check_ = 0;  // drained_entries_ at the last re-gear check
 
   std::vector<RawRec> raw_recs_;
   std::uint32_t raw_free_head_ = kNoSlot;

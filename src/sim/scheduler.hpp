@@ -69,6 +69,7 @@ class Scheduler {
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   // Events scheduled and not yet fired/cancelled (telemetry).
   [[nodiscard]] std::size_t pending_events() const { return queue_.live_size(); }
+  [[nodiscard]] EventQueue::WheelStats wheel_stats() const { return queue_.wheel_stats(); }
 
   // Safety valve for runaway simulations (0 = unlimited).
   void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }

@@ -34,6 +34,8 @@ class ShardGroup {
 
   // Sum of events fired across all shard schedulers.
   [[nodiscard]] std::uint64_t events_processed() const;
+  // Every shard's wheel counters summed; bucket_ns is the finest width.
+  [[nodiscard]] EventQueue::WheelStats wheel_stats() const;
   // Latest virtual clock across shards (the run's end time at drain).
   [[nodiscard]] TimePoint now_max() const;
 
