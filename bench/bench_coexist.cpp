@@ -2,7 +2,8 @@
 // seeded leaf-spine scenario run three ways — AMRT solo, DCTCP solo, and
 // mixed (AMRT foreground + a DCTCP background fraction) — reporting FCT and
 // per-link utilization for each mode, as google-benchmark-shaped JSON that
-// tools/bench_compare.py --coexist can diff across builds.
+// tools/bench_compare.py --coexist can diff across builds. The JSON context
+// names the host (nproc, CPU model, compiler).
 //
 //   bench_coexist [--leaves N] [--spines N] [--hosts-per-leaf N] [--flows N]
 //                 [--load F] [--seed N] [--fraction F] [--json PATH] [--check]
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "host_info.hpp"
 
 using namespace amrt;
 
@@ -79,9 +81,11 @@ void print_summary_json(std::FILE* out, const stats::FctSummary& s, const char* 
 void print_json(std::FILE* out, const Options& opt, const std::vector<ModeResult>& modes) {
   std::fprintf(out,
                "{\n  \"context\": {\"leaves\": %d, \"spines\": %d, \"hosts_per_leaf\": %d, "
-               "\"flows\": %zu, \"load\": %.3f, \"seed\": %llu, \"fraction\": %.3f},\n",
+               "\"flows\": %zu, \"load\": %.3f, \"seed\": %llu, \"fraction\": %.3f,\n              ",
                opt.leaves, opt.spines, opt.hosts_per_leaf, opt.flows, opt.load,
                static_cast<unsigned long long>(opt.seed), opt.fraction);
+  bench::print_host_fields(out);
+  std::fprintf(out, "},\n");
   std::fprintf(out, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const auto& m = modes[i];

@@ -6,7 +6,8 @@
 // completion p99: a request is answered when its *slowest* response lands,
 // so this is the tail-at-scale number the paper's incast discussion is
 // about. Output is google-benchmark-shaped JSON that
-// tools/bench_compare.py --fanout can diff across builds.
+// tools/bench_compare.py --fanout can diff across builds; its context names
+// the host (nproc, CPU model, compiler).
 //
 //   bench_fanout [--leaves N] [--spines N] [--hosts-per-leaf N] [--requests N]
 //                [--fanout N] [--response-bytes B] [--load F] [--seed N]
@@ -23,6 +24,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "host_info.hpp"
 
 using namespace amrt;
 
@@ -84,10 +86,12 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<ModeResult
   std::fprintf(out,
                "{\n  \"context\": {\"leaves\": %d, \"spines\": %d, \"hosts_per_leaf\": %d, "
                "\"requests\": %zu, \"fanout\": %zu, \"response_bytes\": %llu, \"load\": %.3f, "
-               "\"seed\": %llu, \"fraction\": %.3f},\n",
+               "\"seed\": %llu, \"fraction\": %.3f,\n              ",
                opt.leaves, opt.spines, opt.hosts_per_leaf, opt.requests, opt.fanout,
                static_cast<unsigned long long>(opt.response_bytes), opt.load,
                static_cast<unsigned long long>(opt.seed), opt.fraction);
+  bench::print_host_fields(out);
+  std::fprintf(out, "},\n");
   std::fprintf(out, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < modes.size(); ++i) {
     const auto& m = modes[i];

@@ -10,9 +10,13 @@
 // fills (the components its arrivals and completions reach). Packet rows
 // also report the event wheel's stats: its final bucket width, how often it
 // re-geared, the mean size of the buckets it drained and the pushes that
-// spilled past its near window (summed over shards). The
-// JSON context names the host (nproc, CPU model, compiler), so a committed
-// baseline says which machine it came from.
+// spilled past its near window (summed over shards), and the fabric's fixed
+// state: build_ms, the time to construct the run (fabric, endpoints and the
+// flow schedule), and fixed_rss_mb, the resident set once that is done and
+// before the first event. Later rows in one process start from the heap the
+// earlier ones freed, so the first row's fixed_rss_mb is the clean figure.
+// The JSON context names the host (nproc, CPU model, compiler), so a
+// committed baseline says which machine it came from.
 //
 //   bench_scale [--k N] [--transport amrt|phost|homa|ndp|all]
 //               [--flows N] [--load F] [--shards N] [--repeat R]
@@ -30,6 +34,7 @@
 // the harness's max_sim_time horizon, so a run that strands flows reports
 // FAIL and exits 1 instead of running forever.
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -38,11 +43,11 @@
 #include <ctime>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "harness/fidelity.hpp"
 #include "harness/run.hpp"
+#include "host_info.hpp"
 #include "net/packet.hpp"
 #include "net/topology.hpp"
 #include "workload/traffic.hpp"
@@ -76,6 +81,8 @@ struct RunResult {
   std::size_t flows = 0;
   std::size_t completed = 0;
   long peak_rss_kb = 0;
+  double build_ms = 0.0;  // packet rows: constructing the run
+  long fixed_rss_kb = 0;  // packet rows: resident set before the first event
   unsigned shards = 1;
   bool flow = false;  // a flow-fidelity row
   double flows_per_refill = 0.0;  // flow rows: flows water-filled per recompute
@@ -86,6 +93,15 @@ long peak_rss_kb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return ru.ru_maxrss;  // KiB on Linux
+}
+
+// The current (not peak) resident set, from /proc/self/statm.
+long current_rss_kb() {
+  std::ifstream in{"/proc/self/statm"};
+  long size = 0;
+  long resident = 0;
+  in >> size >> resident;
+  return resident * (sysconf(_SC_PAGESIZE) / 1024);
 }
 
 // A packet row: the harness run object on a fat-tree with the stock 100us
@@ -110,8 +126,10 @@ RunResult run_packet(const Options& opt, transport::Protocol proto) {
   const auto flows = workload::generate_traffic(
       {}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
 
+  const auto t_build = std::chrono::steady_clock::now();
   harness::PacketRun run{spec, flows};
   const auto t0 = std::chrono::steady_clock::now();
+  const long fixed_rss_kb = current_rss_kb();
   run.run();  // natural drain under the harness horizon: no samplers
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -124,6 +142,8 @@ RunResult run_packet(const Options& opt, transport::Protocol proto) {
   r.flows = flows.size();
   r.completed = run.recorder().completed().size();
   r.peak_rss_kb = peak_rss_kb();
+  r.build_ms = std::chrono::duration<double, std::milli>(t0 - t_build).count();
+  r.fixed_rss_kb = fixed_rss_kb;
   r.shards = opt.shards;
   r.wheel = run.wheel_stats();
   return r;
@@ -168,35 +188,13 @@ RunResult run_repeated(const Options& opt, transport::Protocol proto, bool flow_
   return runs[static_cast<std::size_t>(reps - 1) / 2];
 }
 
-// Host facts for the JSON context: a committed baseline names its machine.
-std::string cpu_model() {
-  std::ifstream in{"/proc/cpuinfo"};
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto start = line.find_first_not_of(" \t", line.find(':') + 1);
-    if (start != std::string::npos) return line.substr(start);
-  }
-  return "unknown";
-}
-
-const char* compiler() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "GNU " __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
 void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>& results) {
   std::fprintf(out,
                "{\n  \"context\": {\"k\": %d, \"flows\": %zu, \"load\": %.3f, \"shards\": %u, "
-               "\"repeat\": %d,\n"
-               "              \"nproc\": %u, \"cpu\": \"%s\", \"compiler\": \"%s\"},\n",
-               opt.k, opt.flows, opt.load, opt.shards, opt.repeat,
-               std::thread::hardware_concurrency(), cpu_model().c_str(), compiler());
+               "\"repeat\": %d,\n              ",
+               opt.k, opt.flows, opt.load, opt.shards, opt.repeat);
+  bench::print_host_fields(out);
+  std::fprintf(out, "},\n");
   std::fprintf(out, "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
@@ -229,6 +227,7 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>
                  "     \"delivered_pkts\": %llu, \"delivered_pkts_per_second\": %.0f,\n"
                  "     \"wheel_bucket_ns\": %lld, \"wheel_regears\": %llu,\n"
                  "     \"wheel_mean_bucket\": %.1f, \"wheel_far_spills\": %llu,\n"
+                 "     \"build_ms\": %.1f, \"fixed_rss_mb\": %.1f,\n"
                  "     \"flows\": %zu, \"completed\": %zu, \"peak_rss_mb\": %.1f}%s\n",
                  r.name.c_str(), r.real_ms, r.real_ms, r.shards, r.real_ms,
                  static_cast<unsigned long long>(r.events), eps,
@@ -237,7 +236,8 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<RunResult>
                  secs > 0 ? static_cast<double>(r.delivered_pkts) / secs : 0.0,
                  static_cast<long long>(r.wheel.bucket_ns),
                  static_cast<unsigned long long>(r.wheel.regears), r.wheel.mean_bucket(),
-                 static_cast<unsigned long long>(r.wheel.far_spills), r.flows, r.completed,
+                 static_cast<unsigned long long>(r.wheel.far_spills), r.build_ms,
+                 static_cast<double>(r.fixed_rss_kb) / 1024.0, r.flows, r.completed,
                  static_cast<double>(r.peak_rss_kb) / 1024.0, sep);
   }
   std::fprintf(out, "  ]\n}\n");
@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   bool ok = true;
   auto report = [&](const RunResult& r) {
-    char rate[160];
+    char rate[224];
     if (r.flow) {
       std::snprintf(rate, sizeof rate, "%.3f ms/event, %.0f flows/s, %.1f flows/refill",
                     r.events > 0 ? r.real_ms / static_cast<double>(r.events) : 0.0,
@@ -329,11 +329,12 @@ int main(int argc, char** argv) {
     } else {
       std::snprintf(rate, sizeof rate,
                     "%.2fM ev/s, %u shard%s, wheel %lld ns, %llu regears, %.1f/bucket, "
-                    "%llu far",
+                    "%llu far, build %.1f ms, fixed rss %.1f MB",
                     r.real_ms > 0 ? static_cast<double>(r.events) / r.real_ms / 1e3 : 0.0,
                     r.shards, r.shards == 1 ? "" : "s", static_cast<long long>(r.wheel.bucket_ns),
                     static_cast<unsigned long long>(r.wheel.regears), r.wheel.mean_bucket(),
-                    static_cast<unsigned long long>(r.wheel.far_spills));
+                    static_cast<unsigned long long>(r.wheel.far_spills), r.build_ms,
+                    static_cast<double>(r.fixed_rss_kb) / 1024.0);
     }
     std::fprintf(stderr,
                  "%-28s %9.1f ms  %12llu events (%s)  %9llu pkts  %zu/%zu flows  rss %.1f MB\n",

@@ -68,8 +68,11 @@ int main(int argc, char** argv) {
       if (base <= 0 || ours <= 0) return std::string("-");
       return harness::fmt_pct((base - ours) / base);
     };
-    fct.add_row({"f" + std::to_string(f + 1), cell(0), cell(1), cell(2), cell(3), redu(0), redu(1),
-                 redu(2)});
+    // Appending (not "f" + to_string(...), whose prepend trips GCC 12's
+    // -Wrestrict false positive) builds the flow label.
+    std::string label = "f";
+    label += std::to_string(f + 1);
+    fct.add_row({label, cell(0), cell(1), cell(2), cell(3), redu(0), redu(1), redu(2)});
   }
   if (opts.csv) fct.print_csv(std::cout); else fct.print(std::cout);
 

@@ -1,8 +1,10 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
 // event-queue throughput (sparse and at fabric density), queue disciplines,
-// the anti-ECN marker, workload sampling, and a small end-to-end simulation
-// as a packets/second figure.
+// the anti-ECN marker, routing, fat-tree construction, workload sampling,
+// and a small end-to-end simulation as a packets/second figure.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "core/anti_ecn.hpp"
 #include "core/factory.hpp"
@@ -154,6 +156,30 @@ void BM_SwitchForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SwitchForward);
+
+// Fabric construction alone (the net.build layer): build_fat_tree at k=16 —
+// 1024 hosts, 320 switches, 6144 ports and every switch's ECMP table — with
+// AMRT's queues and markers. The Simulation and Network are made and torn
+// down outside the timed region.
+void BM_BuildFatTree(benchmark::State& state) {
+  net::FatTreeConfig cfg;
+  cfg.k = static_cast<int>(state.range(0));
+  cfg.queue_factory = core::make_queue_factory(transport::Protocol::kAmrt);
+  cfg.marker_factory = core::make_marker_factory(transport::Protocol::kAmrt);
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto simulation = std::make_unique<sim::Simulation>();
+    auto network = std::make_unique<net::Network>(*simulation);
+    state.ResumeTiming();
+    const net::FatTree topo = net::build_fat_tree(*network, cfg);
+    benchmark::DoNotOptimize(topo.hosts.data());
+    state.PauseTiming();
+    network.reset();
+    simulation.reset();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_BuildFatTree)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // Flow-table probe: hit-rate lookups over a 256-flow FlatMap — the shape of
 // the per-arrival snd_/rcv_ probe in the transport layer.

@@ -12,9 +12,9 @@ EgressPort::EgressPort(sim::Scheduler& sched, Config cfg, EgressQueue& queue)
     : sched_{&sched},
       cfg_{cfg},
       queue_{&queue},
-      jitter_rng_{cfg_.jitter_seed},
       effective_rate_{cfg_.rate} {
   if (cfg_.rate.bits_per_second() <= 0) throw std::invalid_argument("EgressPort requires a positive rate");
+  if (cfg_.tx_jitter > sim::Duration::zero()) jitter_rng_ = std::make_unique<sim::Rng>(cfg_.jitter_seed);
 }
 
 void EgressPort::connect(Node& peer, int peer_ingress_port) {
@@ -41,7 +41,7 @@ void EgressPort::enqueue(Packet&& pkt) {
     eat_faulted(std::move(pkt), audit::DropReason::kLinkDown);
     return;
   }
-  if (drop_prob_ > 0.0 && fault_rng_.bernoulli(drop_prob_)) [[unlikely]] {
+  if (drop_prob_ > 0.0 && fault_rng_->bernoulli(drop_prob_)) [[unlikely]] {
     eat_faulted(std::move(pkt), audit::DropReason::kBlackhole);
     return;
   }
@@ -83,7 +83,7 @@ void EgressPort::set_rate_scale(double scale) {
 void EgressPort::set_drop_prob(double prob, std::uint64_t seed) {
   if (prob < 0.0 || prob > 1.0) throw std::invalid_argument("drop probability must be in [0, 1]");
   drop_prob_ = prob;
-  if (prob > 0.0) fault_rng_ = sim::Rng{seed};
+  if (prob > 0.0) fault_rng_ = std::make_unique<sim::Rng>(seed);
 }
 
 void EgressPort::ensure_wakeup() {
@@ -135,7 +135,7 @@ void EgressPort::start_next_transmission() {
   bytes_sent_ += next->wire_bytes;
   ++packets_sent_;
   if (cfg_.tx_jitter > sim::Duration::zero()) {
-    tx += sim::Duration::nanoseconds(jitter_rng_.uniform_int(0, cfg_.tx_jitter.ns()));
+    tx += sim::Duration::nanoseconds(jitter_rng_->uniform_int(0, cfg_.tx_jitter.ns()));
   }
 
   // The serializer is a timestamp, not an event: markers above read

@@ -141,14 +141,18 @@ class EgressPort {
   Node* peer_node_ = nullptr;
   NodeId peer_id_{};
   int peer_port_ = -1;
-  sim::Rng jitter_rng_;
+  // The random streams live out of line: a std::mt19937_64 is 2.5 KB, only
+  // host NICs jitter and only armed ports blackhole. jitter_rng_ exists iff
+  // cfg_.tx_jitter > 0, seeded with cfg_.jitter_seed; fault_rng_ is created
+  // and re-seeded by every set_drop_prob(prob > 0, seed).
+  std::unique_ptr<sim::Rng> jitter_rng_;
   // Fault state (src/fault). effective_rate_ = cfg_.rate * rate_scale_, kept
   // materialized so the healthy fast path pays nothing.
   sim::Bandwidth effective_rate_;
   double rate_scale_ = 1.0;
   double drop_prob_ = 0.0;
   bool link_up_ = true;
-  sim::Rng fault_rng_{0};
+  std::unique_ptr<sim::Rng> fault_rng_;
   std::uint64_t packets_faulted_ = 0;
   std::int64_t tx_memo_bytes_[2] = {-1, -1};
   sim::Duration tx_memo_[2] = {sim::Duration::zero(), sim::Duration::zero()};

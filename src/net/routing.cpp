@@ -1,5 +1,6 @@
 #include "net/routing.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -16,24 +17,40 @@ std::uint64_t ecmp_hash(FlowId flow) {
 }
 
 void RoutingTable::add_route(NodeId dst, int port) {
-  if (dst.value >= pending_.size()) pending_.resize(dst.value + 1);
-  if (pending_[dst.value].empty()) ++dst_count_;
-  pending_[dst.value].push_back(port);
+  if (dst.value >= entries_.size()) entries_.resize(dst.value + 1);
+  Entry& e = entries_[dst.value];
+  if (e.count == 0) ++dst_count_;
+  e.offset = intern_extended(e.offset, e.count, port);
+  ++e.count;
   dirty_ = true;
 }
 
-// Flattens the per-destination lists into {offset,count} entries over one
-// contiguous pool, in destination order (deterministic). Any cached ECMP
-// picks refer to the old layout, so the route cache is flushed; spray
-// cursors restart at the front of each (possibly re-shaped) port set.
-void RoutingTable::compact() const {
-  entries_.assign(pending_.size(), Entry{});
-  pool_.clear();
-  for (std::size_t dst = 0; dst < pending_.size(); ++dst) {
-    entries_[dst].offset = static_cast<std::uint32_t>(pool_.size());
-    entries_[dst].count = static_cast<std::uint32_t>(pending_[dst].size());
-    pool_.insert(pool_.end(), pending_[dst].begin(), pending_[dst].end());
+std::uint32_t RoutingTable::intern_extended(std::uint32_t offset, std::uint32_t count, int port) {
+  const std::uint32_t end = offset + count;
+  const std::uint64_t key = (std::uint64_t{end} << 32) | static_cast<std::uint32_t>(port);
+  Memo& memo = memo_[count % kMemoSlots];
+  if (memo.key == key) return memo.offset;
+  auto [child, inserted] = interned_.try_emplace(key);
+  if (inserted) {
+    if (end != pool_.size()) {
+      // The parent set is not at the pool's end: copy it there (after the
+      // resize, which may move the source).
+      const auto at = static_cast<std::uint32_t>(pool_.size());
+      pool_.resize(at + count);
+      std::copy_n(pool_.begin() + offset, count, pool_.begin() + at);
+      offset = at;
+    }
+    pool_.push_back(port);
+    *child = offset;
   }
+  memo = Memo{key, *child};
+  return *child;
+}
+
+// The entries and pool are always current; a mutation leaves only the route
+// cache and the spray cursors stale, and this resets both.
+void RoutingTable::restart_lookups() const {
+  for (Entry& e : entries_) e.spray = 0;
   cache_.fill(CacheSlot{});
   view_entries_ = entries_.data();
   view_pool_ = pool_.data();
@@ -90,7 +107,6 @@ void RoutingTable::refresh_link_view() const {
 }
 
 std::span<const int> RoutingTable::ports_for(NodeId dst) const {
-  if (dirty_) compact();
   if (dst.value >= entries_.size()) return {};
   const Entry& e = entries_[dst.value];
   return {pool_.data() + e.offset, e.count};

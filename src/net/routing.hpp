@@ -7,7 +7,9 @@
 // Data-plane layout (see DESIGN.md "Data-plane fast path"): destinations are
 // dense small integers per topology, so the table is a flat array of
 // {offset, count} entries into one shared port pool — a forward is two
-// indexed loads, no hashing and no node allocation. On top of that a
+// indexed loads, no hashing and no node allocation. The pool holds each
+// distinct ECMP set once (an edge switch of a k=16 fat-tree has 9 sets for
+// its 1024 destinations), interned as routes are added. On top of that a
 // direct-mapped per-flow route cache memoizes the ECMP pick: the hash and
 // the (division-heavy) modulo run once per flow per switch, after which a
 // forward is a single 16-byte cache-slot compare. The cache is sound because
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "util/flat_map.hpp"
 
 namespace amrt::net {
 
@@ -56,9 +59,9 @@ enum class MultipathMode : std::uint8_t { kPerFlowEcmp, kPacketSpray };
 
 class RoutingTable {
  public:
-  // Registers `port` as one of the equal-cost next hops toward `dst`.
-  // Mutating the table invalidates the compiled fast path; it is rebuilt
-  // (and the route cache flushed) on the next lookup.
+  // Registers `port` as one of the equal-cost next hops toward `dst`,
+  // after the ones already registered. Mutating the table flushes the route
+  // cache and restarts the spray cursors on the next select().
   void add_route(NodeId dst, int port);
 
   void set_mode(MultipathMode mode) { mode_ = mode; }
@@ -75,7 +78,7 @@ class RoutingTable {
   // the process aborts with a diagnostic (use `require_route` at build time
   // to fail during setup instead of mid-run).
   [[nodiscard]] int select(const Packet& pkt) {
-    if (dirty_) compact();
+    if (dirty_) restart_lookups();
     if (link_state_ != nullptr &&
         link_state_->epoch.load(std::memory_order_relaxed) != seen_epoch_) [[unlikely]] {
       refresh_link_view();
@@ -103,6 +106,9 @@ class RoutingTable {
   [[nodiscard]] std::span<const int> ports_for(NodeId dst) const;
   [[nodiscard]] bool knows(NodeId dst) const { return !ports_for(dst).empty(); }
   [[nodiscard]] std::size_t destinations() const { return dst_count_; }
+  // Ports stored in the shared pool: the sum of the distinct ECMP sets'
+  // sizes (plus prefixes shared with them), not of the per-destination ones.
+  [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
 
   // Wiring-time validation: throws std::logic_error if `dst` has no route.
   // Topology builders call this for every node a switch must reach, so a
@@ -132,28 +138,45 @@ class RoutingTable {
            (kCacheSlots - 1);
   }
 
-  void compact() const;
+  // Runs on the first select() after a mutation: flushes the route cache
+  // (cached picks name positions in sets that may have grown) and restarts
+  // every destination's spray cursor at the front of its set.
+  void restart_lookups() const;
   // Rebuilds the live-port view after a link-state transition (cold: runs
   // once per epoch change, not per packet). If every port toward some
   // destination is down the wired set is kept — packets then charge the
   // dead port's `faulted` counter instead of aborting the run.
   void refresh_link_view() const;
   [[noreturn]] static void die_unknown_destination(NodeId dst);
+  // Interns the set "pool_[offset, offset + count) followed by `port`" and
+  // returns its offset (its count is count + 1).
+  [[nodiscard]] std::uint32_t intern_extended(std::uint32_t offset, std::uint32_t count, int port);
 
-  // Build-side: per-destination port lists as added. The compiled (dense)
-  // form is derived lazily so builders may interleave wiring and lookups.
-  std::vector<std::vector<int>> pending_;
+  // Per-destination {offset, count} into pool_, kept current by add_route.
+  mutable std::vector<Entry> entries_;
   std::size_t dst_count_ = 0;
   mutable bool dirty_ = false;
 
-  // Compiled fast path, rebuilt by compact().
-  mutable std::vector<Entry> entries_;
-  mutable std::vector<int> pool_;
+  // Interned ECMP sets. Every set is built one port at a time, and each new
+  // set either extends in place a run that ends at the pool's end or is
+  // copied there, so it always ends past every older set: a set's end index
+  // names it. `interned_` maps (parent's end << 32 | added port) to the
+  // child's offset; the empty set ends at 0. `memo_` caches the last lookup
+  // per parent size, which the builders' "same ports for the next
+  // destination" wiring hits almost every time.
+  struct Memo {
+    std::uint64_t key = ~std::uint64_t{0};
+    std::uint32_t offset = 0;
+  };
+  static constexpr std::size_t kMemoSlots = 8;
+  std::vector<int> pool_;
+  util::FlatMap<std::uint64_t, std::uint32_t> interned_;
+  std::array<Memo, kMemoSlots> memo_{};
 
   // The view select() reads: the full tables above, or (between a link
   // transition and full recovery) the filtered alive_* copies. Raw pointers
-  // are re-derived by compact()/refresh_link_view() whenever the backing
-  // vectors change shape.
+  // are re-derived by restart_lookups()/refresh_link_view() whenever the
+  // backing vectors may have moved.
   mutable Entry* view_entries_ = nullptr;
   mutable const int* view_pool_ = nullptr;
   mutable std::size_t view_size_ = 0;

@@ -128,6 +128,49 @@ TEST(FatTree, EcmpRoutesAreCompleteAtEveryTier) {
   }
 }
 
+TEST(FatTree, K16RoutesAreInternedInWiringOrder) {
+  // Every switch stores each distinct ECMP set once (an edge has its k/2
+  // host ports and one uplink fan), so its pool stays a few dozen ports
+  // instead of ~k/2 per destination. Each set lists its ports in wiring
+  // order: uplinks in the order the builder cabled them.
+  sim::Simulation sim;
+  net::Network network{sim};
+  const int k = 16;
+  const auto half = static_cast<std::size_t>(k / 2);
+  const auto topo = make_fabric(network, k);
+  ASSERT_EQ(topo.host_count(), 1024u);
+
+  auto ports_of = [](const net::Switch* sw, net::NodeId dst) {
+    const auto span = sw->routes().ports_for(dst);
+    return std::vector<net::PortId>(span.begin(), span.end());
+  };
+  for (const auto* tier : {&topo.edges, &topo.aggs, &topo.cores}) {
+    for (const auto* sw : *tier) {
+      EXPECT_LE(sw->routes().pool_size(), static_cast<std::size_t>(2 * k));
+    }
+  }
+  for (std::size_t hi = 0; hi < topo.host_count(); ++hi) {
+    const net::NodeId dst = topo.hosts[hi]->id();
+    const std::size_t dst_pod = hi / (half * half);
+    const std::size_t dst_edge = hi / half;
+    for (std::size_t e = 0; e < topo.edges.size(); ++e) {
+      const auto want = e == dst_edge ? std::vector<net::PortId>{topo.edge_down[e][hi % half]}
+                                      : topo.edge_up[e];
+      ASSERT_EQ(ports_of(topo.edges[e], dst), want) << "edge " << e << " host " << hi;
+    }
+    for (std::size_t a = 0; a < topo.aggs.size(); ++a) {
+      const auto want = a / half == dst_pod
+                            ? std::vector<net::PortId>{topo.agg_down[a][dst_edge % half]}
+                            : topo.agg_up[a];
+      ASSERT_EQ(ports_of(topo.aggs[a], dst), want) << "agg " << a << " host " << hi;
+    }
+    for (std::size_t c = 0; c < topo.cores.size(); ++c) {
+      ASSERT_EQ(ports_of(topo.cores[c], dst), std::vector<net::PortId>{topo.core_down[c][dst_pod]})
+          << "core " << c << " host " << hi;
+    }
+  }
+}
+
 TEST(FatTree, RejectsOddOrTinyK) {
   sim::Simulation sim;
   net::Network network{sim};

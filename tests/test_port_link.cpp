@@ -1,9 +1,11 @@
 // Unit tests for EgressPort serialization/propagation (src/net/port.hpp).
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "net/port.hpp"
+#include "sim/rng.hpp"
 
 using namespace amrt::net;
 using namespace amrt::sim;
@@ -46,6 +48,10 @@ struct PortRig {
     port.connect(sink, 3);
   }
 };
+
+// Ports sit in one pool walked per packet: cold state, such as the 2.5 KB
+// random engines, stays out of line.
+static_assert(sizeof(EgressPort) <= 256, "EgressPort grew: keep cold state out of line");
 
 }  // namespace
 
@@ -165,4 +171,43 @@ TEST(EgressPort, ControlPreemptsQueuedData) {
   EXPECT_EQ(rig.sink.arrivals[0].first.seq, 0u);  // already on the wire
   EXPECT_EQ(rig.sink.arrivals[1].first.seq, 42u); // grant jumps queued data
   EXPECT_EQ(rig.sink.arrivals[2].first.seq, 1u);
+}
+
+TEST(EgressPort, RearmedBlackholeReplaysTheSeededStream) {
+  // Blackholing draws one Bernoulli per enqueue from a stream seeded by
+  // set_drop_prob. Every arming, including one after a disarm, restarts
+  // that stream: the eaten packets are exactly the ones a fresh Rng{seed}
+  // predicts, and a disarmed port eats nothing.
+  constexpr double kProb = 0.3;
+  constexpr std::uint64_t kSeed = 1234;
+  constexpr std::uint32_t kBatch = 200;
+  PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, std::make_unique<DropTailQueue>(1024)};
+  std::uint32_t seq = 0;
+  std::set<std::uint32_t> expected_lost;
+  auto send_batch = [&](bool armed) {
+    Rng predict{kSeed};
+    for (std::uint32_t i = 0; i < kBatch; ++i, ++seq) {
+      if (armed && predict.bernoulli(kProb)) expected_lost.insert(seq);
+      rig.port.enqueue(data_pkt(seq));
+    }
+    rig.sched.run();
+  };
+
+  rig.port.set_drop_prob(kProb, kSeed);
+  send_batch(true);
+  rig.port.set_drop_prob(0.0, kSeed);
+  send_batch(false);
+  rig.port.set_drop_prob(kProb, kSeed);
+  send_batch(true);
+
+  std::set<std::uint32_t> delivered;
+  for (const auto& [pkt, port] : rig.sink.arrivals) delivered.insert(pkt.seq);
+  std::set<std::uint32_t> lost;
+  for (std::uint32_t s = 0; s < seq; ++s) {
+    if (delivered.count(s) == 0) lost.insert(s);
+  }
+  EXPECT_EQ(lost, expected_lost);
+  EXPECT_EQ(rig.port.packets_faulted(), expected_lost.size());
+  EXPECT_FALSE(expected_lost.empty());
+  EXPECT_EQ(rig.queue->stats().dropped, 0u);
 }

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "net/switch.hpp"
 #include "net/topology.hpp"
@@ -122,6 +124,70 @@ TEST(RoutingTable, SpraySkipsControlPackets) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(rt.select(ctrl), first) << "control packets must stay on the hashed path";
   }
+}
+
+TEST(RoutingTable, SharedEcmpSetIsStoredOnce) {
+  // 1000 destinations over the same 8 ports intern to one 8-port run,
+  // whether the wiring is destination-major (the builders) or port-major.
+  for (const bool port_major : {false, true}) {
+    RoutingTable rt;
+    constexpr std::uint32_t kDsts = 1000;
+    if (port_major) {
+      for (int p = 0; p < 8; ++p) {
+        for (std::uint32_t d = 0; d < kDsts; ++d) rt.add_route(NodeId{d}, p);
+      }
+    } else {
+      for (std::uint32_t d = 0; d < kDsts; ++d) {
+        for (int p = 0; p < 8; ++p) rt.add_route(NodeId{d}, p);
+      }
+    }
+    EXPECT_EQ(rt.pool_size(), 8u) << (port_major ? "port-major" : "destination-major");
+    EXPECT_EQ(rt.destinations(), kDsts);
+    const std::vector<int> want{0, 1, 2, 3, 4, 5, 6, 7};
+    for (std::uint32_t d = 0; d < kDsts; ++d) {
+      const auto got = rt.ports_for(NodeId{d});
+      ASSERT_EQ(std::vector<int>(got.begin(), got.end()), want) << "dst " << d;
+    }
+  }
+}
+
+TEST(RoutingTable, InternedSetsMatchPerDestinationLists) {
+  // Random interleaved wiring (repeated ports, shared and diverging
+  // prefixes, sparse destinations) against a plain per-destination list:
+  // every ECMP set keeps its ports in the order they were added.
+  std::mt19937 gen{17};
+  for (int trial = 0; trial < 20; ++trial) {
+    RoutingTable rt;
+    std::map<std::uint32_t, std::vector<int>> want;
+    for (int i = 0; i < 400; ++i) {
+      const auto dst = static_cast<std::uint32_t>(gen() % 40) * 3;
+      const int port = static_cast<int>(gen() % 5);
+      rt.add_route(NodeId{dst}, port);
+      want[dst].push_back(port);
+      if (i % 50 == 0) (void)rt.select(to_dst(NodeId{dst}));  // lookups mid-wiring
+    }
+    EXPECT_EQ(rt.destinations(), want.size());
+    for (const auto& [dst, ports] : want) {
+      const auto got = rt.ports_for(NodeId{dst});
+      ASSERT_EQ(std::vector<int>(got.begin(), got.end()), ports) << "dst " << dst;
+    }
+    EXPECT_TRUE(rt.ports_for(NodeId{1}).empty());
+  }
+}
+
+TEST(RoutingTable, MutationRestartsSprayCursors) {
+  // A route added anywhere on the switch restarts every destination's spray
+  // cursor at the front of its set on the next lookup.
+  RoutingTable rt;
+  rt.set_mode(MultipathMode::kPacketSpray);
+  for (int p = 0; p < 3; ++p) rt.add_route(NodeId{1}, p);
+  EXPECT_EQ(rt.select(to_dst(NodeId{1})), 0);
+  EXPECT_EQ(rt.select(to_dst(NodeId{1})), 1);
+  rt.add_route(NodeId{2}, 5);
+  EXPECT_EQ(rt.select(to_dst(NodeId{1})), 0);
+  EXPECT_EQ(rt.select(to_dst(NodeId{1})), 1);
+  EXPECT_EQ(rt.select(to_dst(NodeId{1})), 2);
+  EXPECT_EQ(rt.select(to_dst(NodeId{2})), 5);
 }
 
 TEST(EcmpHash, DistinctForConsecutiveFlows) {
