@@ -96,7 +96,7 @@ net::Packet make_pkt(std::uint32_t seq) {
 }
 
 void BM_DropTailQueue(benchmark::State& state) {
-  net::DropTailQueue q{128};
+  auto q = net::EgressQueue::drop_tail(128);
   std::uint32_t seq = 0;
   for (auto _ : state) {
     q.enqueue(make_pkt(seq++));
@@ -107,7 +107,7 @@ void BM_DropTailQueue(benchmark::State& state) {
 BENCHMARK(BM_DropTailQueue);
 
 void BM_StrictPriorityQueue(benchmark::State& state) {
-  net::StrictPriorityQueue q{8, 128};
+  auto q = net::EgressQueue::strict_priority(8, 128);
   std::uint32_t seq = 0;
   for (auto _ : state) {
     auto p = make_pkt(seq++);
@@ -215,8 +215,8 @@ void BM_ReceiverArrival(benchmark::State& state) {
     auto qf = core::make_queue_factory(transport::Protocol::kAmrt);
     auto mf = core::make_marker_factory(transport::Protocol::kAmrt);
     const net::SwitchId sw = network.add_switch();
-    const net::HostId src_id = network.add_host(rate, delay, std::make_unique<net::DropTailQueue>(1024));
-    const net::HostId dst_id = network.add_host(rate, delay, std::make_unique<net::DropTailQueue>(1024));
+    const net::HostId src_id = network.add_host(rate, delay, qf(true));
+    const net::HostId dst_id = network.add_host(rate, delay, qf(true));
     const net::PortId src_down = network.attach_host(src_id, sw, qf(false), mf ? mf() : nullptr);
     const net::PortId dst_down = network.attach_host(dst_id, sw, qf(false), mf ? mf() : nullptr);
     network.switch_at(sw).routes().add_route(network.id_of(src_id), src_down);

@@ -33,24 +33,24 @@ std::unique_ptr<transport::TransportEndpoint> make_endpoint(Protocol proto, sim:
 }
 
 net::QueueFactory make_queue_factory(Protocol proto, QueueConfig cfg) {
-  return [proto, cfg](bool host_nic) -> std::unique_ptr<net::EgressQueue> {
-    if (host_nic) return std::make_unique<net::DropTailQueue>(cfg.host_nic_pkts);
+  return [proto, cfg](bool host_nic) -> net::EgressQueue {
+    if (host_nic) return net::EgressQueue::drop_tail(cfg.host_nic_pkts);
     switch (proto) {
       case Protocol::kNdp:
-        return std::make_unique<net::TrimmingQueue>(cfg.trim_threshold);
+        return net::EgressQueue::trimming(cfg.trim_threshold);
       case Protocol::kHoma:
-        return std::make_unique<net::StrictPriorityQueue>(cfg.priority_levels, cfg.buffer_pkts);
+        return net::EgressQueue::strict_priority(cfg.priority_levels, cfg.buffer_pkts);
       case Protocol::kDctcp:
         // PIAS demotion needs the priority bands; the ECN marking itself is
         // the dequeue marker's job, not the queue's.
-        return std::make_unique<net::StrictPriorityQueue>(cfg.priority_levels, cfg.buffer_pkts);
+        return net::EgressQueue::strict_priority(cfg.priority_levels, cfg.buffer_pkts);
       case Protocol::kAmrt:
-        if (cfg.selective_drop) return std::make_unique<net::SelectiveDropQueue>(cfg.buffer_pkts);
-        return std::make_unique<net::DropTailQueue>(cfg.buffer_pkts);
+        if (cfg.selective_drop) return net::EgressQueue::selective_drop(cfg.buffer_pkts);
+        return net::EgressQueue::drop_tail(cfg.buffer_pkts);
       case Protocol::kPhost:
-        return std::make_unique<net::DropTailQueue>(cfg.buffer_pkts);
+        return net::EgressQueue::drop_tail(cfg.buffer_pkts);
     }
-    return std::make_unique<net::DropTailQueue>(cfg.buffer_pkts);
+    return net::EgressQueue::drop_tail(cfg.buffer_pkts);
   };
 }
 
@@ -69,9 +69,9 @@ net::QueueFactory make_mixed_queue_factory(QueueConfig cfg) {
   // Both populations share the PIAS strict-priority bands: AMRT data keeps
   // priority 0, so it competes only with a DCTCP flow's first-threshold
   // bytes — the PIAS contract for unknown-size foreground traffic.
-  return [cfg](bool host_nic) -> std::unique_ptr<net::EgressQueue> {
-    if (host_nic) return std::make_unique<net::DropTailQueue>(cfg.host_nic_pkts);
-    return std::make_unique<net::StrictPriorityQueue>(cfg.priority_levels, cfg.buffer_pkts);
+  return [cfg](bool host_nic) -> net::EgressQueue {
+    if (host_nic) return net::EgressQueue::drop_tail(cfg.host_nic_pkts);
+    return net::EgressQueue::strict_priority(cfg.priority_levels, cfg.buffer_pkts);
   };
 }
 

@@ -87,7 +87,6 @@ void PacketRun::build(net::Partition& part) {
       c.hosts_per_leaf = f.hosts_per_leaf;
       c.link_rate = f.link_rate;
       c.link_delay = f.link_delay;
-      c.host_nic_queue_pkts = f.queues.host_nic_pkts;
       c.queue_factory = std::move(queues);
       c.marker_factory = std::move(markers);
       c.multipath = f.multipath;
@@ -102,7 +101,6 @@ void PacketRun::build(net::Partition& part) {
       c.k = f.fat_k;
       c.link_rate = f.link_rate;
       c.link_delay = f.link_delay;
-      c.host_nic_queue_pkts = f.queues.host_nic_pkts;
       c.queue_factory = std::move(queues);
       c.marker_factory = std::move(markers);
       c.multipath = f.multipath;
@@ -121,7 +119,6 @@ void PacketRun::build(net::Partition& part) {
       c.hosts_per_switch = f.hosts_per_switch;
       c.link_rate = f.link_rate;
       c.link_delay = f.link_delay;
-      c.host_nic_queue_pkts = f.queues.host_nic_pkts;
       c.queue_factory = std::move(queues);
       c.marker_factory = std::move(markers);
       net::SmallFabric small = f.topology == Topology::kDumbbell

@@ -31,10 +31,6 @@ struct Rig {
     });
   }
 
-  net::HostId add_host(sim::Bandwidth rate, sim::Duration delay, std::size_t nic_pkts) {
-    return network.add_host(rate, delay, std::make_unique<net::DropTailQueue>(nic_pkts));
-  }
-
   // Only call once the topology is complete: endpoints hold Host references
   // into the pool, which must not grow afterwards.
   void attach_endpoints(transport::Protocol proto, const transport::TransportConfig& tcfg) {
@@ -121,8 +117,8 @@ TimelineResult run_chain(const ChainConfig& cfg) {
     const int dst_at = f.path == ChainPath::kFirst ? 1 : 2;
     const net::SwitchId src_sw = src_at == 1 ? s1 : s0;
     const net::SwitchId dst_sw = dst_at == 1 ? s1 : s2;
-    const net::HostId src = rig.add_host(rate, delay, cfg.queues.host_nic_pkts);
-    const net::HostId dst = rig.add_host(rate, delay, cfg.queues.host_nic_pkts);
+    const net::HostId src = net.add_host(rate, delay, qf(true));
+    const net::HostId dst = net.add_host(rate, delay, qf(true));
     const net::PortId src_down = net.attach_host(src, src_sw, qf(false), marker());
     const net::PortId dst_down = net.attach_host(dst, dst_sw, qf(false), marker());
     net.switch_at(src_sw).routes().add_route(net.id_of(src), src_down);
@@ -208,8 +204,8 @@ TimelineResult run_dynamic(const DynamicConfig& cfg) {
 
   std::vector<std::size_t> srcs, dsts;
   for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    const net::HostId src = rig.add_host(rate, delay, cfg.queues.host_nic_pkts);
-    const net::HostId dst = rig.add_host(rate, delay, cfg.queues.host_nic_pkts);
+    const net::HostId src = net.add_host(rate, delay, qf(true));
+    const net::HostId dst = net.add_host(rate, delay, qf(true));
     const net::PortId src_down = net.attach_host(src, s0, qf(false), marker());
     const net::PortId dst_down = net.attach_host(dst, s1, qf(false), marker());
     net.switch_at(s0).routes().add_route(net.id_of(src), src_down);
@@ -263,7 +259,6 @@ ManyToManyResult run_many_to_many(const ManyToManyConfig& cfg) {
   topo_cfg.hosts_per_leaf = cfg.senders_per_leaf;
   topo_cfg.link_rate = cfg.link_rate;
   topo_cfg.link_delay = cfg.link_delay;
-  topo_cfg.host_nic_queue_pkts = cfg.queues.host_nic_pkts;
   topo_cfg.queue_factory = core::make_queue_factory(cfg.proto, cfg.queues);
   topo_cfg.marker_factory = core::make_marker_factory(cfg.proto);
   net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
@@ -350,15 +345,13 @@ IncastResult run_incast(const IncastConfig& cfg) {
   auto marker = [&]() -> std::unique_ptr<net::DequeueMarker> { return mf ? mf() : nullptr; };
 
   const net::SwitchId sw = network.add_switch();
-  const net::HostId recv = network.add_host(
-      rate, delay, std::make_unique<net::DropTailQueue>(cfg.queues.host_nic_pkts));
+  const net::HostId recv = network.add_host(rate, delay, qf(true));
   const net::PortId recv_down = network.attach_host(recv, sw, qf(false), marker());
   network.switch_at(sw).routes().add_route(network.id_of(recv), recv_down);
 
   std::vector<net::HostId> senders;
   for (int i = 0; i < cfg.senders; ++i) {
-    const net::HostId h = network.add_host(
-        rate, delay, std::make_unique<net::DropTailQueue>(cfg.queues.host_nic_pkts));
+    const net::HostId h = network.add_host(rate, delay, qf(true));
     const net::PortId down = network.attach_host(h, sw, qf(false), marker());
     network.switch_at(sw).routes().add_route(network.id_of(h), down);
     senders.push_back(h);

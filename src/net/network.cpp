@@ -8,21 +8,19 @@ void Network::reserve(std::size_t n_hosts, std::size_t n_switches, std::size_t n
   hosts_.reserve(n_hosts);
   switches_.reserve(n_switches);
   ports_.reserve(n_ports);
-  queues_.reserve(n_ports);
   dir_.reserve(n_hosts + n_switches);
 }
 
-PortId Network::new_port(EgressPort::Config cfg, std::unique_ptr<EgressQueue> queue) {
+PortId Network::new_port(EgressPort::Config cfg, EgressQueue queue) {
   const PortId id = static_cast<PortId>(ports_.size());
   // The queue's audit shadow is keyed by its pool slot (== the port slot).
-  queue->audit_bind(sched_.auditor(), static_cast<std::uint32_t>(id));
+  queue.audit_bind(sched_.auditor(), static_cast<std::uint32_t>(id));
   queues_.push_back(std::move(queue));
-  ports_.emplace_back(sched_, cfg, *queues_.back());
+  ports_.emplace_back(sched_, cfg, queues_.back());
   return id;
 }
 
-HostId Network::add_host(sim::Bandwidth rate, sim::Duration delay,
-                         std::unique_ptr<EgressQueue> nic_queue) {
+HostId Network::add_host(sim::Bandwidth rate, sim::Duration delay, EgressQueue nic_queue) {
   EgressPort::Config cfg{rate, delay};
   // Host stacks carry timing noise of a fraction of a packet time; see the
   // Config::tx_jitter comment for why the simulation needs it too.
@@ -43,8 +41,7 @@ SwitchId Network::add_switch() {
 }
 
 PortId Network::add_switch_port(SwitchId from, NodeId to, sim::Bandwidth rate, sim::Duration delay,
-                                std::unique_ptr<EgressQueue> queue,
-                                std::unique_ptr<DequeueMarker> marker) {
+                                EgressQueue queue, std::unique_ptr<DequeueMarker> marker) {
   const PortId pid = new_port(EgressPort::Config{rate, delay}, std::move(queue));
   switches_[from.slot].adopt_port(pid);
   EgressPort& port = ports_[static_cast<std::size_t>(pid)];
@@ -53,7 +50,7 @@ PortId Network::add_switch_port(SwitchId from, NodeId to, sim::Bandwidth rate, s
   return pid;
 }
 
-PortId Network::attach_host(HostId host, SwitchId sw, std::unique_ptr<EgressQueue> down_queue,
+PortId Network::attach_host(HostId host, SwitchId sw, EgressQueue down_queue,
                             std::unique_ptr<DequeueMarker> down_marker) {
   const NodeId host_node = id_of(host);
   const PortId nic = hosts_[host.slot].nic_id();

@@ -7,10 +7,10 @@
 //   switches_  std::vector<Switch>      — switches, by value
 //   ports_     std::vector<EgressPort>  — every egress port (host NICs and
 //                                         switch ports alike), by value
-//   queues_    queue arena              — one EgressQueue per port slot;
-//                                         heap cells (disciplines differ in
-//                                         size) owned by the arena, never by
-//                                         the port
+//   queues_    std::deque<EgressQueue>  — one queue per port slot, by
+//                                         value; owned here, never by the
+//                                         port, at addresses that stay put
+//                                         as the pool grows
 //
 // Addressing is index-based throughout: a NodeId is a dense index into the
 // directory (`dir_`), which maps it to a {kind, pool slot} pair, so packet
@@ -32,6 +32,7 @@
 //     undefined. Build first, then run.
 #pragma once
 
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,20 +51,18 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // Creates a host whose NIC transmits at `rate` with `delay` to its switch.
-  HostId add_host(sim::Bandwidth rate, sim::Duration delay,
-                  std::unique_ptr<EgressQueue> nic_queue);
+  HostId add_host(sim::Bandwidth rate, sim::Duration delay, EgressQueue nic_queue);
   SwitchId add_switch();
 
   // Adds an egress port on `from` toward `to` (one direction of a cable).
   // Optionally installs a dequeue marker (AMRT's anti-ECN marker). Returns
   // the new port's global pool slot — exactly what routing tables store.
   PortId add_switch_port(SwitchId from, NodeId to, sim::Bandwidth rate, sim::Duration delay,
-                         std::unique_ptr<EgressQueue> queue,
-                         std::unique_ptr<DequeueMarker> marker = nullptr);
+                         EgressQueue queue, std::unique_ptr<DequeueMarker> marker = nullptr);
 
   // Connects a host's NIC to a switch and the switch back to the host.
   // Returns the switch-side downlink's global port slot.
-  PortId attach_host(HostId host, SwitchId sw, std::unique_ptr<EgressQueue> down_queue,
+  PortId attach_host(HostId host, SwitchId sw, EgressQueue down_queue,
                      std::unique_ptr<DequeueMarker> down_marker = nullptr);
 
   // --- pool access (O(1), unchecked on the hot path) ----------------------
@@ -131,16 +130,16 @@ class Network {
   };
 
   [[nodiscard]] NodeId next_id() { return NodeId{next_id_++}; }
-  // Installs `queue` in the arena and a port over it in the port pool.
-  PortId new_port(EgressPort::Config cfg, std::unique_ptr<EgressQueue> queue);
+  // Installs `queue` in the queue pool and a port over it in the port pool.
+  PortId new_port(EgressPort::Config cfg, EgressQueue queue);
 
   sim::Simulation& sim_;
   sim::Scheduler& sched_;
   std::vector<Host> hosts_;
   std::vector<Switch> switches_;
   std::vector<EgressPort> ports_;
-  std::vector<std::unique_ptr<EgressQueue>> queues_;  // slot-parallel to ports_
-  std::vector<NodeRef> dir_;                          // indexed by NodeId.value
+  std::deque<EgressQueue> queues_;  // slot-parallel to ports_
+  std::vector<NodeRef> dir_;        // indexed by NodeId.value
   LinkState link_state_;
   std::uint32_t next_id_ = 0;
 };

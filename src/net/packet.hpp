@@ -47,7 +47,7 @@ struct Packet {
   NodeId dst{};
 
   // --- priority / ECN state (switch-visible header bits) ---
-  std::uint8_t priority = 0;   // 0 = highest; used by StrictPriorityQueue (Homa)
+  std::uint8_t priority = 0;   // 0 = highest; selects a strict_priority band (Homa)
   bool ecn_capable = false;    // AMRT data packets participate in anti-ECN marking
   bool ce = false;             // anti-ECN: senders emit CE=1, switches AND it down (Eq. 3)
   // Conventional threshold ECN (DCTCP): senders emit CE=0, switches OR it up

@@ -7,7 +7,7 @@
 // where AMRT's inter-dequeue-gap measurement lives.
 //
 // Ports live by value in Network's contiguous port pool and address their
-// queue (non-owning; the queue arena owns it) and their peer (a NodeId
+// queue (non-owning; Network's queue pool owns it) and their peer (a NodeId
 // resolved through the Network directory) as pool slots. The standalone
 // `connect(Node&)` path remains for unit tests that drive a port against a
 // bare scheduler without a Network.
@@ -42,7 +42,7 @@ class EgressPort {
     std::uint64_t jitter_seed = 0;
   };
 
-  // `queue` is non-owning: Network's queue arena (or, in standalone tests,
+  // `queue` is non-owning: Network's queue pool (or, in standalone tests,
   // the caller) keeps it alive for the port's lifetime.
   EgressPort(sim::Scheduler& sched, Config cfg, EgressQueue& queue);
 

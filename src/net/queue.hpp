@@ -1,27 +1,28 @@
-// Egress queue disciplines.
+// Egress queues.
 //
-// Every egress port owns one EgressQueue. The base class implements the
-// strict-priority *control band* (grants, tokens, pulls, RTS, and NDP's
-// trimmed headers) that all receiver-driven designs rely on: credit packets
-// must not starve behind data or the grant clock collapses. Concrete
-// subclasses define only the data band:
+// Every egress port owns one EgressQueue: a strict-priority *control band*
+// (grants, tokens, pulls, RTS, and NDP's trimmed headers) that all
+// receiver-driven designs rely on — credit packets must not starve behind
+// data or the grant clock collapses — above 1..N FIFO data bands that share
+// one packet limit. The disciplines the paper compares differ only in their
+// band count and in what happens to a data packet that arrives at the limit:
 //
-//   DropTailQueue       — plain FIFO with a packet-count cap (pHost/Homa/AMRT)
-//   TrimmingQueue       — NDP: beyond a threshold, payloads are cut and the
-//                         64B header is promoted into the control band
-//   StrictPriorityQueue — Homa: N FIFO bands selected by Packet::priority
+//   drop_tail(cap)              — one band; the arrival is dropped (pHost,
+//                                 AMRT, and every host NIC)
+//   trimming(threshold)         — one band; NDP: the payload is cut and the
+//                                 64B header is promoted into the control band
+//   selective_drop(cap)         — one band; Aeolus: a scheduled arrival evicts
+//                                 the youngest queued unscheduled packet
+//   strict_priority(bands, cap) — N bands selected by Packet::priority
+//                                 (Homa, PIAS); the arrival is dropped
 //
-// Dispatch: the per-packet enqueue/dequeue path is devirtualized. Each
-// built-in discipline registers a QueueKind tag and the base class switches
-// on it to call the (final, inlinable) subclass methods directly; the
-// virtual data_* interface remains as the extension fallback (kCustom), so
-// out-of-tree disciplines keep working at the old cost.
+// The set is closed: one concrete type with no vtable whose overflow policy
+// is a private tag, so queues are plain values of one size.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -36,43 +37,50 @@ struct QueueStats {
   std::uint64_t dequeued = 0;
   std::uint64_t dropped = 0;
   std::uint64_t trimmed = 0;
-  std::size_t max_data_pkts = 0;     // high-water mark of the data band
+  std::size_t max_data_pkts = 0;     // high-water mark of the data bands
   std::uint64_t data_bytes_in = 0;   // accepted data-band bytes
-};
-
-// Tag for the devirtualized fast path. kCustom = dispatch virtually.
-enum class QueueKind : std::uint8_t {
-  kDropTail,
-  kTrimming,
-  kSelectiveDrop,
-  kStrictPriority,
-  kCustom,
 };
 
 class EgressQueue {
  public:
-  virtual ~EgressQueue() = default;
+  [[nodiscard]] static EgressQueue drop_tail(std::size_t capacity_pkts) {
+    return EgressQueue{1, capacity_pkts, Overflow::kDrop};
+  }
+  // `threshold_pkts`: data packets held before trimming kicks in (NDP uses 8).
+  [[nodiscard]] static EgressQueue trimming(std::size_t threshold_pkts) {
+    return EgressQueue{1, threshold_pkts, Overflow::kTrim};
+  }
+  // Aeolus-style selective dropping (Hu et al., APNet'18 — cited as [11]):
+  // when the data band is full, blind *unscheduled* packets are sacrificed
+  // first so that granted (scheduled) traffic stays lossless. Combines with
+  // AMRT's small-threshold discipline (Section 6) to protect the grant clock.
+  [[nodiscard]] static EgressQueue selective_drop(std::size_t capacity_pkts) {
+    return EgressQueue{1, capacity_pkts, Overflow::kEvictUnscheduled};
+  }
+  // `bands`: priority levels (0 is treated as 1); `capacity_pkts`: shared cap.
+  [[nodiscard]] static EgressQueue strict_priority(std::size_t bands, std::size_t capacity_pkts) {
+    return EgressQueue{std::max<std::size_t>(bands, 1), capacity_pkts, Overflow::kDrop};
+  }
 
   // Consumes the packet: accepted into a band, trimmed, or dropped.
   inline void enqueue(Packet&& pkt);
-  // Control band first, then the data band.
+  // Control band first, then the data bands in priority order.
   [[nodiscard]] inline std::optional<Packet> dequeue();
 
   [[nodiscard]] std::size_t control_pkts() const { return control_.size(); }
-  [[nodiscard]] inline std::size_t data_pkts() const;
-  [[nodiscard]] std::size_t total_pkts() const { return control_.size() + data_pkts(); }
+  [[nodiscard]] std::size_t data_pkts() const { return data_pkts_; }
+  [[nodiscard]] std::size_t total_pkts() const { return control_.size() + data_pkts_; }
   [[nodiscard]] bool empty() const { return total_pkts() == 0; }
-  [[nodiscard]] QueueKind kind() const { return kind_; }
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
 
   // Link failure (src/fault): every queued packet — control band included —
   // is discarded through the admitted-drop accounting, so the stats identity
   // and the audit shadow stay closed. Returns the number of packets flushed.
-  inline std::size_t flush_faulted();
+  std::size_t flush_faulted();
 
   // Attaches the run's invariant auditor under a dense shadow slot (Network
-  // binds each arena queue with its port-pool slot; standalone tests pick
-  // any small integer). A no-op in builds without AMRT_AUDIT.
+  // binds each queue with its port-pool slot; standalone tests pick any
+  // small integer). A no-op in builds without AMRT_AUDIT.
   void audit_bind(audit::Auditor* a, std::uint32_t slot) {
 #ifdef AMRT_AUDIT
     audit_ = a;
@@ -83,21 +91,26 @@ class EgressQueue {
 #endif
   }
 
- protected:
-  explicit EgressQueue(QueueKind kind = QueueKind::kCustom) : kind_{kind} {}
+ private:
+  // What a data packet that arrives at the limit does.
+  enum class Overflow : std::uint8_t { kDrop, kTrim, kEvictUnscheduled };
 
-  // Returns false if the data band dropped the packet.
-  virtual bool data_enqueue(Packet&& pkt) = 0;
-  [[nodiscard]] virtual std::optional<Packet> data_dequeue() = 0;
-  [[nodiscard]] virtual std::size_t data_size() const = 0;
+  EgressQueue(std::size_t bands, std::size_t limit_pkts, Overflow overflow)
+      : bands_(bands), limit_{limit_pkts}, overflow_{overflow} {}
+
+  // Applies the overflow policy to an arrival at the limit. Returns true if
+  // the packet was admitted into the data band (by eviction). Cold: the
+  // eviction scan is the one O(depth) queue operation, so it stays in
+  // queue.cpp.
+  bool overflow(Packet&& pkt);
 
   // --- instrumented loss/trim choke points ---------------------------------
   // Every way a packet can leave a queue other than dequeue() goes through
   // exactly one of these three helpers, so the drop/trim statistics and the
-  // audit build's byte accounting cannot drift apart per-discipline.
+  // audit build's byte accounting cannot drift apart per discipline.
 
-  // Refuses an arriving packet at the data band. Returns false so callers
-  // can `return drop_data(...)` from data_enqueue.
+  // Refuses an arriving packet at the data bands. Returns false so callers
+  // can `return drop_data(...)` from overflow().
   bool drop_data(Packet&& pkt, audit::DropReason reason) {
     ++stats_.dropped;
 #ifdef AMRT_AUDIT
@@ -108,8 +121,8 @@ class EgressQueue {
     return false;
   }
 
-  // Evicts a packet that was already admitted into the data band (Aeolus
-  // selective drop): the occupancy shadow must shrink too.
+  // Evicts a packet that was already admitted (selective drop, link-down
+  // flush): the occupancy shadow must shrink too.
   void drop_admitted(Packet&& pkt, audit::DropReason reason) {
     ++stats_.dropped;
 #ifdef AMRT_AUDIT
@@ -152,191 +165,36 @@ class EgressQueue {
     }
 #endif
   }
-  QueueStats stats_;
 
- private:
-  // Tag-dispatched (devirtualized) forms of the data_* hooks.
-  inline bool dispatch_enqueue(Packet&& pkt);
-  [[nodiscard]] inline std::optional<Packet> dispatch_dequeue();
-
-  RingDeque<Packet> control_;
-  QueueKind kind_;
-#ifdef AMRT_AUDIT
-  audit::Auditor* audit_ = nullptr;
-  std::uint32_t audit_slot_ = 0;
-#endif
-};
-
-class DropTailQueue final : public EgressQueue {
- public:
-  explicit DropTailQueue(std::size_t capacity_pkts)
-      : EgressQueue{QueueKind::kDropTail}, capacity_{capacity_pkts} {}
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- protected:
-  // Bodies live in the header so the tag-dispatched fast path inlines them
-  // at every call site (ports sit in a different TU).
-  bool data_enqueue(Packet&& pkt) override {
-    if (fifo_.size() >= capacity_) {
-      return drop_data(std::move(pkt), audit::DropReason::kDataCapacity);
-    }
-    fifo_.push_back(std::move(pkt));
+  // Admits a data packet, or applies the overflow policy at the limit.
+  bool admit(Packet&& pkt) {
+    if (data_pkts_ >= limit_) return overflow(std::move(pkt));
+    bands_[std::min<std::size_t>(pkt.priority, bands_.size() - 1)].push_back(std::move(pkt));
+    ++data_pkts_;
     return true;
   }
-  std::optional<Packet> data_dequeue() override {
-    if (fifo_.empty()) return std::nullopt;
-    return fifo_.pop_front();
-  }
-  std::size_t data_size() const override { return fifo_.size(); }
 
- private:
-  friend class EgressQueue;  // tag dispatch calls the hooks non-virtually
-  std::size_t capacity_;
-  RingDeque<Packet> fifo_;
-};
-
-class TrimmingQueue final : public EgressQueue {
- public:
-  // `threshold_pkts`: data packets held before trimming kicks in (NDP uses 8).
-  explicit TrimmingQueue(std::size_t threshold_pkts)
-      : EgressQueue{QueueKind::kTrimming}, threshold_{threshold_pkts} {}
-  [[nodiscard]] std::size_t threshold() const { return threshold_; }
-
- protected:
-  bool data_enqueue(Packet&& pkt) override {
-    if (fifo_.size() >= threshold_) {
-      // NDP: cut the payload, keep the header. The header rides the control
-      // band so the receiver learns of the loss one RTT faster than a timeout.
-      trim_to_control(std::move(pkt));
-      return false;  // not accepted into the data band (counted as trim, not drop)
-    }
-    fifo_.push_back(std::move(pkt));
-    return true;
-  }
-  std::optional<Packet> data_dequeue() override {
-    if (fifo_.empty()) return std::nullopt;
-    return fifo_.pop_front();
-  }
-  std::size_t data_size() const override { return fifo_.size(); }
-
- private:
-  friend class EgressQueue;
-  std::size_t threshold_;
-  RingDeque<Packet> fifo_;
-};
-
-// Aeolus-style selective dropping (Hu et al., APNet'18 — cited as [11]):
-// when the data band is full, blind *unscheduled* packets are sacrificed
-// first so that granted (scheduled) traffic stays lossless. An arriving
-// scheduled packet evicts the youngest queued unscheduled packet; an
-// arriving unscheduled packet is dropped outright. Combines with AMRT's
-// small-threshold discipline (Section 6) to protect the grant clock.
-class SelectiveDropQueue final : public EgressQueue {
- public:
-  explicit SelectiveDropQueue(std::size_t capacity_pkts)
-      : EgressQueue{QueueKind::kSelectiveDrop}, capacity_{capacity_pkts} {}
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- protected:
-  bool data_enqueue(Packet&& pkt) override;  // cold path stays in queue.cpp
-  std::optional<Packet> data_dequeue() override {
-    if (fifo_.empty()) return std::nullopt;
-    return fifo_.pop_front();
-  }
-  std::size_t data_size() const override { return fifo_.size(); }
-
- private:
-  friend class EgressQueue;
-  std::size_t capacity_;
-  RingDeque<Packet> fifo_;
-};
-
-class StrictPriorityQueue final : public EgressQueue {
- public:
-  // `bands`: number of priority levels; `capacity_pkts`: shared data cap.
-  StrictPriorityQueue(std::size_t bands, std::size_t capacity_pkts);
-  [[nodiscard]] std::size_t bands() const { return bands_.size(); }
-
- protected:
-  bool data_enqueue(Packet&& pkt) override {
-    if (size_ >= capacity_) {
-      return drop_data(std::move(pkt), audit::DropReason::kDataCapacity);
-    }
-    const std::size_t band = std::min<std::size_t>(pkt.priority, bands_.size() - 1);
-    bands_[band].push_back(std::move(pkt));
-    ++size_;
-    return true;
-  }
-  std::optional<Packet> data_dequeue() override {
+  [[nodiscard]] std::optional<Packet> pop_data() {
     for (auto& band : bands_) {
       if (!band.empty()) {
-        --size_;
+        --data_pkts_;
         return band.pop_front();
       }
     }
     return std::nullopt;
   }
-  std::size_t data_size() const override { return size_; }
 
- private:
-  friend class EgressQueue;
-  std::vector<RingDeque<Packet>> bands_;
-  std::size_t capacity_;
-  std::size_t size_ = 0;
+  RingDeque<Packet> control_;
+  std::vector<RingDeque<Packet>> bands_;  // data bands, highest priority first
+  std::size_t limit_;                     // shared data-band packet limit
+  std::size_t data_pkts_ = 0;
+  QueueStats stats_;
+  Overflow overflow_;
+#ifdef AMRT_AUDIT
+  audit::Auditor* audit_ = nullptr;
+  std::uint32_t audit_slot_ = 0;
+#endif
 };
-
-// --- devirtualized dispatch -------------------------------------------------
-// Defined after the concrete types so the switch can static_cast to them.
-// All four built-ins are `final`, so the casts are exact and the hook bodies
-// (in queue.cpp, same TU as the callers that matter) inline away.
-
-inline bool EgressQueue::dispatch_enqueue(Packet&& pkt) {
-  switch (kind_) {
-    case QueueKind::kDropTail:
-      return static_cast<DropTailQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kTrimming:
-      return static_cast<TrimmingQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kSelectiveDrop:
-      return static_cast<SelectiveDropQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kStrictPriority:
-      return static_cast<StrictPriorityQueue&>(*this).data_enqueue(std::move(pkt));
-    case QueueKind::kCustom:
-      break;
-  }
-  return data_enqueue(std::move(pkt));
-}
-
-inline std::optional<Packet> EgressQueue::dispatch_dequeue() {
-  switch (kind_) {
-    case QueueKind::kDropTail:
-      return static_cast<DropTailQueue&>(*this).data_dequeue();
-    case QueueKind::kTrimming:
-      return static_cast<TrimmingQueue&>(*this).data_dequeue();
-    case QueueKind::kSelectiveDrop:
-      return static_cast<SelectiveDropQueue&>(*this).data_dequeue();
-    case QueueKind::kStrictPriority:
-      return static_cast<StrictPriorityQueue&>(*this).data_dequeue();
-    case QueueKind::kCustom:
-      break;
-  }
-  return data_dequeue();
-}
-
-inline std::size_t EgressQueue::data_pkts() const {
-  switch (kind_) {
-    case QueueKind::kDropTail:
-      return static_cast<const DropTailQueue&>(*this).data_size();
-    case QueueKind::kTrimming:
-      return static_cast<const TrimmingQueue&>(*this).data_size();
-    case QueueKind::kSelectiveDrop:
-      return static_cast<const SelectiveDropQueue&>(*this).data_size();
-    case QueueKind::kStrictPriority:
-      return static_cast<const StrictPriorityQueue&>(*this).data_size();
-    case QueueKind::kCustom:
-      break;
-  }
-  return data_size();
-}
 
 inline void EgressQueue::enqueue(Packet&& pkt) {
   ++stats_.enqueued;
@@ -346,10 +204,9 @@ inline void EgressQueue::enqueue(Packet&& pkt) {
     return;
   }
   const auto bytes = pkt.wire_bytes;
-  if (dispatch_enqueue(std::move(pkt))) {
+  if (admit(std::move(pkt))) {
     stats_.data_bytes_in += bytes;
-    const std::size_t depth = data_pkts();
-    if (depth > stats_.max_data_pkts) stats_.max_data_pkts = depth;
+    if (data_pkts_ > stats_.max_data_pkts) stats_.max_data_pkts = data_pkts_;
 #ifdef AMRT_AUDIT
     if (audit_ != nullptr) {
       audit_->on_queue_admit(audit_slot_, bytes, total_pkts(), stats_.enqueued, stats_.dequeued,
@@ -360,18 +217,8 @@ inline void EgressQueue::enqueue(Packet&& pkt) {
 }
 
 inline std::optional<Packet> EgressQueue::dequeue() {
-  if (!control_.empty()) {
-    ++stats_.dequeued;
-    std::optional<Packet> pkt{control_.pop_front()};
-#ifdef AMRT_AUDIT
-    if (audit_ != nullptr) {
-      audit_->on_queue_dequeue(audit_slot_, pkt->wire_bytes, total_pkts(), stats_.enqueued,
-                               stats_.dequeued, stats_.dropped);
-    }
-#endif
-    return pkt;
-  }
-  auto pkt = dispatch_dequeue();
+  std::optional<Packet> pkt =
+      control_.empty() ? pop_data() : std::optional<Packet>{control_.pop_front()};
   if (pkt) {
     ++stats_.dequeued;
 #ifdef AMRT_AUDIT
@@ -384,22 +231,9 @@ inline std::optional<Packet> EgressQueue::dequeue() {
   return pkt;
 }
 
-inline std::size_t EgressQueue::flush_faulted() {
-  std::size_t flushed = 0;
-  while (!control_.empty()) {
-    drop_admitted(control_.pop_front(), audit::DropReason::kLinkDown);
-    ++flushed;
-  }
-  while (auto pkt = dispatch_dequeue()) {
-    drop_admitted(std::move(*pkt), audit::DropReason::kLinkDown);
-    ++flushed;
-  }
-  return flushed;
-}
-
 // Factory signature used by topology builders: experiments pick a discipline
 // per protocol. `host_nic` distinguishes end-host NICs (which need room for
 // the unscheduled first-BDP burst) from switch fabric ports.
-using QueueFactory = std::function<std::unique_ptr<EgressQueue>(bool host_nic)>;
+using QueueFactory = std::function<EgressQueue(bool host_nic)>;
 
 }  // namespace amrt::net

@@ -40,8 +40,7 @@ LeafSpine build_leaf_spine(Network& net, const LeafSpineConfig& cfg) {
   // Hosts under each leaf.
   for (int l = 0; l < cfg.leaves; ++l) {
     for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
-      const HostId host = net.add_host(cfg.link_rate, cfg.link_delay,
-                                       std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+      const HostId host = net.add_host(cfg.link_rate, cfg.link_delay, cfg.queue_factory(true));
       const PortId down = net.attach_host(host, leaves[l], cfg.queue_factory(false), make_marker());
       hosts.push_back(host);
       out.leaf_down[l].push_back(down);
@@ -152,8 +151,7 @@ FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg) {
     for (int e = 0; e < half; ++e) {
       const int ei = p * half + e;
       for (int h = 0; h < half; ++h) {
-        const HostId host = net.add_host(cfg.link_rate, cfg.link_delay,
-                                         std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+        const HostId host = net.add_host(cfg.link_rate, cfg.link_delay, cfg.queue_factory(true));
         const PortId down =
             net.attach_host(host, edges[ei], cfg.queue_factory(false), make_marker());
         hosts.push_back(host);
@@ -281,8 +279,7 @@ SmallFabric build_dumbbell(Network& net, const SmallFabricConfig& cfg) {
   std::vector<HostId> hosts;
   auto attach = [&](SwitchId sw, SwitchId far, PortId far_port, int count) {
     for (int i = 0; i < count; ++i) {
-      const HostId host =
-          net.add_host(rate, delay, std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+      const HostId host = net.add_host(rate, delay, qf(true));
       const PortId down = net.attach_host(host, sw, qf(false), marker());
       net.switch_at(sw).routes().add_route(net.id_of(host), down);
       net.switch_at(far).routes().add_route(net.id_of(host), far_port);
@@ -326,8 +323,7 @@ SmallFabric build_chain(Network& net, const SmallFabricConfig& cfg) {
   std::vector<int> host_at;  // host index -> switch index
   for (int i = 0; i < k; ++i) {
     for (int h = 0; h < cfg.hosts_per_switch; ++h) {
-      const HostId host =
-          net.add_host(rate, delay, std::make_unique<DropTailQueue>(cfg.host_nic_queue_pkts));
+      const HostId host = net.add_host(rate, delay, qf(true));
       const PortId down = net.attach_host(host, switches[i], qf(false), marker());
       net.switch_at(switches[i]).routes().add_route(net.id_of(host), down);
       hosts.push_back(host);

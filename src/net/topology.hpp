@@ -29,9 +29,8 @@ struct LeafSpineConfig {
   int hosts_per_leaf = 40;
   sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
   sim::Duration link_delay = sim::Duration::microseconds(100);
-  QueueFactory queue_factory;           // discipline per port (per protocol)
+  QueueFactory queue_factory;           // discipline per port (per protocol) and NIC
   MarkerFactory marker_factory;         // optional; applied to switch egress ports
-  std::size_t host_nic_queue_pkts = 8192;  // room for the unscheduled burst
   MultipathMode multipath = MultipathMode::kPerFlowEcmp;
 };
 
@@ -61,9 +60,8 @@ struct FatTreeConfig {
   int k = 4;
   sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
   sim::Duration link_delay = sim::Duration::microseconds(100);
-  QueueFactory queue_factory;           // discipline per port (per protocol)
+  QueueFactory queue_factory;           // discipline per port (per protocol) and NIC
   MarkerFactory marker_factory;         // optional; applied to switch egress ports
-  std::size_t host_nic_queue_pkts = 8192;
   MultipathMode multipath = MultipathMode::kPerFlowEcmp;
 };
 
@@ -104,7 +102,6 @@ struct SmallFabricConfig {
   sim::Duration link_delay = sim::Duration::microseconds(10);
   QueueFactory queue_factory;
   MarkerFactory marker_factory;  // optional; applied to switch egress ports
-  std::size_t host_nic_queue_pkts = 8192;
 };
 
 struct SmallFabric {

@@ -1,6 +1,6 @@
 // NDP (Handley et al., SIGCOMM'17) as the AMRT paper evaluates it:
 // senders start at line rate; overloaded switch queues trim payloads to
-// headers (TrimmingQueue) which reach the receiver in the control band; the
+// headers (EgressQueue::trimming) which reach the receiver in the control band; the
 // receiver paces one pull per MTU-time from a shared pull queue, pulling
 // retransmissions of trimmed packets before new data.
 #pragma once

@@ -198,7 +198,7 @@ net::Packet dctcp_data(std::uint32_t seq) {
 
 TEST(ThresholdEcnMarker, MarksWhenResidualBacklogAtLeastK) {
   core::ThresholdEcnMarker m{2};
-  net::StrictPriorityQueue q{8, 64};
+  auto q = net::EgressQueue::strict_priority(8, 64);
   m.bind_queue(q);
   for (std::uint32_t i = 0; i < 4; ++i) q.enqueue(dctcp_data(i));
 
@@ -220,7 +220,7 @@ TEST(ThresholdEcnMarker, IgnoresAntiEcnPopulation) {
   // An AMRT data packet (threshold_ecn = false, CE starts set) passing a deep
   // queue must be left alone: the anti-ECN marker owns that population.
   core::ThresholdEcnMarker m{1};
-  net::StrictPriorityQueue q{8, 64};
+  auto q = net::EgressQueue::strict_priority(8, 64);
   m.bind_queue(q);
   net::Packet amrt = dctcp_data(0);
   amrt.threshold_ecn = false;
@@ -264,14 +264,10 @@ struct MiniFabric {
     const auto rate = sim::Bandwidth::gbps(10);
     const auto delay = sim::Duration::microseconds(5);
     const net::SwitchId sw = network.add_switch();
-    const net::HostId ha =
-        network.add_host(rate, delay, std::make_unique<net::DropTailQueue>(64));
-    const net::HostId hb =
-        network.add_host(rate, delay, std::make_unique<net::DropTailQueue>(64));
-    const net::PortId down_a = network.attach_host(ha, sw, std::make_unique<net::DropTailQueue>(64),
-                                                   nullptr);
-    const net::PortId down_b = network.attach_host(hb, sw, std::make_unique<net::DropTailQueue>(64),
-                                                   nullptr);
+    const net::HostId ha = network.add_host(rate, delay, net::EgressQueue::drop_tail(64));
+    const net::HostId hb = network.add_host(rate, delay, net::EgressQueue::drop_tail(64));
+    const net::PortId down_a = network.attach_host(ha, sw, net::EgressQueue::drop_tail(64));
+    const net::PortId down_b = network.attach_host(hb, sw, net::EgressQueue::drop_tail(64));
     network.switch_at(sw).routes().add_route(network.id_of(ha), down_a);
     network.switch_at(sw).routes().add_route(network.id_of(hb), down_b);
     a = &network.host(ha);

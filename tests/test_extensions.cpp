@@ -25,7 +25,7 @@ net::Packet mk(std::uint32_t seq, bool unscheduled) {
 }  // namespace
 
 TEST(SelectiveDrop, UnscheduledDroppedFirstWhenFull) {
-  net::SelectiveDropQueue q{2};
+  auto q = net::EgressQueue::selective_drop(2);
   q.enqueue(mk(0, true));
   q.enqueue(mk(1, true));
   q.enqueue(mk(2, true));  // full of blind packets: incoming blind drops
@@ -34,7 +34,7 @@ TEST(SelectiveDrop, UnscheduledDroppedFirstWhenFull) {
 }
 
 TEST(SelectiveDrop, ScheduledEvictsYoungestUnscheduled) {
-  net::SelectiveDropQueue q{2};
+  auto q = net::EgressQueue::selective_drop(2);
   q.enqueue(mk(0, true));
   q.enqueue(mk(1, true));
   q.enqueue(mk(2, false));  // scheduled arrival evicts blind seq 1
@@ -48,7 +48,7 @@ TEST(SelectiveDrop, ScheduledEvictsYoungestUnscheduled) {
 }
 
 TEST(SelectiveDrop, AllScheduledFallsBackToTailDrop) {
-  net::SelectiveDropQueue q{2};
+  auto q = net::EgressQueue::selective_drop(2);
   q.enqueue(mk(0, false));
   q.enqueue(mk(1, false));
   q.enqueue(mk(2, false));
@@ -57,7 +57,7 @@ TEST(SelectiveDrop, AllScheduledFallsBackToTailDrop) {
 }
 
 TEST(SelectiveDrop, ControlBandUnaffected) {
-  net::SelectiveDropQueue q{1};
+  auto q = net::EgressQueue::selective_drop(1);
   q.enqueue(mk(0, false));
   net::Packet grant;
   grant.type = net::PacketType::kGrant;
@@ -74,7 +74,7 @@ TEST(UnscheduledTag, FirstBdpTaggedRestNot) {
   // A flow of 2 BDP: the first window is blind, the second grant-driven.
   rig.start_flow(1, 0, static_cast<std::uint64_t>(bdp) * 2 * net::kMssBytes);
   ASSERT_TRUE(rig.run_to_completion(1, 100_ms));
-  // Indirect check: with a SelectiveDropQueue full of this flow's blind
+  // Indirect check: with a selective-drop queue full of this flow's blind
   // burst, scheduled retransmissions would evict them — covered above; here
   // we assert completion still holds with selective drop enabled end-to-end.
   RigOptions sel;

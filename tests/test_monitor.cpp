@@ -19,10 +19,10 @@ struct Rig {
 
   Rig() {
     const SwitchId s = net.add_switch();
-    const HostId ha = net.add_host(Bandwidth::gbps(10), 1_us, std::make_unique<DropTailQueue>(4096));
-    const HostId hb = net.add_host(Bandwidth::gbps(10), 1_us, std::make_unique<DropTailQueue>(4096));
-    const PortId a_down = net.attach_host(ha, s, std::make_unique<DropTailQueue>(256));
-    const PortId b_down = net.attach_host(hb, s, std::make_unique<DropTailQueue>(256));
+    const HostId ha = net.add_host(Bandwidth::gbps(10), 1_us, EgressQueue::drop_tail(4096));
+    const HostId hb = net.add_host(Bandwidth::gbps(10), 1_us, EgressQueue::drop_tail(4096));
+    const PortId a_down = net.attach_host(ha, s, EgressQueue::drop_tail(256));
+    const PortId b_down = net.attach_host(hb, s, EgressQueue::drop_tail(256));
     net.switch_at(s).routes().add_route(net.id_of(ha), a_down);
     net.switch_at(s).routes().add_route(net.id_of(hb), b_down);
     sw = &net.switch_at(s);

@@ -38,12 +38,11 @@ Packet data_pkt(std::uint32_t seq, std::uint32_t wire = kMtuBytes) {
 struct PortRig {
   Scheduler sched;
   SinkNode sink;
-  std::unique_ptr<EgressQueue> queue;  // the port's queue is non-owning
+  EgressQueue queue;  // the port's queue is non-owning
   EgressPort port;
 
-  explicit PortRig(EgressPort::Config cfg, std::unique_ptr<EgressQueue> q =
-                                               std::make_unique<DropTailQueue>(64))
-      : queue{std::move(q)}, port{sched, cfg, *queue} {
+  explicit PortRig(EgressPort::Config cfg, EgressQueue q = EgressQueue::drop_tail(64))
+      : queue{std::move(q)}, port{sched, cfg, queue} {
     sink.now_fn = [this] { return sched.now(); };
     port.connect(sink, 3);
   }
@@ -100,8 +99,7 @@ TEST(EgressPort, BusyTimeAccumulatesSerialization) {
 }
 
 TEST(EgressPort, DropsSurfaceInQueueStats) {
-  PortRig rig{{Bandwidth::gbps(10), Duration::zero()},
-              std::make_unique<DropTailQueue>(1)};
+  PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, EgressQueue::drop_tail(1)};
   // While the first packet serializes, the 2nd occupies the single slot and
   // the rest drop.
   for (std::uint32_t i = 0; i < 5; ++i) rig.port.enqueue(data_pkt(i));
@@ -152,7 +150,7 @@ TEST(EgressPort, JitterBoundsInterPacketSpacing) {
 
 TEST(EgressPort, InvalidConfigRejected) {
   Scheduler sched;
-  DropTailQueue q{4};
+  auto q = EgressQueue::drop_tail(4);
   EXPECT_THROW(EgressPort(sched, {Bandwidth::bps(0), Duration::zero()}, q),
                std::invalid_argument);
 }
@@ -181,7 +179,7 @@ TEST(EgressPort, RearmedBlackholeReplaysTheSeededStream) {
   constexpr double kProb = 0.3;
   constexpr std::uint64_t kSeed = 1234;
   constexpr std::uint32_t kBatch = 200;
-  PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, std::make_unique<DropTailQueue>(1024)};
+  PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, EgressQueue::drop_tail(1024)};
   std::uint32_t seq = 0;
   std::set<std::uint32_t> expected_lost;
   auto send_batch = [&](bool armed) {
@@ -209,5 +207,5 @@ TEST(EgressPort, RearmedBlackholeReplaysTheSeededStream) {
   EXPECT_EQ(lost, expected_lost);
   EXPECT_EQ(rig.port.packets_faulted(), expected_lost.size());
   EXPECT_FALSE(expected_lost.empty());
-  EXPECT_EQ(rig.queue->stats().dropped, 0u);
+  EXPECT_EQ(rig.queue.stats().dropped, 0u);
 }

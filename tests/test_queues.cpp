@@ -1,9 +1,15 @@
 // Unit tests for egress queue disciplines (src/net/queue.hpp).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <vector>
+
 #include "net/queue.hpp"
 
 using namespace amrt::net;
+
+// The discipline set is closed: one concrete type, no vtable.
+static_assert(!std::is_polymorphic_v<EgressQueue>);
 
 namespace {
 Packet data_pkt(std::uint32_t seq, std::uint8_t prio = 0) {
@@ -28,7 +34,7 @@ Packet grant_pkt(std::uint32_t seq) {
 }  // namespace
 
 TEST(DropTail, FifoOrder) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   for (std::uint32_t i = 0; i < 4; ++i) q.enqueue(data_pkt(i));
   for (std::uint32_t i = 0; i < 4; ++i) {
     auto p = q.dequeue();
@@ -39,7 +45,7 @@ TEST(DropTail, FifoOrder) {
 }
 
 TEST(DropTail, DropsBeyondCapacity) {
-  DropTailQueue q{2};
+  auto q = EgressQueue::drop_tail(2);
   for (std::uint32_t i = 0; i < 5; ++i) q.enqueue(data_pkt(i));
   EXPECT_EQ(q.data_pkts(), 2u);
   EXPECT_EQ(q.stats().dropped, 3u);
@@ -47,7 +53,7 @@ TEST(DropTail, DropsBeyondCapacity) {
 }
 
 TEST(DropTail, ControlBandBypassesCapacity) {
-  DropTailQueue q{1};
+  auto q = EgressQueue::drop_tail(1);
   q.enqueue(data_pkt(0));
   q.enqueue(data_pkt(1));  // dropped
   for (std::uint32_t i = 0; i < 10; ++i) q.enqueue(grant_pkt(i));
@@ -56,7 +62,7 @@ TEST(DropTail, ControlBandBypassesCapacity) {
 }
 
 TEST(DropTail, ControlDequeuedBeforeData) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   q.enqueue(data_pkt(0));
   q.enqueue(grant_pkt(100));
   auto first = q.dequeue();
@@ -68,7 +74,7 @@ TEST(DropTail, ControlDequeuedBeforeData) {
 }
 
 TEST(DropTail, HighWaterMarkTracksPeak) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   for (std::uint32_t i = 0; i < 5; ++i) q.enqueue(data_pkt(i));
   (void)q.dequeue();
   (void)q.dequeue();
@@ -77,14 +83,14 @@ TEST(DropTail, HighWaterMarkTracksPeak) {
 }
 
 TEST(DropTail, ByteAccounting) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   q.enqueue(data_pkt(0));
   q.enqueue(data_pkt(1));
   EXPECT_EQ(q.stats().data_bytes_in, 2ull * kMtuBytes);
 }
 
 TEST(Trimming, TrimsBeyondThreshold) {
-  TrimmingQueue q{2};
+  auto q = EgressQueue::trimming(2);
   for (std::uint32_t i = 0; i < 5; ++i) q.enqueue(data_pkt(i));
   EXPECT_EQ(q.data_pkts(), 2u);
   EXPECT_EQ(q.stats().trimmed, 3u);
@@ -93,7 +99,7 @@ TEST(Trimming, TrimsBeyondThreshold) {
 }
 
 TEST(Trimming, TrimmedHeaderKeepsIdentityLosesPayload) {
-  TrimmingQueue q{0};  // everything trims
+  auto q = EgressQueue::trimming(0);  // everything trims
   q.enqueue(data_pkt(7));
   auto p = q.dequeue();
   ASSERT_TRUE(p.has_value());
@@ -105,7 +111,7 @@ TEST(Trimming, TrimmedHeaderKeepsIdentityLosesPayload) {
 }
 
 TEST(Trimming, TrimmedHeadersJumpTheDataQueue) {
-  TrimmingQueue q{1};
+  auto q = EgressQueue::trimming(1);
   q.enqueue(data_pkt(0));
   q.enqueue(data_pkt(1));  // trimmed
   auto first = q.dequeue();
@@ -115,7 +121,7 @@ TEST(Trimming, TrimmedHeadersJumpTheDataQueue) {
 }
 
 TEST(Priority, StrictOrderingAcrossBands) {
-  StrictPriorityQueue q{8, 64};
+  auto q = EgressQueue::strict_priority(8, 64);
   q.enqueue(data_pkt(0, 5));
   q.enqueue(data_pkt(1, 1));
   q.enqueue(data_pkt(2, 3));
@@ -125,7 +131,7 @@ TEST(Priority, StrictOrderingAcrossBands) {
 }
 
 TEST(Priority, FifoWithinBand) {
-  StrictPriorityQueue q{8, 64};
+  auto q = EgressQueue::strict_priority(8, 64);
   q.enqueue(data_pkt(0, 2));
   q.enqueue(data_pkt(1, 2));
   EXPECT_EQ(q.dequeue()->seq, 0u);
@@ -133,7 +139,7 @@ TEST(Priority, FifoWithinBand) {
 }
 
 TEST(Priority, SharedCapacityAcrossBands) {
-  StrictPriorityQueue q{8, 3};
+  auto q = EgressQueue::strict_priority(8, 3);
   q.enqueue(data_pkt(0, 0));
   q.enqueue(data_pkt(1, 7));
   q.enqueue(data_pkt(2, 3));
@@ -143,7 +149,7 @@ TEST(Priority, SharedCapacityAcrossBands) {
 }
 
 TEST(Priority, OutOfRangePriorityClampsToLastBand) {
-  StrictPriorityQueue q{4, 64};
+  auto q = EgressQueue::strict_priority(4, 64);
   q.enqueue(data_pkt(0, 200));
   auto p = q.dequeue();
   ASSERT_TRUE(p.has_value());
@@ -151,14 +157,14 @@ TEST(Priority, OutOfRangePriorityClampsToLastBand) {
 }
 
 TEST(Priority, ControlStillBeatsPriorityZero) {
-  StrictPriorityQueue q{8, 64};
+  auto q = EgressQueue::strict_priority(8, 64);
   q.enqueue(data_pkt(0, 0));
   q.enqueue(grant_pkt(9));
   EXPECT_EQ(q.dequeue()->type, PacketType::kGrant);
 }
 
 TEST(Queues, DequeueCountsInStats) {
-  DropTailQueue q{8};
+  auto q = EgressQueue::drop_tail(8);
   q.enqueue(data_pkt(0));
   q.enqueue(grant_pkt(1));
   (void)q.dequeue();
@@ -186,7 +192,7 @@ TEST(Trimming, TrimThenDrainNeverDrops) {
   // packets convert to control headers in place — they must count as
   // enqueued (they are still in the queue) and never as dropped, or the
   // identity (and the fabric-wide conservation audit) breaks.
-  TrimmingQueue q{2};
+  auto q = EgressQueue::trimming(2);
   std::size_t trimmed_out = 0;
   const auto drain_n = [&](std::size_t n) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -213,7 +219,7 @@ TEST(Trimming, TrimThenDrainNeverDrops) {
 }
 
 TEST(SelectiveDrop, UnscheduledSacrificeKeepsIdentity) {
-  SelectiveDropQueue q{2};
+  auto q = EgressQueue::selective_drop(2);
   Packet blind = data_pkt(0);
   blind.unscheduled = true;
   q.enqueue(std::move(blind));
@@ -230,7 +236,7 @@ TEST(SelectiveDrop, EvictionCountsExactlyOnce) {
   // Scheduled traffic evicts an already-admitted blind packet: the eviction
   // must surface as exactly one drop (not zero — the packet vanished; not
   // two — it was only one packet) and the survivor set must stay full.
-  SelectiveDropQueue q{2};
+  auto q = EgressQueue::selective_drop(2);
   Packet blind = data_pkt(0);
   blind.unscheduled = true;
   q.enqueue(std::move(blind));
@@ -248,4 +254,53 @@ TEST(SelectiveDrop, EvictionCountsExactlyOnce) {
   EXPECT_EQ(b->seq, 2u);
   EXPECT_TRUE(q.empty());
   expect_stats_identity(q);
+}
+
+// ---------------------------------------------------------------------------
+// Link-down flush: every discipline discards each queued packet exactly once
+// through the admitted-drop accounting, control band included.
+// ---------------------------------------------------------------------------
+
+TEST(Queues, LinkDownFlushDrainsEveryDiscipline) {
+  struct Case {
+    const char* name;
+    EgressQueue queue;
+    std::vector<Packet> arrivals;
+    std::size_t control;  // queued control packets before the flush
+    std::size_t data;     // queued data packets before the flush
+  };
+  const auto blind = [](std::uint32_t seq) {
+    Packet p = data_pkt(seq);
+    p.unscheduled = true;
+    return p;
+  };
+  std::vector<Case> cases;
+  // Three data (one over the cap) and two grants.
+  cases.push_back({"drop_tail", EgressQueue::drop_tail(2),
+                   {data_pkt(0), grant_pkt(1), data_pkt(2), data_pkt(3), grant_pkt(4)}, 2, 2});
+  // Two data held, three trimmed headers waiting in the control band.
+  cases.push_back({"trimming", EgressQueue::trimming(2),
+                   {data_pkt(0), data_pkt(1), data_pkt(2), data_pkt(3), data_pkt(4), grant_pkt(5)},
+                   4, 2});
+  // A scheduled arrival evicts a blind packet before the flush.
+  cases.push_back({"selective_drop", EgressQueue::selective_drop(2),
+                   {blind(0), data_pkt(1), data_pkt(2), grant_pkt(3)}, 1, 2});
+  // Packets in three of the bands.
+  cases.push_back({"strict_priority", EgressQueue::strict_priority(8, 64),
+                   {data_pkt(0, 7), data_pkt(1, 0), data_pkt(2, 3), data_pkt(3, 3), grant_pkt(4)},
+                   1, 4});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EgressQueue& q = c.queue;
+    for (Packet& p : c.arrivals) q.enqueue(std::move(p));
+    ASSERT_EQ(q.control_pkts(), c.control);
+    ASSERT_EQ(q.data_pkts(), c.data);
+    const std::uint64_t dropped_before = q.stats().dropped;
+    EXPECT_EQ(q.flush_faulted(), c.control + c.data);
+    EXPECT_EQ(q.stats().dropped - dropped_before, c.control + c.data);
+    EXPECT_EQ(q.total_pkts(), 0u);
+    expect_stats_identity(q);
+    EXPECT_FALSE(q.dequeue().has_value());
+    EXPECT_EQ(q.flush_faulted(), 0u);
+  }
 }

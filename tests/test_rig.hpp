@@ -57,10 +57,8 @@ class DumbbellRig {
     std::vector<net::HostId> src_ids;
     std::vector<net::HostId> dst_ids;
     for (int i = 0; i < opt.pairs; ++i) {
-      const net::HostId src = network_.add_host(
-          opt.rate, opt.delay, std::make_unique<net::DropTailQueue>(opt.queues.host_nic_pkts));
-      const net::HostId dst = network_.add_host(
-          opt.rate, opt.delay, std::make_unique<net::DropTailQueue>(opt.queues.host_nic_pkts));
+      const net::HostId src = network_.add_host(opt.rate, opt.delay, qf(true));
+      const net::HostId dst = network_.add_host(opt.rate, opt.delay, qf(true));
       const net::PortId src_down = network_.attach_host(src, s0, qf(false), marker());
       const net::PortId dst_down = network_.attach_host(dst, s1, qf(false), marker());
       network_.switch_at(s0).routes().add_route(network_.id_of(src), src_down);

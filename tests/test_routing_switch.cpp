@@ -201,10 +201,10 @@ TEST(Switch, ForwardsToRoutedPort) {
   Scheduler& sched = sim.scheduler();
   Network net{sim};
   const SwitchId sw = net.add_switch();
-  const HostId h0 = net.add_host(Bandwidth::gbps(10), 1_us, std::make_unique<DropTailQueue>(64));
-  const HostId h1 = net.add_host(Bandwidth::gbps(10), 1_us, std::make_unique<DropTailQueue>(64));
-  const PortId h0_down = net.attach_host(h0, sw, std::make_unique<DropTailQueue>(64));
-  const PortId h1_down = net.attach_host(h1, sw, std::make_unique<DropTailQueue>(64));
+  const HostId h0 = net.add_host(Bandwidth::gbps(10), 1_us, EgressQueue::drop_tail(64));
+  const HostId h1 = net.add_host(Bandwidth::gbps(10), 1_us, EgressQueue::drop_tail(64));
+  const PortId h0_down = net.attach_host(h0, sw, EgressQueue::drop_tail(64));
+  const PortId h1_down = net.attach_host(h1, sw, EgressQueue::drop_tail(64));
   net.switch_at(sw).routes().add_route(net.id_of(h0), h0_down);
   net.switch_at(sw).routes().add_route(net.id_of(h1), h1_down);
 
@@ -220,8 +220,7 @@ TEST(Switch, PortAccessorsAndCount) {
   const SwitchId sw = net.add_switch();
   EXPECT_EQ(net.switch_at(sw).port_count(), 0);
   const SwitchId a = net.add_switch();
-  net.add_switch_port(sw, net.id_of(a), Bandwidth::gbps(10), 1_us,
-                      std::make_unique<DropTailQueue>(8));
+  net.add_switch_port(sw, net.id_of(a), Bandwidth::gbps(10), 1_us, EgressQueue::drop_tail(8));
   EXPECT_EQ(net.switch_at(sw).port_count(), 1);
   EXPECT_EQ(net.switch_at(sw).port(0).config().rate, Bandwidth::gbps(10));
 }

@@ -83,6 +83,13 @@ bool match(const std::string& arg, const char* prefix, std::string& value) {
   return false;
 }
 
+// A count flag that must be at least 1: zero is rejected, not clamped.
+std::size_t positive(const std::string& v) {
+  const std::size_t n = std::stoul(v);
+  if (n == 0) throw std::invalid_argument("must be at least 1");
+  return n;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -172,11 +179,9 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--seed=", v)) {
         cfg.seed = std::stoull(v);
       } else if (match(arg, "--shards=", v)) {
-        cfg.shards = static_cast<unsigned>(std::stoul(v));
-        if (cfg.shards == 0) cfg.shards = 1;
+        cfg.shards = static_cast<unsigned>(positive(v));
       } else if (match(arg, "--seeds=", v)) {
-        n_seeds = std::stoul(v);
-        if (n_seeds == 0) n_seeds = 1;
+        n_seeds = positive(v);
       } else if (match(arg, "--threads=", v)) {
         threads = static_cast<unsigned>(std::stoul(v));
       } else if (match(arg, "--json=", v)) {
