@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     std::vector<DynamicConfig> points;
     for (std::uint32_t probe : probes) {
       auto cfg = base_dynamic();
-      cfg.marker_probe_bytes = probe;
+      cfg.queues.marker_probe_bytes = probe;
       cfg.seed = opts.seed;
       points.push_back(cfg);
     }

@@ -54,13 +54,12 @@ net::QueueFactory make_queue_factory(Protocol proto, QueueConfig cfg) {
   };
 }
 
-net::MarkerFactory make_marker_factory(Protocol proto, std::uint32_t probe_bytes,
-                                       std::size_t ecn_threshold_pkts) {
+net::MarkerFactory make_marker_factory(Protocol proto, QueueConfig cfg) {
   if (proto == Protocol::kAmrt) {
-    return [probe_bytes] { return std::make_unique<AntiEcnMarker>(probe_bytes); };
+    return [probe = cfg.marker_probe_bytes] { return std::make_unique<AntiEcnMarker>(probe); };
   }
   if (proto == Protocol::kDctcp) {
-    return [ecn_threshold_pkts] { return std::make_unique<ThresholdEcnMarker>(ecn_threshold_pkts); };
+    return [k = cfg.ecn_threshold_pkts] { return std::make_unique<ThresholdEcnMarker>(k); };
   }
   return nullptr;
 }
@@ -75,9 +74,10 @@ net::QueueFactory make_mixed_queue_factory(QueueConfig cfg) {
   };
 }
 
-net::MarkerFactory make_mixed_marker_factory(QueueConfig cfg, std::uint32_t probe_bytes) {
-  const std::size_t threshold = cfg.ecn_threshold_pkts;
-  return [probe_bytes, threshold] { return make_mixed_marker(probe_bytes, threshold); };
+net::MarkerFactory make_mixed_marker_factory(QueueConfig cfg) {
+  return [probe = cfg.marker_probe_bytes, k = cfg.ecn_threshold_pkts] {
+    return make_mixed_marker(probe, k);
+  };
 }
 
 namespace {

@@ -27,27 +27,26 @@ struct QueueConfig {
   // AMRT extension: Aeolus-style selective dropping — when a queue is full,
   // blind unscheduled packets are sacrificed before granted traffic.
   bool selective_drop = false;
+  // Eq. (2)'s MSS for the anti-ECN marker: the gap must fit this many bytes
+  // to count as spare bandwidth. The paper uses the full 1500B MTU.
+  std::uint32_t marker_probe_bytes = net::kMtuBytes;
 };
 
 // Switch-port queue discipline per protocol: trimming for NDP, strict
 // priorities for Homa and DCTCP (PIAS bands), drop-tail otherwise.
 [[nodiscard]] net::QueueFactory make_queue_factory(transport::Protocol proto, QueueConfig cfg = {});
 
-// Anti-ECN markers for AMRT, threshold-ECN for DCTCP; a null factory for
-// the baselines. `probe_bytes` is Eq. (2)'s MSS (the gap must fit this many
-// bytes to count as spare bandwidth); the paper uses the full 1500B MTU.
-// `ecn_threshold_pkts` is DCTCP's K (ignored for the other protocols).
+// Anti-ECN markers for AMRT (probing `marker_probe_bytes`), threshold-ECN
+// for DCTCP (K = `ecn_threshold_pkts`); a null factory for the baselines.
 [[nodiscard]] net::MarkerFactory make_marker_factory(transport::Protocol proto,
-                                                     std::uint32_t probe_bytes = net::kMtuBytes,
-                                                     std::size_t ecn_threshold_pkts = 20);
+                                                     QueueConfig cfg = {});
 
 // --- mixed AMRT + DCTCP fabrics (DESIGN.md §13) -----------------------------
 // A shared fabric carries both populations: strict-priority queues (AMRT
 // data rides band 0, above every demoted PIAS band) and one composite marker
 // per port holding both ECN semantics.
 [[nodiscard]] net::QueueFactory make_mixed_queue_factory(QueueConfig cfg = {});
-[[nodiscard]] net::MarkerFactory make_mixed_marker_factory(
-    QueueConfig cfg = {}, std::uint32_t probe_bytes = net::kMtuBytes);
+[[nodiscard]] net::MarkerFactory make_mixed_marker_factory(QueueConfig cfg = {});
 
 // A host endpoint carrying both transports, dispatching each flow by the
 // predicate (true = DCTCP background, false = AMRT foreground). Both ends of

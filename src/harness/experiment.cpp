@@ -141,8 +141,8 @@ RunSpec packet_spec(const ExperimentConfig& cfg) {
   spec.fabric.multipath = cfg.multipath;
   spec.proto = cfg.proto;
   spec.background_dctcp_fraction = cfg.background_dctcp_fraction;
-  spec.homa_overcommit = cfg.homa_overcommit;
-  spec.loss_timeout = cfg.loss_timeout;
+  spec.transport.homa_overcommit = cfg.homa_overcommit;
+  spec.transport.loss_timeout = cfg.loss_timeout;
   spec.seed = cfg.seed;
   spec.shards = cfg.shards;
   spec.horizon = sim::TimePoint::zero() + cfg.max_sim_time;

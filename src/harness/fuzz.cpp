@@ -47,7 +47,7 @@ struct Fnv {
 
 // Everything a case draws before the simulation starts.
 struct CaseParams {
-  FabricSpec fabric;  // every shape's knobs are drawn; c.topo picks one
+  FabricSpec fabric;  // every family's knobs are drawn; c.topo picks one
   // Traffic.
   workload::Kind workload = workload::Kind::kWebSearch;
   double load = 0.5;
@@ -62,14 +62,34 @@ struct CaseParams {
 CaseParams draw_params(const CaseConfig& c, sim::Rng& rng) {
   CaseParams p;
   FabricSpec& f = p.fabric;
-  f.topology = c.topo;
   f.leaves = static_cast<int>(rng.uniform_int(2, 3));
   f.spines = static_cast<int>(rng.uniform_int(1, 2));
   f.hosts_per_leaf = static_cast<int>(rng.uniform_int(2, 4));
-  f.left_hosts = static_cast<int>(rng.uniform_int(2, 5));
-  f.right_hosts = static_cast<int>(rng.uniform_int(2, 5));
-  f.chain_switches = static_cast<int>(rng.uniform_int(2, 4));
-  f.hosts_per_switch = static_cast<int>(rng.uniform_int(1, 2));
+  const auto left_hosts = static_cast<std::size_t>(rng.uniform_int(2, 5));
+  const auto right_hosts = static_cast<std::size_t>(rng.uniform_int(2, 5));
+  const auto chain_switches = static_cast<int>(rng.uniform_int(2, 4));
+  const auto hosts_per_switch = static_cast<int>(rng.uniform_int(1, 2));
+  switch (c.topo) {
+    case Topo::kLeafSpine:
+      f.topology = Topology::kLeafSpine;
+      break;
+    case Topo::kFatTree:
+      f.topology = Topology::kFatTree;
+      break;
+    case Topo::kDumbbell:
+      f.topology = Topology::kLine;
+      f.switches = 2;
+      f.host_switch.assign(left_hosts, 0);
+      f.host_switch.resize(left_hosts + right_hosts, 1);
+      break;
+    case Topo::kChain:
+      f.topology = Topology::kLine;
+      f.switches = chain_switches;
+      for (int s = 0; s < chain_switches; ++s) {
+        for (int h = 0; h < hosts_per_switch; ++h) f.host_switch.push_back(s);
+      }
+      break;
+  }
 
   static constexpr int kRates[] = {10, 25, 40};
   f.link_rate = sim::Bandwidth::gbps(kRates[rng.index(3)]);

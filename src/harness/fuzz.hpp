@@ -34,7 +34,10 @@
 
 namespace amrt::harness::fuzz {
 
-using Topo = Topology;
+// The fuzzed fabric families. Dumbbell and chain are both PacketRun line
+// fabrics (Topology::kLine); they keep their own names so repro lines and
+// the per-family parameter streams stay stable.
+enum class Topo : std::uint8_t { kLeafSpine, kDumbbell, kChain, kFatTree };
 
 inline constexpr std::array<Topo, 4> kAllTopos = {Topo::kLeafSpine, Topo::kDumbbell, Topo::kChain,
                                                   Topo::kFatTree};

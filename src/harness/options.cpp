@@ -1,23 +1,44 @@
 #include "harness/options.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace amrt::harness {
 
 namespace {
+
+constexpr const char* kUsage =
+    "options: --paper-scale --csv --flows=N --seed=S --loads=a,b,c --scale=X --threads=N "
+    "--json=PATH\n"
+    "env: AMRT_BENCH_SCALE=X (flow-count multiplier), AMRT_SWEEP_THREADS=N\n";
+
+// The whole of `text` as a T, or a usage error naming `flag` (exit 2).
+template <class T>
+T parse_number(const char* flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) {
+    std::fprintf(stderr, "%s: malformed value '%s'\n%s", flag, text.c_str(), kUsage);
+    std::exit(2);
+  }
+  return value;
+}
+
 std::vector<double> parse_list(const std::string& s) {
   std::vector<double> out;
   std::size_t pos = 0;
   while (pos < s.size()) {
     std::size_t next = s.find(',', pos);
     if (next == std::string::npos) next = s.size();
-    out.push_back(std::stod(s.substr(pos, next - pos)));
+    out.push_back(parse_number<double>("--loads", s.substr(pos, next - pos)));
     pos = next + 1;
   }
   return out;
 }
+
 }  // namespace
 
 std::size_t BenchOptions::scaled(std::size_t base) const {
@@ -29,7 +50,7 @@ std::size_t BenchOptions::scaled(std::size_t base) const {
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions opts;
   if (const char* env = std::getenv("AMRT_BENCH_SCALE"); env != nullptr) {
-    opts.scale = std::stod(env);
+    opts.scale = parse_number<double>("AMRT_BENCH_SCALE", env);
   }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -42,21 +63,20 @@ BenchOptions parse_bench_options(int argc, char** argv) {
     } else if (arg == "--csv") {
       opts.csv = true;
     } else if (auto flows = value_of("--flows=")) {
-      opts.flows = static_cast<std::size_t>(std::stoull(*flows));
+      opts.flows = parse_number<std::size_t>("--flows", *flows);
     } else if (auto seed = value_of("--seed=")) {
-      opts.seed = std::stoull(*seed);
+      opts.seed = parse_number<std::uint64_t>("--seed", *seed);
     } else if (auto loads = value_of("--loads=")) {
       opts.loads = parse_list(*loads);
     } else if (auto scale = value_of("--scale=")) {
-      opts.scale = std::stod(*scale);
+      opts.scale = parse_number<double>("--scale", *scale);
     } else if (auto threads = value_of("--threads=")) {
-      opts.threads = static_cast<unsigned>(std::stoul(*threads));
+      opts.threads = parse_number<unsigned>("--threads", *threads);
     } else if (auto json = value_of("--json=")) {
       opts.json_path = *json;
     } else if (arg == "--help" || arg == "-h") {
-      throw std::invalid_argument(
-          "options: --paper-scale --csv --flows=N --seed=S --loads=a,b,c --scale=X "
-          "--threads=N --json=PATH");
+      std::fputs(kUsage, stdout);
+      std::exit(0);
     }
     // Unknown flags are ignored so google-benchmark style flags pass through.
   }

@@ -11,7 +11,9 @@
 //                      ExperimentConfig points)
 // plus AMRT_BENCH_SCALE (a float multiplier on flow counts) and
 // AMRT_SWEEP_THREADS from the environment, so CI can shrink everything
-// uniformly.
+// uniformly. --help prints the usage to stdout and exits 0; a malformed
+// value prints the flag and the value to stderr and exits 2. Unknown flags
+// are ignored.
 #pragma once
 
 #include <cstdint>

@@ -12,10 +12,8 @@ std::size_t FabricSpec::host_count() const {
   switch (topology) {
     case Topology::kLeafSpine:
       return static_cast<std::size_t>(leaves) * static_cast<std::size_t>(hosts_per_leaf);
-    case Topology::kDumbbell:
-      return static_cast<std::size_t>(left_hosts + right_hosts);
-    case Topology::kChain:
-      return static_cast<std::size_t>(chain_switches) * static_cast<std::size_t>(hosts_per_switch);
+    case Topology::kLine:
+      return host_switch.size();
     case Topology::kFatTree:
       return static_cast<std::size_t>(fat_k) * fat_k * fat_k / 4;
   }
@@ -33,20 +31,23 @@ PacketRun::PacketRun(const RunSpec& spec, const std::vector<workload::GeneratedF
     recorder_ = std::make_unique<stats::FctRecorder>(spec_.fabric.link_rate, base_rtt_);
   }
 
-  transport::TransportConfig tcfg;
+  transport::TransportConfig tcfg = spec_.transport;
   tcfg.host_rate = spec_.fabric.link_rate;
   tcfg.base_rtt = base_rtt_;
-  tcfg.homa_overcommit = spec_.homa_overcommit;
-  tcfg.loss_timeout = spec_.loss_timeout;
+  if (!spec_.responsive.empty() && spec_.responsive.size() != hosts_.size()) {
+    throw std::invalid_argument("PacketRun: responsive needs one entry per host");
+  }
 
   // Each endpoint is built against its host's shard, which pins its timers
   // (and the flow starts below) to the thread that owns the host.
   std::vector<transport::TransportEndpoint*> endpoints;
   endpoints.reserve(hosts_.size());
   const double bg_fraction = spec_.background_dctcp_fraction;
-  for (net::Host* host : hosts_) {
+  for (std::size_t i = 0; i < hosts_.size(); ++i) {
+    net::Host* host = hosts_[i];
     sim::Simulation& sim = sharded_ ? sharded_->sim_of(host->id()) : group_.master();
     stats::FctRecorder* rec = sharded_ ? &sharded_->recorder_of(host->id()) : recorder_.get();
+    tcfg.responsive = spec_.responsive.empty() || spec_.responsive[i];
     auto ep = bg_fraction > 0.0
                   ? core::make_mixed_endpoint(sim, *host, tcfg, rec,
                                               [bg_fraction](net::FlowId id) {
@@ -73,7 +74,7 @@ void PacketRun::build(net::Partition& part) {
                                      : core::make_queue_factory(spec_.proto, f.queues);
   net::MarkerFactory markers =
       coexist ? core::make_mixed_marker_factory(f.queues)
-              : core::make_marker_factory(spec_.proto, net::kMtuBytes, f.queues.ecn_threshold_pkts);
+              : core::make_marker_factory(spec_.proto, f.queues);
   if (spec_.shards > 1 && f.topology != Topology::kLeafSpine &&
       f.topology != Topology::kFatTree) {
     throw std::invalid_argument("PacketRun: sharded runs need a leaf-spine or fat-tree fabric");
@@ -110,22 +111,17 @@ void PacketRun::build(net::Partition& part) {
       if (spec_.shards > 1) part = net::partition_fat_tree(network_, topo, spec_.shards);
       return;
     }
-    case Topology::kDumbbell:
-    case Topology::kChain: {
-      net::SmallFabricConfig c;
-      c.left_hosts = f.left_hosts;
-      c.right_hosts = f.right_hosts;
-      c.switches = f.chain_switches;
-      c.hosts_per_switch = f.hosts_per_switch;
+    case Topology::kLine: {
+      net::LineConfig c;
+      c.switches = f.switches;
+      c.host_switch = f.host_switch;
       c.link_rate = f.link_rate;
       c.link_delay = f.link_delay;
       c.queue_factory = std::move(queues);
       c.marker_factory = std::move(markers);
-      net::SmallFabric small = f.topology == Topology::kDumbbell
-                                   ? net::build_dumbbell(network_, c)
-                                   : net::build_chain(network_, c);
-      hosts_ = std::move(small.hosts);
-      base_rtt_ = small.base_rtt;
+      line_ = net::build_line(network_, c);
+      hosts_ = line_.hosts;
+      base_rtt_ = line_.base_rtt;
       return;
     }
   }
@@ -152,6 +148,11 @@ void PacketRun::run() {
 
 const stats::FctRecorder& PacketRun::recorder() const {
   return sharded_ ? sharded_->merged() : *recorder_;
+}
+
+stats::FctRecorder& PacketRun::serial_recorder() {
+  if (sharded_) throw std::logic_error("PacketRun: a sharded run has no serial recorder");
+  return *recorder_;
 }
 
 }  // namespace amrt::harness

@@ -1,15 +1,17 @@
 // One packet-level run: the single place that builds a fabric, attaches one
 // transport endpoint per host and schedules a pre-drawn flow schedule.
 // run_leaf_spine (serial, sharded, faulted, mixed-transport and the packet
-// half of mixed fidelity), bench_scale and the scenario fuzzer are all
-// callers of this object (DESIGN.md §16).
+// half of mixed fidelity), the figure scenarios (harness/scenarios.hpp),
+// bench_scale and the scenario fuzzer are all callers of this object
+// (DESIGN.md §16).
 //
 //   RunSpec spec;                          // topology as data + transport
 //   sim::Rng rng{spec.seed};               // the run's stream, drawn first
 //   auto flows = workload::generate_traffic(..., rng);
 //   PacketRun run{spec, flows};            // build, endpoints, schedule
 //   ... optional hooks: PortSamplers on run.sim(), a FaultInjector on
-//       run.network(), rate reservations on the ports of run.leaf_spine()
+//       run.network(), rate reservations on the ports of run.leaf_spine(),
+//       a progress hook on run.serial_recorder()
 //   run.run();
 //   run.recorder().completed(), run.events(), run.network() ...
 //
@@ -40,7 +42,7 @@
 
 namespace amrt::harness {
 
-enum class Topology : std::uint8_t { kLeafSpine, kDumbbell, kChain, kFatTree };
+enum class Topology : std::uint8_t { kLeafSpine, kLine, kFatTree };
 
 // Topology as data. Only the shape fields of `topology` are read; the link
 // and queue fields apply to every shape.
@@ -48,15 +50,15 @@ struct FabricSpec {
   Topology topology = Topology::kLeafSpine;
   int leaves = 4, spines = 4, hosts_per_leaf = 8;  // kLeafSpine
   int fat_k = 4;                                   // kFatTree
-  int left_hosts = 2, right_hosts = 2;             // kDumbbell
-  int chain_switches = 2, hosts_per_switch = 1;    // kChain
+  int switches = 2;                                // kLine (net::LineConfig)
+  std::vector<int> host_switch;                    // kLine: each host's switch
   sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
   sim::Duration link_delay = sim::Duration::microseconds(10);
   core::QueueConfig queues{};
   net::MultipathMode multipath = net::MultipathMode::kPerFlowEcmp;  // leaf-spine, fat-tree
 
   // The host count the schedule is drawn against (host indices follow the
-  // builders' order: leaf-major, pod-major, left to right).
+  // builders' order: leaf-major, pod-major, host_switch order).
   [[nodiscard]] std::size_t host_count() const;
 };
 
@@ -67,8 +69,11 @@ struct RunSpec {
   // flows (is_background_flow), on the strict-priority fabric with both ECN
   // markers (DESIGN.md §13).
   double background_dctcp_fraction = 0.0;
-  int homa_overcommit = 2;
-  sim::Duration loss_timeout = sim::Duration::zero();  // zero: per-protocol default
+  // Every endpoint's settings; host_rate and base_rtt are the fabric's.
+  transport::TransportConfig transport{};
+  // Per host: false makes it an unresponsive sender (Fig. 14). Empty: every
+  // host answers grants.
+  std::vector<bool> responsive;
   std::uint64_t seed = 1;
   unsigned shards = 1;
   sim::TimePoint horizon = sim::TimePoint::zero() + kDefaultMaxSimTime;  // max(): drain only
@@ -88,8 +93,10 @@ class PacketRun {
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] const std::vector<net::Host*>& hosts() const { return hosts_; }
   [[nodiscard]] sim::Duration base_rtt() const { return base_rtt_; }
-  // Port ids of a leaf-spine fabric (empty for the other topologies).
+  // Port ids of the built fabric: leaf_spine() for kLeafSpine, line() for
+  // kLine (each empty for the other topologies).
   [[nodiscard]] const net::LeafSpine& leaf_spine() const { return leaf_spine_; }
+  [[nodiscard]] const net::Line& line() const { return line_; }
   [[nodiscard]] bool sharded() const { return sharded_ != nullptr; }
 
   // Runs to drain, the horizon or the event limit, whichever comes first.
@@ -98,6 +105,9 @@ class PacketRun {
   // The flow records: live during a serial run, merged across shards after
   // a sharded one.
   [[nodiscard]] const stats::FctRecorder& recorder() const;
+  // The serial run's live recorder, for hooks set before run(). Throws on a
+  // sharded run, whose records live in per-shard recorders.
+  [[nodiscard]] stats::FctRecorder& serial_recorder();
   [[nodiscard]] std::uint64_t events() const { return group_.events_processed(); }
   [[nodiscard]] sim::EventQueue::WheelStats wheel_stats() const { return group_.wheel_stats(); }
   [[nodiscard]] sim::TimePoint now() const { return group_.now_max(); }
@@ -116,6 +126,7 @@ class PacketRun {
   std::vector<net::Host*> hosts_;
   sim::Duration base_rtt_ = sim::Duration::zero();
   net::LeafSpine leaf_spine_;
+  net::Line line_;
 };
 
 }  // namespace amrt::harness

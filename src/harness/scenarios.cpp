@@ -1,64 +1,39 @@
 #include "harness/scenarios.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 
+#include "harness/run.hpp"
 #include "net/monitor.hpp"
-#include "net/topology.hpp"
 #include "sim/rng.hpp"
 
 namespace amrt::harness {
 
 namespace {
 
-using transport::FlowSpec;
-using transport::TransportEndpoint;
+RunSpec base_spec(transport::Protocol proto, sim::Bandwidth rate, sim::Duration delay,
+                  const core::QueueConfig& queues, std::uint64_t seed, sim::Duration horizon) {
+  RunSpec spec;
+  spec.fabric.link_rate = rate;
+  spec.fabric.link_delay = delay;
+  spec.fabric.queues = queues;
+  spec.proto = proto;
+  spec.seed = seed;
+  spec.horizon = sim::TimePoint::zero() + horizon;
+  return spec;
+}
 
-// Shared plumbing for the fixed scenarios: endpoints, recorder, throughput
-// tracker and flow scheduling.
-struct Rig {
-  sim::Simulation sim;
-  sim::Scheduler& sched;
-  net::Network network{sim};
-  stats::FctRecorder recorder;
-  stats::FlowThroughputTracker throughput;
-  std::vector<TransportEndpoint*> endpoints;  // parallel to network.hosts()
-
-  Rig(std::uint64_t seed, sim::Bandwidth rate, sim::Duration base_rtt, sim::Duration bin)
-      : sim{seed}, sched{sim.scheduler()}, recorder{rate, base_rtt}, throughput{bin} {
-    recorder.set_progress_hook([this](std::uint64_t flow, std::uint64_t delta, sim::TimePoint at) {
-      throughput.record(flow, delta, at);
-    });
-  }
-
-  // Only call once the topology is complete: endpoints hold Host references
-  // into the pool, which must not grow afterwards.
-  void attach_endpoints(transport::Protocol proto, const transport::TransportConfig& tcfg) {
-    for (auto& host : network.hosts()) {
-      auto ep = core::make_endpoint(proto, sim, host, tcfg, &recorder);
-      endpoints.push_back(ep.get());
-      host.attach(std::move(ep));
-    }
-  }
-
-  void schedule_flow(std::size_t src_host_idx, std::size_t dst_host_idx, net::FlowId id,
-                     std::uint64_t bytes, sim::Duration start, sim::Duration jitter) {
-    if (jitter > sim::Duration::zero()) {
-      start += sim::Duration::nanoseconds(sim.rng().uniform_int(0, jitter.ns()));
-    }
-    FlowSpec spec{id, network.host(src_host_idx).id(), network.host(dst_host_idx).id(), bytes,
-                  sim::TimePoint::zero() + start};
-    TransportEndpoint* ep = endpoints[src_host_idx];
-    sched.at(spec.start, [ep, spec] { ep->start_flow(spec); });
-  }
-
-  [[nodiscard]] double fct_ms(net::FlowId id) const {
-    for (const auto& r : recorder.completed()) {
-      if (r.flow == id) return r.fct().to_millis();
-    }
-    return -1.0;
-  }
-};
+workload::GeneratedFlow flow(std::size_t index, std::size_t src, std::size_t dst,
+                             std::uint64_t bytes, sim::Duration start) {
+  workload::GeneratedFlow f;
+  f.id = index + 1;
+  f.src_host = src;
+  f.dst_host = dst;
+  f.bytes = bytes;
+  f.start = sim::TimePoint::zero() + start;
+  return f;
+}
 
 std::vector<double> util_series(const net::PortSampler& s) {
   std::vector<double> out;
@@ -67,181 +42,100 @@ std::vector<double> util_series(const net::PortSampler& s) {
   return out;
 }
 
-double mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
+// One flow on its own sender/receiver host pair, from switch `src` to `dst`
+// of a line.
+struct PairFlow {
+  int src = 0, dst = 1;
+  std::uint64_t bytes = 0;
+  sim::Duration start = sim::Duration::zero();
+};
+
+// Chain and dynamic: a line of `spec.fabric.switches` with one host pair per
+// flow (hosts 2i and 2i+1), each start jittered from the run's stream in flow
+// order. Samples per-flow throughput and the first `bottlenecks` rightward
+// links every `bin`.
+TimelineResult run_pairs(RunSpec spec, const std::vector<PairFlow>& pairs, sim::Duration jitter,
+                         sim::Duration bin, std::size_t bottlenecks) {
+  spec.fabric.topology = Topology::kLine;
+  sim::Rng rng{spec.seed};
+  std::vector<workload::GeneratedFlow> flows;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    spec.fabric.host_switch.push_back(pairs[i].src);
+    spec.fabric.host_switch.push_back(pairs[i].dst);
+    sim::Duration start = pairs[i].start;
+    if (jitter > sim::Duration::zero()) {
+      start += sim::Duration::nanoseconds(rng.uniform_int(0, jitter.ns()));
+    }
+    flows.push_back(flow(i, 2 * i, 2 * i + 1, pairs[i].bytes, start));
+  }
+
+  PacketRun run{spec, flows};
+  stats::FlowThroughputTracker throughput{bin};
+  run.serial_recorder().set_progress_hook(
+      [&throughput](std::uint64_t id, std::uint64_t delta, sim::TimePoint at) {
+        throughput.record(id, delta, at);
+      });
+  std::vector<std::unique_ptr<net::PortSampler>> samplers;
+  for (std::size_t b = 0; b < bottlenecks; ++b) {
+    samplers.push_back(std::make_unique<net::PortSampler>(
+        run.sim(), run.network().port_at(run.line().right[b]), bin));
+    samplers.back()->start();
+  }
+  run.run();
+
+  TimelineResult out;
+  out.bin = bin;
+  for (const auto& f : flows) {
+    out.flow_gbps.push_back(throughput.gbps(f.id));
+    const auto& done = run.recorder().completed();
+    const auto rec = std::find_if(done.begin(), done.end(),
+                                  [&f](const stats::FlowRecord& r) { return r.flow == f.id; });
+    out.flow_fct_ms.push_back(rec == done.end() ? -1.0 : rec->fct().to_millis());
+  }
+  out.bottleneck1_util = util_series(*samplers[0]);
+  out.mean_util_b1 = samplers[0]->mean_utilization();
+  if (bottlenecks > 1) {
+    out.bottleneck2_util = util_series(*samplers[1]);
+    out.mean_util_b2 = samplers[1]->mean_utilization();
+  }
+  for (const auto& s : samplers) {
+    out.max_queue_pkts = std::max(out.max_queue_pkts, s->max_queue_pkts());
+  }
+  return out;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Chain (Figs. 1, 10/11)
+// Chain (Figs. 1, 10/11): S0 -> S1 -> S2, bottlenecks S0->S1 and S1->S2
 // ---------------------------------------------------------------------------
 
 TimelineResult run_chain(const ChainConfig& cfg) {
-  const auto rate = cfg.link_rate;
-  const auto delay = cfg.link_delay;
-  const auto base_rtt = net::path_base_rtt(4, rate, delay);
-
-  Rig rig{cfg.seed, rate, base_rtt, cfg.bin};
-  auto qf = core::make_queue_factory(cfg.proto, cfg.queues);
-  auto mf = core::make_marker_factory(cfg.proto);
-  auto marker = [&]() -> std::unique_ptr<net::DequeueMarker> { return mf ? mf() : nullptr; };
-
-  net::Network& net = rig.network;
-  const net::SwitchId s0 = net.add_switch();
-  const net::SwitchId s1 = net.add_switch();
-  const net::SwitchId s2 = net.add_switch();
-  const net::PortId b1 =
-      net.add_switch_port(s0, net.id_of(s1), rate, delay, qf(false), marker());  // bottleneck 1
-  const net::PortId b2 =
-      net.add_switch_port(s1, net.id_of(s2), rate, delay, qf(false), marker());  // bottleneck 2
-  const net::PortId s1_to_s0 =
-      net.add_switch_port(s1, net.id_of(s0), rate, delay, qf(false), marker());  // reverse path
-  const net::PortId s2_to_s1 =
-      net.add_switch_port(s2, net.id_of(s1), rate, delay, qf(false), marker());
-  const net::PortId s0_to_s1 = b1, s1_to_s2 = b2;
-
-  // One src/dst host pair per flow, attached per its path. Remember which
-  // switch each host hangs off so the chain routes can be derived.
-  struct HostPair {
-    std::size_t src, dst;
-  };
-  std::vector<HostPair> pairs;
-  std::vector<int> attachment;  // host index -> switch index (0, 1, 2)
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    const auto& f = cfg.flows[i];
-    const int src_at = f.path == ChainPath::kSecond ? 1 : 0;
-    const int dst_at = f.path == ChainPath::kFirst ? 1 : 2;
-    const net::SwitchId src_sw = src_at == 1 ? s1 : s0;
-    const net::SwitchId dst_sw = dst_at == 1 ? s1 : s2;
-    const net::HostId src = net.add_host(rate, delay, qf(true));
-    const net::HostId dst = net.add_host(rate, delay, qf(true));
-    const net::PortId src_down = net.attach_host(src, src_sw, qf(false), marker());
-    const net::PortId dst_down = net.attach_host(dst, dst_sw, qf(false), marker());
-    net.switch_at(src_sw).routes().add_route(net.id_of(src), src_down);
-    net.switch_at(dst_sw).routes().add_route(net.id_of(dst), dst_down);
-    pairs.push_back({rig.network.host_count() - 2, rig.network.host_count() - 1});
-    attachment.push_back(src_at);
-    attachment.push_back(dst_at);
+  RunSpec spec = base_spec(cfg.proto, cfg.link_rate, cfg.link_delay, cfg.queues, cfg.seed,
+                           cfg.duration);
+  spec.fabric.switches = 3;
+  spec.transport.homa_overcommit = cfg.homa_overcommit;
+  std::vector<PairFlow> pairs;
+  for (const auto& f : cfg.flows) {
+    pairs.push_back({f.path == ChainPath::kSecond ? 1 : 0, f.path == ChainPath::kFirst ? 1 : 2,
+                     f.bytes, f.start});
   }
-
-  // Remote routes: traffic for a host attached elsewhere follows the chain.
-  for (std::size_t h = 0; h < rig.network.host_count(); ++h) {
-    const net::NodeId id = rig.network.host(h).id();
-    switch (attachment[h]) {
-      case 0:
-        net.switch_at(s1).routes().add_route(id, s1_to_s0);
-        net.switch_at(s2).routes().add_route(id, s2_to_s1);
-        break;
-      case 1:
-        net.switch_at(s0).routes().add_route(id, s0_to_s1);
-        net.switch_at(s2).routes().add_route(id, s2_to_s1);
-        break;
-      default:
-        net.switch_at(s0).routes().add_route(id, s0_to_s1);
-        net.switch_at(s1).routes().add_route(id, s1_to_s2);
-        break;
-    }
-  }
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = rate;
-  tcfg.base_rtt = base_rtt;
-  tcfg.homa_overcommit = cfg.homa_overcommit;
-  rig.attach_endpoints(cfg.proto, tcfg);
-
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    rig.schedule_flow(pairs[i].src, pairs[i].dst, i + 1, cfg.flows[i].bytes, cfg.flows[i].start,
-                      cfg.start_jitter);
-  }
-
-  net::PortSampler sampler1{rig.sim, net.port_at(b1), cfg.bin};
-  net::PortSampler sampler2{rig.sim, net.port_at(b2), cfg.bin};
-  sampler1.start();
-  sampler2.start();
-
-  rig.sched.run_until(sim::TimePoint::zero() + cfg.duration);
-
-  TimelineResult out;
-  out.bin = cfg.bin;
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    out.flow_gbps.push_back(rig.throughput.gbps(i + 1));
-    out.flow_fct_ms.push_back(rig.fct_ms(i + 1));
-  }
-  out.bottleneck1_util = util_series(sampler1);
-  out.bottleneck2_util = util_series(sampler2);
-  out.mean_util_b1 = mean(out.bottleneck1_util);
-  out.mean_util_b2 = mean(out.bottleneck2_util);
-  out.max_queue_pkts = std::max(sampler1.max_queue_pkts(), sampler2.max_queue_pkts());
-  return out;
+  return run_pairs(spec, pairs, cfg.start_jitter, cfg.bin, 2);
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic traffic, single bottleneck (Figs. 2, 8/9)
+// Dynamic traffic, single bottleneck S0 -> S1 (Figs. 2, 8/9)
 // ---------------------------------------------------------------------------
 
 TimelineResult run_dynamic(const DynamicConfig& cfg) {
-  const auto rate = cfg.link_rate;
-  const auto delay = cfg.link_delay;
-  const auto base_rtt = net::path_base_rtt(3, rate, delay);
-
-  Rig rig{cfg.seed, rate, base_rtt, cfg.bin};
-  auto qf = core::make_queue_factory(cfg.proto, cfg.queues);
-  auto mf = core::make_marker_factory(cfg.proto, cfg.marker_probe_bytes);
-  auto marker = [&]() -> std::unique_ptr<net::DequeueMarker> { return mf ? mf() : nullptr; };
-
-  net::Network& net = rig.network;
-  const net::SwitchId s0 = net.add_switch();
-  const net::SwitchId s1 = net.add_switch();
-  const net::PortId bottleneck =
-      net.add_switch_port(s0, net.id_of(s1), rate, delay, qf(false), marker());
-  const net::PortId s1_to_s0 =
-      net.add_switch_port(s1, net.id_of(s0), rate, delay, qf(false), marker());
-  const net::PortId s0_to_s1 = bottleneck;
-
-  std::vector<std::size_t> srcs, dsts;
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    const net::HostId src = net.add_host(rate, delay, qf(true));
-    const net::HostId dst = net.add_host(rate, delay, qf(true));
-    const net::PortId src_down = net.attach_host(src, s0, qf(false), marker());
-    const net::PortId dst_down = net.attach_host(dst, s1, qf(false), marker());
-    net.switch_at(s0).routes().add_route(net.id_of(src), src_down);
-    net.switch_at(s1).routes().add_route(net.id_of(dst), dst_down);
-    net.switch_at(s0).routes().add_route(net.id_of(dst), s0_to_s1);
-    net.switch_at(s1).routes().add_route(net.id_of(src), s1_to_s0);
-    srcs.push_back(rig.network.host_count() - 2);
-    dsts.push_back(rig.network.host_count() - 1);
-  }
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = rate;
-  tcfg.base_rtt = base_rtt;
-  tcfg.homa_overcommit = cfg.homa_overcommit;
-  tcfg.amrt_marked_allowance = cfg.amrt_marked_allowance;
-  rig.attach_endpoints(cfg.proto, tcfg);
-
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    rig.schedule_flow(srcs[i], dsts[i], i + 1, cfg.flows[i].bytes, cfg.flows[i].start,
-                      cfg.start_jitter);
-  }
-
-  net::PortSampler sampler{rig.sim, net.port_at(bottleneck), cfg.bin};
-  sampler.start();
-  rig.sched.run_until(sim::TimePoint::zero() + cfg.duration);
-
-  TimelineResult out;
-  out.bin = cfg.bin;
-  for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
-    out.flow_gbps.push_back(rig.throughput.gbps(i + 1));
-    out.flow_fct_ms.push_back(rig.fct_ms(i + 1));
-  }
-  out.bottleneck1_util = util_series(sampler);
-  out.mean_util_b1 = mean(out.bottleneck1_util);
-  out.max_queue_pkts = sampler.max_queue_pkts();
-  return out;
+  RunSpec spec = base_spec(cfg.proto, cfg.link_rate, cfg.link_delay, cfg.queues, cfg.seed,
+                           cfg.duration);
+  spec.fabric.switches = 2;
+  spec.transport.homa_overcommit = cfg.homa_overcommit;
+  spec.transport.amrt_marked_allowance = cfg.amrt_marked_allowance;
+  std::vector<PairFlow> pairs;
+  for (const auto& f : cfg.flows) pairs.push_back({0, 1, f.bytes, f.start});
+  return run_pairs(spec, pairs, cfg.start_jitter, cfg.bin, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -249,70 +143,44 @@ TimelineResult run_dynamic(const DynamicConfig& cfg) {
 // ---------------------------------------------------------------------------
 
 ManyToManyResult run_many_to_many(const ManyToManyConfig& cfg) {
-  sim::Simulation simu{cfg.seed};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
-
-  net::LeafSpineConfig topo_cfg;
-  topo_cfg.leaves = 3;
-  topo_cfg.spines = cfg.spines;
-  topo_cfg.hosts_per_leaf = cfg.senders_per_leaf;
-  topo_cfg.link_rate = cfg.link_rate;
-  topo_cfg.link_delay = cfg.link_delay;
-  topo_cfg.queue_factory = core::make_queue_factory(cfg.proto, cfg.queues);
-  topo_cfg.marker_factory = core::make_marker_factory(cfg.proto);
-  net::LeafSpine topo = net::build_leaf_spine(network, topo_cfg);
-
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = cfg.link_rate;
-  tcfg.base_rtt = topo.base_rtt;
-  tcfg.homa_overcommit = cfg.homa_overcommit;
+  RunSpec spec = base_spec(cfg.proto, cfg.link_rate, cfg.link_delay, cfg.queues, cfg.seed,
+                           cfg.duration);
+  spec.fabric.leaves = 3;
+  spec.fabric.spines = cfg.spines;
+  spec.fabric.hosts_per_leaf = cfg.senders_per_leaf;
+  spec.transport.homa_overcommit = cfg.homa_overcommit;
   // Connections are long-established: the experiment isolates grant-driven
   // behaviour, so the blind first-BDP burst is disabled on every endpoint.
-  tcfg.unscheduled_start = false;
-
-  stats::FctRecorder recorder{cfg.link_rate, topo.base_rtt};
-  sim::Rng& rng = simu.rng();
+  spec.transport.unscheduled_start = false;
 
   // Senders live under leaves 0 and 1; the two receivers under leaf 2.
-  const int per_leaf = cfg.senders_per_leaf;
-  std::vector<transport::TransportEndpoint*> endpoints(topo.hosts.size(), nullptr);
+  const std::size_t senders = 2 * static_cast<std::size_t>(cfg.senders_per_leaf);
   ManyToManyResult out;
-  for (std::size_t i = 0; i < topo.hosts.size(); ++i) {
-    transport::TransportConfig ep_cfg = tcfg;
-    const bool is_sender = i < static_cast<std::size_t>(2 * per_leaf);
-    if (is_sender) {
-      ep_cfg.responsive = rng.bernoulli(cfg.responsive_ratio);
-      if (ep_cfg.responsive) ++out.responsive_senders;
-    }
-    auto ep = core::make_endpoint(cfg.proto, simu, *topo.hosts[i], ep_cfg, &recorder);
-    endpoints[i] = ep.get();
-    topo.hosts[i]->attach(std::move(ep));
+  sim::Rng rng{cfg.seed};
+  spec.responsive.assign(spec.fabric.host_count(), true);
+  for (std::size_t s = 0; s < senders; ++s) {
+    spec.responsive[s] = rng.bernoulli(cfg.responsive_ratio);
+    if (spec.responsive[s]) ++out.responsive_senders;
   }
-
-  net::Host* recv0 = topo.hosts[static_cast<std::size_t>(2 * per_leaf)];
-  net::Host* recv1 = topo.hosts[static_cast<std::size_t>(2 * per_leaf) + 1];
-  net::FlowId next_flow = 1;
-  for (int s = 0; s < 2 * per_leaf; ++s) {
-    for (net::Host* recv : {recv0, recv1}) {
+  std::vector<workload::GeneratedFlow> flows;
+  for (std::size_t s = 0; s < senders; ++s) {
+    for (const std::size_t recv : {senders, senders + 1}) {
       // Slightly distinct sizes so SRPT ordering is meaningful (equal sizes
       // would make the overcommitment set a pure id tie-break).
-      const std::uint64_t bytes = cfg.flow_bytes + static_cast<std::uint64_t>(s) * net::kMssBytes;
-      transport::FlowSpec spec{next_flow++, topo.hosts[s]->id(), recv->id(), bytes,
-                               sim::TimePoint::zero()};
-      transport::TransportEndpoint* ep = endpoints[s];
-      sched.at(spec.start, [ep, spec] { ep->start_flow(spec); });
+      flows.push_back(flow(flows.size(), s, recv, cfg.flow_bytes + s * net::kMssBytes,
+                           sim::Duration::zero()));
     }
   }
 
-  net::PortSampler down0{simu, network.port_at(topo.leaf_down[2][0]),
+  PacketRun run{spec, flows};
+  const auto& leaf2 = run.leaf_spine().leaf_down[2];
+  net::PortSampler down0{run.sim(), run.network().port_at(leaf2[0]),
                          sim::Duration::microseconds(100)};
-  net::PortSampler down1{simu, network.port_at(topo.leaf_down[2][1]),
+  net::PortSampler down1{run.sim(), run.network().port_at(leaf2[1]),
                          sim::Duration::microseconds(100)};
   down0.start();
   down1.start();
-
-  sched.run_until(sim::TimePoint::zero() + cfg.duration);
+  run.run();
 
   out.mean_downlink_util = 0.5 * (down0.mean_utilization() + down1.mean_utilization());
   out.max_queue_pkts = std::max(down0.max_queue_pkts(), down1.max_queue_pkts());
@@ -329,73 +197,41 @@ ManyToManyResult run_many_to_many(const ManyToManyConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// Incast (Section 8.2)
+// Incast (Section 8.2): host 0 receives, hosts 1..N send, all on one switch
 // ---------------------------------------------------------------------------
 
 IncastResult run_incast(const IncastConfig& cfg) {
-  const auto rate = cfg.link_rate;
-  const auto delay = cfg.link_delay;
-  const auto base_rtt = net::path_base_rtt(2, rate, delay);
-
-  sim::Simulation simu{cfg.seed};
-  sim::Scheduler& sched = simu.scheduler();
-  net::Network network{simu};
-  auto qf = core::make_queue_factory(cfg.proto, cfg.queues);
-  auto mf = core::make_marker_factory(cfg.proto);
-  auto marker = [&]() -> std::unique_ptr<net::DequeueMarker> { return mf ? mf() : nullptr; };
-
-  const net::SwitchId sw = network.add_switch();
-  const net::HostId recv = network.add_host(rate, delay, qf(true));
-  const net::PortId recv_down = network.attach_host(recv, sw, qf(false), marker());
-  network.switch_at(sw).routes().add_route(network.id_of(recv), recv_down);
-
-  std::vector<net::HostId> senders;
-  for (int i = 0; i < cfg.senders; ++i) {
-    const net::HostId h = network.add_host(rate, delay, qf(true));
-    const net::PortId down = network.attach_host(h, sw, qf(false), marker());
-    network.switch_at(sw).routes().add_route(network.id_of(h), down);
-    senders.push_back(h);
+  RunSpec spec = base_spec(cfg.proto, cfg.link_rate, cfg.link_delay, cfg.queues, cfg.seed,
+                           cfg.max_time);
+  const auto senders = static_cast<std::size_t>(cfg.senders);
+  spec.fabric.topology = Topology::kLine;
+  spec.fabric.switches = 1;
+  spec.fabric.host_switch.assign(senders + 1, 0);
+  std::vector<workload::GeneratedFlow> flows;
+  for (std::size_t i = 0; i < senders; ++i) {
+    flows.push_back(flow(i, i + 1, 0, cfg.bytes_per_sender, sim::Duration::zero()));
   }
 
-  transport::TransportConfig tcfg;
-  tcfg.host_rate = rate;
-  tcfg.base_rtt = base_rtt;
-
-  stats::FctRecorder recorder{rate, base_rtt};
-  std::vector<transport::TransportEndpoint*> endpoints;
-  for (auto& host : network.hosts()) {
-    auto ep = core::make_endpoint(cfg.proto, simu, host, tcfg, &recorder);
-    endpoints.push_back(ep.get());
-    host.attach(std::move(ep));
-  }
-
-  for (int i = 0; i < cfg.senders; ++i) {
-    transport::FlowSpec spec{static_cast<net::FlowId>(i + 1),
-                             network.id_of(senders[static_cast<std::size_t>(i)]),
-                             network.id_of(recv), cfg.bytes_per_sender, sim::TimePoint::zero()};
-    transport::TransportEndpoint* ep = endpoints[static_cast<std::size_t>(i) + 1];
-    sched.at(spec.start, [ep, spec] { ep->start_flow(spec); });
-  }
-
-  net::PortSampler down{simu, network.port_at(recv_down), sim::Duration::microseconds(10)};
+  PacketRun run{spec, flows};
+  net::PortSampler down{run.sim(), run.network().port_at(run.line().host_down[0]),
+                        sim::Duration::microseconds(10)};
   down.start();
-
-  const std::size_t expected = static_cast<std::size_t>(cfg.senders);
-  std::function<void()> poll = [&] {
-    if (recorder.completed().size() >= expected) {
+  // Stop at the last completion rather than idling to the horizon.
+  sim::Scheduler& sched = run.sim().scheduler();
+  std::function<void()> poll = [&run, &sched, &poll, senders] {
+    if (run.recorder().completed().size() >= senders) {
       sched.stop();
       return;
     }
     sched.after(sim::Duration::microseconds(100), poll);
   };
   sched.after(sim::Duration::microseconds(100), poll);
-
-  sched.run_until(sim::TimePoint::zero() + cfg.max_time);
+  run.run();
 
   IncastResult out;
-  out.fct = recorder.summarize();
+  out.fct = run.recorder().summarize();
   out.max_queue_pkts = down.max_queue_pkts();
-  const net::Switch& tor = network.switch_at(sw);
+  const net::Switch& tor = run.network().switches().front();
   for (int p = 0; p < tor.port_count(); ++p) {
     out.drops += tor.port(p).queue().stats().dropped;
     out.trims += tor.port(p).queue().stats().trimmed;

@@ -1,7 +1,9 @@
 // Fixed small-scale scenarios reproducing the paper's motivation and
-// testbed figures. All of them are wired from net:: primitives with the
-// per-protocol queue/marker factories, so the same code paths as the
-// large-scale runs are exercised.
+// testbed figures. Each is a caller of harness::PacketRun (DESIGN.md §16):
+// it fills a RunSpec (a line of switches, or a leaf-spine for Fig. 14) and
+// a flow list, hooks its PortSamplers on run.sim() and runs, so the figures
+// exercise the same build, endpoint and schedule path as the large-scale
+// runs.
 #pragma once
 
 #include <array>
@@ -82,15 +84,15 @@ struct DynamicConfig {
   transport::Protocol proto = transport::Protocol::kPhost;
   sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
   sim::Duration link_delay = sim::Duration::microseconds(12);
-  core::QueueConfig queues{.buffer_pkts = 8, .trim_threshold = 8};  // see ChainConfig
+  // See ChainConfig; queues.marker_probe_bytes is an AMRT ablation knob.
+  core::QueueConfig queues{.buffer_pkts = 8, .trim_threshold = 8};
   int homa_overcommit = 2;
   std::vector<DynamicFlow> flows;
   sim::Duration duration = sim::Duration::milliseconds(8);
   sim::Duration bin = sim::Duration::microseconds(100);
   sim::Duration start_jitter = sim::Duration::microseconds(20);  // see ChainConfig
   std::uint64_t seed = 1;
-  // Ablation knobs for the AMRT mechanism (defaults = the paper's design).
-  std::uint32_t marker_probe_bytes = net::kMtuBytes;
+  // Ablation knob for the AMRT mechanism (default = the paper's design).
   std::uint16_t amrt_marked_allowance = 2;
 };
 

@@ -12,7 +12,6 @@ PortSampler::~PortSampler() { stop(); }
 void PortSampler::start() {
   if (running_) return;
   running_ = true;
-  last_bytes_ = port_.bytes_sent();
   last_busy_ = port_.busy_time();
   pending_ = sched_.after(interval_, [this] { tick(); });
 }
@@ -30,7 +29,6 @@ void PortSampler::tick() {
   const std::size_t depth = port_.queue().data_pkts();
   max_queue_ = std::max(max_queue_, depth);
   samples_.push_back(Sample{sched_.now(), util, depth, port_.bytes_sent()});
-  last_bytes_ = port_.bytes_sent();
   pending_ = sched_.after(interval_, [this] { tick(); });
 }
 

@@ -3,7 +3,8 @@
 // `PortSampler` polls a port on a fixed interval and records utilization
 // (busy fraction of the interval), queue depth and cumulative bytes — the
 // raw series behind the paper's throughput/utilization/queue figures.
-// `window_utilization` gives the one-number summary used by Fig. 13/14.
+// `window_utilization` is the counter-based alternative: one window's
+// utilization from a caller's byte-counter snapshot, with no polling.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +46,6 @@ class PortSampler {
   sim::Duration interval_;
   sim::Scheduler::Handle pending_{};
   bool running_ = false;
-  std::uint64_t last_bytes_ = 0;
   sim::Duration last_busy_ = sim::Duration::zero();
   std::vector<Sample> samples_;
   std::size_t max_queue_ = 0;

@@ -3,8 +3,8 @@
 // Builders wire ports, cabling and routing tables on a `net::Network`
 // (net/network.hpp). The leaf-spine fabric (Section 8.1's evaluation
 // topology) and the three-tier fat-tree used by the scale-out benchmarks
-// live here; the small fixed scenarios from the motivation/testbed figures
-// are assembled in harness/scenarios.cpp from the same primitives.
+// live here, with the line of switches behind the small fabrics of the
+// motivation/testbed figures and the scenario fuzzer.
 //
 // The result structs hand out Host*/Switch* for convenience. Those pointers
 // are resolved after all pools stop growing, so they are stable — but only
@@ -87,30 +87,29 @@ struct FatTree {
 
 [[nodiscard]] FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg);
 
-// The scenario fuzzer's small fabrics. A dumbbell is two switches joined by
-// one link, `left_hosts` under the first and `right_hosts` under the second.
-// A chain is `switches` switches in a line with `hosts_per_switch` hosts
-// each, every switch routing along the line. Hosts are numbered left to
-// right; base_rtt is the longest host-to-host path (3 links for the
-// dumbbell, switches + 1 for the chain).
-struct SmallFabricConfig {
-  int left_hosts = 2;        // dumbbell
-  int right_hosts = 2;       // dumbbell
-  int switches = 2;          // chain
-  int hosts_per_switch = 1;  // chain
+// Switches in a line: switch i cabled to i+1, every switch routing along the
+// line. `host_switch[h]` is the switch index of host h; hosts are created in
+// that list order (NodeIds, and so each NIC's jitter seed, follow it), so
+// one builder covers the dumbbell ({0…0, 1…1}), the uniform chain
+// (switch-major), interleaved pairs ({0,1,0,1,…}) and the single-switch
+// star. base_rtt is the longest host-to-host path, switches + 1 links.
+struct LineConfig {
+  int switches = 2;
+  std::vector<int> host_switch;
   sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
   sim::Duration link_delay = sim::Duration::microseconds(10);
   QueueFactory queue_factory;
   MarkerFactory marker_factory;  // optional; applied to switch egress ports
 };
 
-struct SmallFabric {
-  std::vector<Host*> hosts;
+struct Line {
+  std::vector<Host*> hosts;      // host_switch order
+  std::vector<PortId> right;     // right[i]: switch i -> switch i+1
+  std::vector<PortId> host_down; // host_down[h]: the switch port down to host h
   sim::Duration base_rtt = sim::Duration::zero();
 };
 
-[[nodiscard]] SmallFabric build_dumbbell(Network& net, const SmallFabricConfig& cfg);
-[[nodiscard]] SmallFabric build_chain(Network& net, const SmallFabricConfig& cfg);
+[[nodiscard]] Line build_line(Network& net, const LineConfig& cfg);
 
 // Minimum RTT over an `hops`-link one-way path at `rate`: a full data packet
 // out, a control packet back, plus propagation both ways. Store-and-forward

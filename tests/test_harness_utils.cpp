@@ -91,6 +91,23 @@ TEST(BenchOptions, UnknownFlagsIgnored) {
   EXPECT_NO_THROW((void)harness::parse_bench_options(2, argv));
 }
 
+TEST(BenchOptions, HelpExitsZeroAndMalformedValuesExitTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  char prog[] = "bench";
+  char help[] = "--help";
+  char* help_argv[] = {prog, help};
+  EXPECT_EXIT((void)harness::parse_bench_options(2, help_argv), ::testing::ExitedWithCode(0), "");
+  for (const char* bad : {"--flows=abc", "--flows=12x", "--seed=-1", "--threads=", "--scale=fast",
+                          "--loads=0.5,,0.7"}) {
+    std::string arg = bad;
+    char* argv[] = {prog, arg.data()};
+    const std::string flag = arg.substr(0, arg.find('='));
+    EXPECT_EXIT((void)harness::parse_bench_options(2, argv), ::testing::ExitedWithCode(2),
+                flag + ": malformed value")
+        << bad;
+  }
+}
+
 // --- multipath modes -------------------------------------------------------
 
 namespace {

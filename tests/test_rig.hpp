@@ -1,6 +1,7 @@
 // Shared test fixture: a tiny dumbbell network (N sender hosts and N
-// receiver hosts around one switch pair) with per-protocol endpoints, so
-// transport tests can push real flows end-to-end in a few lines.
+// receiver hosts around one switch pair, built by net::build_line) with
+// per-protocol endpoints, so transport tests can push real flows end-to-end
+// in a few lines.
 #pragma once
 
 #include <memory>
@@ -30,58 +31,38 @@ struct RigOptions {
 class DumbbellRig {
  public:
   explicit DumbbellRig(const RigOptions& opt) : opt_{opt}, sim_{opt.seed}, network_{sim_} {
-    const auto base_rtt = net::path_base_rtt(3, opt.rate, opt.delay);
-    recorder_ = std::make_unique<stats::FctRecorder>(opt.rate, base_rtt);
+    // Pairs are interleaved, sender under S0 then receiver under S1, so host
+    // NodeIds (and NIC jitter seeds) follow pair order.
+    net::LineConfig line;
+    line.switches = 2;
+    for (int i = 0; i < opt.pairs; ++i) line.host_switch.insert(line.host_switch.end(), {0, 1});
+    line.link_rate = opt.rate;
+    line.link_delay = opt.delay;
+    line.queue_factory = core::make_queue_factory(opt.proto, opt.queues);
+    line.marker_factory = core::make_marker_factory(opt.proto);
+    const net::Line built = net::build_line(network_, line);
+    bottleneck_id_ = built.right[0];
+    recorder_ = std::make_unique<stats::FctRecorder>(opt.rate, built.base_rtt);
 
-    auto qf = core::make_queue_factory(opt.proto, opt.queues);
-    auto mf = core::make_marker_factory(opt.proto);
-    auto marker = [&]() -> std::unique_ptr<net::DequeueMarker> { return mf ? mf() : nullptr; };
+    tcfg_.host_rate = opt.rate;
+    tcfg_.base_rtt = built.base_rtt;
+    tcfg_.unscheduled_start = opt.unscheduled;
+    tcfg_.responsive = opt.responsive;
+    tcfg_.loss_timeout = opt.loss_timeout;
+    tcfg_.homa_overcommit = opt.homa_overcommit;
 
-    const net::SwitchId s0 = network_.add_switch();
-    const net::SwitchId s1 = network_.add_switch();
-    bottleneck_id_ =
-        network_.add_switch_port(s0, network_.id_of(s1), opt.rate, opt.delay, qf(false), marker());
-    network_.add_switch_port(s1, network_.id_of(s0), opt.rate, opt.delay, qf(false), marker());
-
-    transport::TransportConfig tcfg;
-    tcfg.host_rate = opt.rate;
-    tcfg.base_rtt = base_rtt;
-    tcfg.unscheduled_start = opt.unscheduled;
-    tcfg.responsive = opt.responsive;
-    tcfg.loss_timeout = opt.loss_timeout;
-    tcfg.homa_overcommit = opt.homa_overcommit;
-    tcfg_ = tcfg;
-
-    // Wire everything first — pool references are stable only once the
-    // topology stops growing.
-    std::vector<net::HostId> src_ids;
-    std::vector<net::HostId> dst_ids;
+    s0_ = &network_.switches()[0];
+    s1_ = &network_.switches()[1];
     for (int i = 0; i < opt.pairs; ++i) {
-      const net::HostId src = network_.add_host(opt.rate, opt.delay, qf(true));
-      const net::HostId dst = network_.add_host(opt.rate, opt.delay, qf(true));
-      const net::PortId src_down = network_.attach_host(src, s0, qf(false), marker());
-      const net::PortId dst_down = network_.attach_host(dst, s1, qf(false), marker());
-      network_.switch_at(s0).routes().add_route(network_.id_of(src), src_down);
-      network_.switch_at(s1).routes().add_route(network_.id_of(dst), dst_down);
-      // via bottleneck / reverse path
-      network_.switch_at(s0).routes().add_route(network_.id_of(dst), bottleneck_id_);
-      network_.switch_at(s1).routes().add_route(network_.id_of(src),
-                                                network_.switch_at(s1).port_id(0));
-      src_ids.push_back(src);
-      dst_ids.push_back(dst);
-    }
-    s0_ = &network_.switch_at(s0);
-    s1_ = &network_.switch_at(s1);
-    for (int i = 0; i < opt.pairs; ++i) {
-      net::Host& src = network_.host(src_ids[i]);
-      net::Host& dst = network_.host(dst_ids[i]);
+      net::Host& src = *built.hosts[2 * static_cast<std::size_t>(i)];
+      net::Host& dst = *built.hosts[2 * static_cast<std::size_t>(i) + 1];
       senders_.push_back(&src);
       receivers_.push_back(&dst);
 
-      auto sep = core::make_endpoint(opt.proto, sim_, src, tcfg, recorder_.get());
+      auto sep = core::make_endpoint(opt.proto, sim_, src, tcfg_, recorder_.get());
       sender_eps_.push_back(static_cast<transport::ReceiverDrivenEndpoint*>(sep.get()));
       src.attach(std::move(sep));
-      auto rep = core::make_endpoint(opt.proto, sim_, dst, tcfg, recorder_.get());
+      auto rep = core::make_endpoint(opt.proto, sim_, dst, tcfg_, recorder_.get());
       receiver_eps_.push_back(static_cast<transport::ReceiverDrivenEndpoint*>(rep.get()));
       dst.attach(std::move(rep));
     }

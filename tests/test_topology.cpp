@@ -1,4 +1,4 @@
-// Unit tests for the Network container and the leaf-spine builder.
+// Unit tests for the Network container and the leaf-spine and line builders.
 #include <gtest/gtest.h>
 
 #include "core/factory.hpp"
@@ -120,6 +120,31 @@ TEST(LeafSpine, MarkerFactoryAppliedToSwitchPorts) {
   (void)build_leaf_spine(net, cfg);
   // 12 host downlinks + 3*2 leaf uplinks + 2*3 spine downlinks.
   EXPECT_EQ(markers_made, 24);
+}
+
+TEST(Line, HostsFollowTheLayoutAndRouteAlongTheLine) {
+  Simulation sim;
+  Network net{sim};
+  LineConfig cfg;
+  cfg.switches = 3;
+  cfg.host_switch = {2, 0, 1};  // not grouped by switch
+  cfg.queue_factory = core::make_queue_factory(transport::Protocol::kAmrt);
+  const Line line = build_line(net, cfg);
+  ASSERT_EQ(line.hosts.size(), 3u);
+  ASSERT_EQ(line.right.size(), 2u);
+  EXPECT_EQ(line.base_rtt, path_base_rtt(4, cfg.link_rate, cfg.link_delay));
+  // NodeIds follow the list, and host 0 (under S2) is reached from S0 and
+  // S1 over the rightward ports and from S2 over its downlink.
+  EXPECT_LT(line.hosts[0]->id().value, line.hosts[1]->id().value);
+  EXPECT_LT(line.hosts[1]->id().value, line.hosts[2]->id().value);
+  Packet p;
+  p.dst = line.hosts[0]->id();
+  auto& switches = net.switches();
+  EXPECT_EQ(switches[0].routes().select(p), line.right[0]);
+  EXPECT_EQ(switches[1].routes().select(p), line.right[1]);
+  EXPECT_EQ(switches[2].routes().select(p), line.host_down[0]);
+  cfg.host_switch = {3};
+  EXPECT_THROW((void)build_line(net, cfg), std::invalid_argument);
 }
 
 TEST(PathBaseRtt, ScalesWithHopsAndDelay) {
