@@ -2,7 +2,8 @@
 # Rebuilds the golden fixtures from the release build: the packet-level
 # tests/golden_fct.inc, the flow-level tests/golden_flow_fct.inc and the
 # run-pipeline pins tests/golden_pins.inc (fuzz case hashes, run_leaf_spine
-# digests in every execution mode and figure-scenario digests). Run from the
+# digests in every execution mode, figure-scenario digests and flow-run
+# digests). Run from the
 # repo root after a change that is *supposed* to alter observable results:
 #
 #   cmake --build build --target regen_golden_fct golden_pins && tools/regen_golden.sh
