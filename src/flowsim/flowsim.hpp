@@ -74,6 +74,8 @@ class FlowSim {
  public:
   FlowSim(const Fabric& fabric, FlowSimConfig cfg);
 
+  [[nodiscard]] const FlowSimConfig& config() const { return cfg_; }
+
   // Register a flow before run(). Flows may be added in any order.
   void add_flow(std::uint64_t id, std::size_t src, std::size_t dst, std::uint64_t bytes,
                 sim::TimePoint start, RateModel model);

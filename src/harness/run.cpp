@@ -3,8 +3,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "net/packet.hpp"
 #include "net/partition.hpp"
 #include "transport/endpoint.hpp"
+#include "workload/workloads.hpp"
 
 namespace amrt::harness {
 
@@ -154,5 +156,72 @@ stats::FctRecorder& PacketRun::serial_recorder() {
   if (sharded_) throw std::logic_error("PacketRun: a sharded run has no serial recorder");
   return *recorder_;
 }
+
+namespace {
+
+// The packet transport's fluid analogue. pHost, Homa and NDP schedule at wire
+// speed per grant and re-pace within an RTT of any share change, so theirs is
+// the ideal max-min rate.
+flowsim::RateModel rate_model(transport::Protocol proto) {
+  if (proto == transport::Protocol::kAmrt) return flowsim::RateModel::kAmrtGrantClock;
+  if (proto == transport::Protocol::kDctcp) return flowsim::RateModel::kDctcpThreshold;
+  return flowsim::RateModel::kInstant;
+}
+
+flowsim::Fabric fluid_fabric(const RunSpec& spec) {
+  const FabricSpec& f = spec.fabric;
+  if (spec.shards > 1) throw std::invalid_argument("FlowRun: flow-level runs are serial");
+  if (f.topology == Topology::kFatTree) return flowsim::Fabric::fat_tree(f.fat_k, f.link_rate);
+  if (f.topology == Topology::kLeafSpine) {
+    return flowsim::Fabric::leaf_spine(f.leaves, f.spines, f.hosts_per_leaf, f.link_rate);
+  }
+  throw std::invalid_argument("FlowRun: the flow level models leaf-spine and fat-tree fabrics");
+}
+
+}  // namespace
+
+std::vector<workload::GeneratedFlow> draw_websearch(const RunSpec& spec, std::size_t n_flows,
+                                                    double load) {
+  workload::TrafficConfig traffic;
+  traffic.load = load;
+  traffic.n_flows = n_flows;
+  traffic.n_hosts = spec.fabric.host_count();
+  traffic.host_rate = spec.fabric.link_rate;
+  sim::Rng rng{spec.seed};
+  return workload::generate_traffic({}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
+}
+
+flowsim::FlowSimConfig flow_sim_config(const RunSpec& spec) {
+  const FabricSpec& f = spec.fabric;
+  if (f.topology == Topology::kLine) {
+    throw std::invalid_argument("flow_sim_config: no flow-level model of a line fabric");
+  }
+  const int hops = f.topology == Topology::kLeafSpine ? 4 : 6;
+  flowsim::FlowSimConfig fs;
+  fs.rtt = net::path_base_rtt(hops, f.link_rate, f.link_delay);
+  fs.payload_fraction =
+      static_cast<double>(net::kMssBytes) / static_cast<double>(net::kMtuBytes);
+  fs.prop_delay = f.link_delay;
+  fs.mtu_tx = f.link_rate.tx_time(net::kMtuBytes);
+  fs.mtu_bytes = net::kMtuBytes;
+  fs.mss_bytes = net::kMssBytes;
+  fs.max_time = spec.horizon;
+  return fs;
+}
+
+FlowRun::FlowRun(const RunSpec& spec, const std::vector<workload::GeneratedFlow>& flows)
+    : fabric_{fluid_fabric(spec)},
+      fsim_{fabric_, flow_sim_config(spec)},
+      recorder_{spec.fabric.link_rate, fsim_.config().rtt} {
+  const flowsim::RateModel model = rate_model(spec.proto);
+  for (const auto& f : flows) {
+    fsim_.add_flow(f.id, f.src_host, f.dst_host, f.bytes, f.start,
+                   is_background_flow(f.id, spec.background_dctcp_fraction)
+                       ? flowsim::RateModel::kDctcpThreshold
+                       : model);
+  }
+}
+
+void FlowRun::run() { result_ = fsim_.run(&recorder_); }
 
 }  // namespace amrt::harness

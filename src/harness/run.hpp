@@ -1,13 +1,9 @@
-// One packet-level run: the single place that builds a fabric, attaches one
-// transport endpoint per host and schedules a pre-drawn flow schedule.
-// run_leaf_spine (serial, sharded, faulted, mixed-transport and the packet
-// half of mixed fidelity), the figure scenarios (harness/scenarios.hpp),
-// bench_scale and the scenario fuzzer are all callers of this object
-// (DESIGN.md §16).
+// One run object per fidelity over one RunSpec and one pre-drawn schedule
+// (DESIGN.md §16). Choosing PacketRun or FlowRun is the fidelity choice, so
+// the spec has no fidelity field.
 //
 //   RunSpec spec;                          // topology as data + transport
-//   sim::Rng rng{spec.seed};               // the run's stream, drawn first
-//   auto flows = workload::generate_traffic(..., rng);
+//   auto flows = draw_websearch(spec, n, load);  // or generate_traffic
 //   PacketRun run{spec, flows};            // build, endpoints, schedule
 //   ... optional hooks: PortSamplers on run.sim(), a FaultInjector on
 //       run.network(), rate reservations on the ports of run.leaf_spine(),
@@ -15,14 +11,23 @@
 //   run.run();
 //   run.recorder().completed(), run.events(), run.network() ...
 //
+// PacketRun is the only packet-fabric builder: run_leaf_spine in every
+// packet mode, the figure scenarios (harness/scenarios.hpp), bench_scale and
+// the scenario fuzzer call it. FlowRun is the only fluid-run builder outside
+// src/flowsim (DESIGN.md §15): run_leaf_spine at flow fidelity, mixed
+// fidelity's fluid background and bench_scale's flow rows call it, with the
+// same spec and schedule; run.flowsim() takes hooks before run().
+//
 // The schedule is drawn before the fabric exists, from a fresh
 // sim::Rng{spec.seed}. That is the stream Simulation{seed} would have handed
 // the traffic engine after the build, because nothing in net/ or transport/
 // draws from Simulation::rng().
 //
-// spec.shards == 1 runs on the serial scheduler of one Simulation; larger
-// counts partition the fabric (leaf-spine by leaf, fat-tree by pod) and run
-// under ShardedScenario, with the master shard carrying spec.seed.
+// PacketRun at spec.shards == 1 runs on the serial scheduler of one
+// Simulation; larger counts partition the fabric (leaf-spine by leaf,
+// fat-tree by pod) and run under ShardedScenario, with the master shard
+// carrying spec.seed. FlowRun is serial and models leaf-spine and fat-tree
+// fabrics.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +36,8 @@
 #include <vector>
 
 #include "core/factory.hpp"
+#include "flowsim/fabric.hpp"
+#include "flowsim/flowsim.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sharded.hpp"
 #include "net/routing.hpp"
@@ -127,6 +134,48 @@ class PacketRun {
   sim::Duration base_rtt_ = sim::Duration::zero();
   net::LeafSpine leaf_spine_;
   net::Line line_;
+};
+
+// The legacy-engine web-search schedule for spec.fabric's hosts: n_flows at
+// `load`, drawn from a fresh sim::Rng{spec.seed}.
+[[nodiscard]] std::vector<workload::GeneratedFlow> draw_websearch(const RunSpec& spec,
+                                                                  std::size_t n_flows,
+                                                                  double load);
+
+// The flow-level engine's settings for spec.fabric: the packet path's base
+// RTT over the longest host-to-host path (4 links on a leaf-spine, 6 on a
+// fat-tree) as the grant-clock tick, the MSS/MTU goodput derate, the
+// store-and-forward pipeline of the last packet as the completion latency,
+// and spec.horizon as the stop. Throws std::invalid_argument for kLine.
+[[nodiscard]] flowsim::FlowSimConfig flow_sim_config(const RunSpec& spec);
+
+class FlowRun {
+ public:
+  // Every flow runs under its transport's fluid analogue: AMRT the anti-ECN
+  // grant clock, DCTCP the threshold-ECN ramp, pHost/Homa/NDP instant
+  // max-min; flows that is_background_flow(id, spec.background_dctcp_fraction)
+  // picks out run the DCTCP ramp. Throws std::invalid_argument for kLine or
+  // shards > 1.
+  FlowRun(const RunSpec& spec, const std::vector<workload::GeneratedFlow>& flows);
+  FlowRun(const FlowRun&) = delete;
+  FlowRun& operator=(const FlowRun&) = delete;
+
+  // Runs to completion or spec.horizon.
+  void run();
+
+  // Before run(): where callers turn on per-link usage recording.
+  [[nodiscard]] flowsim::FlowSim& flowsim() { return fsim_; }
+  [[nodiscard]] const flowsim::FlowSim& flowsim() const { return fsim_; }
+  [[nodiscard]] const flowsim::Fabric& fabric() const { return fabric_; }
+  [[nodiscard]] sim::Duration rtt() const { return fsim_.config().rtt; }
+  [[nodiscard]] const stats::FctRecorder& recorder() const { return recorder_; }
+  [[nodiscard]] const flowsim::FlowSimResult& result() const { return result_; }
+
+ private:
+  flowsim::Fabric fabric_;  // before fsim_, which holds a reference to it
+  flowsim::FlowSim fsim_;
+  stats::FctRecorder recorder_;
+  flowsim::FlowSimResult result_;
 };
 
 }  // namespace amrt::harness

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "golden_runs.hpp"
 #include "harness/sweep.hpp"
 
 using namespace amrt;
@@ -150,12 +151,7 @@ TEST(Determinism, Fig13StyleSweepSerialVsThreadsByteIdentical) {
 }
 
 namespace {
-struct GoldenRecord {
-  std::uint64_t flow;
-  std::uint64_t bytes;
-  std::int64_t start_ns;
-  std::int64_t end_ns;
-};
+using golden::GoldenRecord;
 #include "golden_fct.inc"
 }  // namespace
 
@@ -182,16 +178,7 @@ TEST(Determinism, GoldenSeedFctFixtureUnchanged) {
   };
   for (const auto& fixture : fixtures) {
     SCOPED_TRACE(transport::to_string(fixture.proto));
-    ExperimentConfig cfg;
-    cfg.proto = fixture.proto;
-    cfg.workload = workload::Kind::kWebSearch;
-    cfg.load = 0.6;
-    cfg.n_flows = 80;
-    cfg.leaves = 2;
-    cfg.spines = 2;
-    cfg.hosts_per_leaf = 4;
-    cfg.seed = 42;
-    const auto r = harness::run_leaf_spine(cfg);
+    const auto r = harness::run_leaf_spine(golden::golden_cfg(fixture.proto));
 
     ASSERT_EQ(r.flow_records.size(), fixture.count);
     for (std::size_t i = 0; i < fixture.count; ++i) {

@@ -12,8 +12,7 @@
 
 #include "flowsim/fabric.hpp"
 #include "flowsim/flowsim.hpp"
-#include "harness/experiment.hpp"
-#include "harness/fidelity.hpp"
+#include "golden_runs.hpp"
 #include "stats/fct.hpp"
 
 using namespace amrt;
@@ -535,29 +534,8 @@ TEST(FlowSimIncremental, SimultaneousCompletionAndArrivalInDifferentComponents) 
 
 namespace {
 
-struct GoldenRecord {
-  std::uint64_t flow;
-  std::uint64_t bytes;
-  std::int64_t start_ns;
-  std::int64_t end_ns;
-};
+using golden::GoldenRecord;
 #include "golden_flow_fct.inc"
-
-// Must match tools/regen_golden_fct.cpp exactly.
-harness::ExperimentConfig flow_golden_cfg() {
-  harness::ExperimentConfig cfg;
-  cfg.fidelity = harness::Fidelity::kFlow;
-  cfg.proto = transport::Protocol::kAmrt;
-  cfg.background_dctcp_fraction = 0.25;
-  cfg.workload = workload::Kind::kWebSearch;
-  cfg.load = 0.6;
-  cfg.n_flows = 200;
-  cfg.leaves = 4;
-  cfg.spines = 1;
-  cfg.hosts_per_leaf = 8;
-  cfg.seed = 42;
-  return cfg;
-}
 
 void expect_golden(const std::vector<stats::FlowRecord>& got, const GoldenRecord* golden,
                    std::size_t count) {
@@ -580,35 +558,36 @@ TEST(FlowSimGolden, FlowFidelityFctFixtureUnchanged) {
   // flow-level results, and say so in the commit.
   {
     SCOPED_TRACE("oversubscribed leaf-spine");
-    expect_golden(harness::run_leaf_spine(flow_golden_cfg()).flow_records,
+    expect_golden(harness::run_leaf_spine(golden::flow_golden_cfg()).flow_records,
                   kGoldenFlowLeafSpine, std::size(kGoldenFlowLeafSpine));
   }
   // The k=8 runs at load 0.3 keep many small link-disjoint components
   // splitting and merging; kTraditional keeps rate < target forever.
+  using transport::Protocol;
   const struct {
     int k;
-    RateModel model;
+    std::optional<Protocol> proto;
     std::size_t flows;
     double load;
     const GoldenRecord* golden;
     std::size_t count;
   } fat_trees[] = {
-      {4, RateModel::kInstant, 200, 0.6, kGoldenFlowFatTreeInstant,
+      {4, Protocol::kPhost, 200, 0.6, kGoldenFlowFatTreeInstant,
        std::size(kGoldenFlowFatTreeInstant)},
-      {4, RateModel::kAmrtGrantClock, 200, 0.6, kGoldenFlowFatTreeAmrt,
+      {4, Protocol::kAmrt, 200, 0.6, kGoldenFlowFatTreeAmrt,
        std::size(kGoldenFlowFatTreeAmrt)},
-      {4, RateModel::kDctcpThreshold, 200, 0.6, kGoldenFlowFatTreeDctcp,
+      {4, Protocol::kDctcp, 200, 0.6, kGoldenFlowFatTreeDctcp,
        std::size(kGoldenFlowFatTreeDctcp)},
-      {4, RateModel::kTraditional, 200, 0.6, kGoldenFlowFatTreeTraditional,
+      {4, std::nullopt, 200, 0.6, kGoldenFlowFatTreeTraditional,
        std::size(kGoldenFlowFatTreeTraditional)},
-      {8, RateModel::kAmrtGrantClock, 400, 0.3, kGoldenFlowFatTree8Amrt,
+      {8, Protocol::kAmrt, 400, 0.3, kGoldenFlowFatTree8Amrt,
        std::size(kGoldenFlowFatTree8Amrt)},
-      {8, RateModel::kTraditional, 400, 0.3, kGoldenFlowFatTree8Traditional,
+      {8, std::nullopt, 400, 0.3, kGoldenFlowFatTree8Traditional,
        std::size(kGoldenFlowFatTree8Traditional)},
   };
   for (const auto& t : fat_trees) {
-    SCOPED_TRACE(std::string{"k="} + std::to_string(t.k) + " " + to_string(t.model));
-    expect_golden(harness::run_fat_tree_flow(t.k, t.model, t.flows, t.load, 42).records,
-                  t.golden, t.count);
+    SCOPED_TRACE(std::string{"k="} + std::to_string(t.k) + " " +
+                 (t.proto ? transport::to_string(*t.proto) : "traditional"));
+    expect_golden(golden::fat_tree_records(t.k, t.proto, t.flows, t.load), t.golden, t.count);
   }
 }

@@ -14,8 +14,6 @@
 
 #include "harness/run.hpp"
 #include "stats/fct.hpp"
-#include "workload/traffic.hpp"
-#include "workload/workloads.hpp"
 
 using namespace amrt;
 using transport::Protocol;
@@ -45,14 +43,7 @@ RunOutput run_fat_tree(unsigned shards, Protocol proto = Protocol::kAmrt) {
   spec.seed = kSeed;
   spec.shards = shards;
 
-  workload::TrafficConfig traffic;
-  traffic.load = kLoad;
-  traffic.n_flows = kFlows;
-  traffic.n_hosts = spec.fabric.host_count();
-  traffic.host_rate = spec.fabric.link_rate;
-  sim::Rng rng{kSeed};
-  const auto flows = workload::generate_traffic(
-      {}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
+  const auto flows = harness::draw_websearch(spec, kFlows, kLoad);
 
   harness::PacketRun run{spec, flows};
   run.run();

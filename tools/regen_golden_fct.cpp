@@ -13,48 +13,15 @@
 // say so in the commit message (see the GoldenSeedFctFixtureUnchanged test).
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
-#include "harness/fidelity.hpp"
+#include "golden_runs.hpp"
 
 using namespace amrt;
 
 namespace {
-
-// Must match tests/test_determinism.cpp exactly.
-harness::ExperimentConfig golden_cfg(transport::Protocol proto) {
-  harness::ExperimentConfig cfg;
-  cfg.proto = proto;
-  cfg.workload = workload::Kind::kWebSearch;
-  cfg.load = 0.6;
-  cfg.n_flows = 80;
-  cfg.leaves = 2;
-  cfg.spines = 2;
-  cfg.hosts_per_leaf = 4;
-  cfg.seed = 42;
-  return cfg;
-}
-
-// This scenario and emit_flow()'s fat-tree runs must match
-// tests/test_flowsim.cpp exactly: 8 hosts per leaf behind a single spine
-// (8:1 oversubscribed uplinks, so bottleneck ties are common), AMRT
-// foreground with a quarter of the flows on the DCTCP ramp.
-harness::ExperimentConfig flow_golden_cfg() {
-  harness::ExperimentConfig cfg;
-  cfg.fidelity = harness::Fidelity::kFlow;
-  cfg.proto = transport::Protocol::kAmrt;
-  cfg.background_dctcp_fraction = 0.25;
-  cfg.workload = workload::Kind::kWebSearch;
-  cfg.load = 0.6;
-  cfg.n_flows = 200;
-  cfg.leaves = 4;
-  cfg.spines = 1;
-  cfg.hosts_per_leaf = 8;
-  cfg.seed = 42;
-  return cfg;
-}
 
 void emit_records(const char* name, const std::vector<stats::FlowRecord>& records) {
   std::printf("inline constexpr GoldenRecord %s[] = {\n", name);
@@ -69,7 +36,7 @@ void emit_records(const char* name, const std::vector<stats::FlowRecord>& record
 
 void emit(const char* suffix, transport::Protocol proto) {
   const std::string name = std::string{"kGoldenFct"} + suffix;
-  emit_records(name.c_str(), harness::run_leaf_spine(golden_cfg(proto)).flow_records);
+  emit_records(name.c_str(), harness::run_leaf_spine(golden::golden_cfg(proto)).flow_records);
 }
 
 int emit_flow() {
@@ -85,24 +52,26 @@ int emit_flow() {
       "// with tools/regen_golden.sh only for a change that is *supposed* to\n"
       "// alter flow-level results, and say so in the commit.\n"
       "// Fields: flow id, bytes, start ns, end ns.\n");
-  emit_records("kGoldenFlowLeafSpine", harness::run_leaf_spine(flow_golden_cfg()).flow_records);
+  emit_records("kGoldenFlowLeafSpine",
+               harness::run_leaf_spine(golden::flow_golden_cfg()).flow_records);
+  using transport::Protocol;
   const struct {
     const char* name;
     int k;
-    flowsim::RateModel model;
+    std::optional<Protocol> proto;
     std::size_t flows;
     double load;
   } fat_trees[] = {
-      {"kGoldenFlowFatTreeInstant", 4, flowsim::RateModel::kInstant, 200, 0.6},
-      {"kGoldenFlowFatTreeAmrt", 4, flowsim::RateModel::kAmrtGrantClock, 200, 0.6},
-      {"kGoldenFlowFatTreeDctcp", 4, flowsim::RateModel::kDctcpThreshold, 200, 0.6},
-      {"kGoldenFlowFatTreeTraditional", 4, flowsim::RateModel::kTraditional, 200, 0.6},
-      {"kGoldenFlowFatTree8Amrt", 8, flowsim::RateModel::kAmrtGrantClock, 400, 0.3},
-      {"kGoldenFlowFatTree8Traditional", 8, flowsim::RateModel::kTraditional, 400, 0.3},
+      {"kGoldenFlowFatTreeInstant", 4, Protocol::kPhost, 200, 0.6},
+      {"kGoldenFlowFatTreeAmrt", 4, Protocol::kAmrt, 200, 0.6},
+      {"kGoldenFlowFatTreeDctcp", 4, Protocol::kDctcp, 200, 0.6},
+      {"kGoldenFlowFatTreeTraditional", 4, std::nullopt, 200, 0.6},
+      {"kGoldenFlowFatTree8Amrt", 8, Protocol::kAmrt, 400, 0.3},
+      {"kGoldenFlowFatTree8Traditional", 8, std::nullopt, 400, 0.3},
   };
   for (const auto& t : fat_trees) {
     std::printf("\n");
-    emit_records(t.name, harness::run_fat_tree_flow(t.k, t.model, t.flows, t.load, 42).records);
+    emit_records(t.name, golden::fat_tree_records(t.k, t.proto, t.flows, t.load));
   }
   return 0;
 }
