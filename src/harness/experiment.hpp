@@ -112,9 +112,9 @@ struct ExperimentResult {
   stats::FctSummary fct_all;
   stats::FctSummary fct_small;  // flows < 100KB
   stats::FctSummary fct_large;  // flows >= 1MB
-  // Mixed runs: AMRT foreground vs DCTCP background split of fct_all
-  // (no slowdown; computed from the flow records). Single-transport runs
-  // put everything in fct_foreground.
+  // Mixed runs: AMRT foreground vs DCTCP background split of fct_all, and
+  // mixed fidelity's packet vs fluid split (computed from the flow records).
+  // Single-transport runs put everything in fct_foreground.
   stats::FctSummary fct_foreground;
   stats::FctSummary fct_background;
   double mean_utilization = 0;  // over active receiver downlinks
@@ -150,10 +150,6 @@ void write_fct_csv(std::ostream& os, const std::vector<stats::FlowRecord>& recor
 // round(fraction*100) residues mod 100. Pure in the id, so the sender and
 // receiver ends (and any post-processing) always agree.
 [[nodiscard]] bool is_background_flow(net::FlowId id, double fraction);
-
-// FctSummary over an arbitrary record subset (no slowdown; used for the
-// foreground/background split, where one recorder served both classes).
-[[nodiscard]] stats::FctSummary summarize_records(const std::vector<stats::FlowRecord>& records);
 
 // Throws std::invalid_argument for a combination the harness cannot run:
 // shards x faults, a trace engine without a path, DCTCP background without
