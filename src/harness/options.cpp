@@ -1,7 +1,6 @@
 #include "harness/options.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -17,14 +16,9 @@ constexpr const char* kUsage =
 // The whole of `text` as a T, or a usage error naming `flag` (exit 2).
 template <class T>
 T parse_number(const char* flag, const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc{} || ptr != end) {
-    std::fprintf(stderr, "%s: malformed value '%s'\n%s", flag, text.c_str(), kUsage);
-    std::exit(2);
-  }
-  return value;
+  if (const std::optional<T> value = parse_whole<T>(text)) return *value;
+  std::fprintf(stderr, "%s: malformed value '%s'\n%s", flag, text.c_str(), kUsage);
+  std::exit(2);
 }
 
 std::vector<double> parse_list(const std::string& s) {

@@ -16,12 +16,25 @@
 // are ignored.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 namespace amrt::harness {
+
+// The whole of `text` as a T (std::from_chars), or nullopt when it is empty,
+// malformed, has trailing characters or is out of T's range.
+template <class T>
+[[nodiscard]] std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
 
 struct BenchOptions {
   bool paper_scale = false;
