@@ -9,7 +9,7 @@
 // per-flow hash, the fluid analogue of per-flow ECMP), no per-packet state.
 //
 // Link ids are stable and topology-ordered so the mixed-fidelity runner can
-// map them onto the packet fabric's global PortIds (harness/fidelity.cpp).
+// map them onto the packet fabric's global PortIds (harness/experiment.cpp).
 #pragma once
 
 #include <cstdint>

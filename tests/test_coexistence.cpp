@@ -52,6 +52,9 @@ TEST(Coexistence, MixedRunCompletesBothPopulations) {
     bg += harness::is_background_flow(rec.flow, 0.25) ? 1 : 0;
   }
   EXPECT_EQ(bg, r.fct_background.completed);
+  // Both sides of the split report slowdown like the recorder's own summary.
+  EXPECT_GT(r.fct_foreground.mean_slowdown, 1.0);
+  EXPECT_GT(r.fct_background.mean_slowdown, 1.0);
   // Downlink utilization is reported per receiver downlink, leaf-major.
   EXPECT_EQ(r.downlink_utilization.size(), 2u * 4u);
 }
