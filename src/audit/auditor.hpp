@@ -301,12 +301,13 @@ class Auditor {
     }
   }
 
-  // The sender answered one grant with `data_pkts_sent` data packets.
-  // Offset grants (Homa) authorize by byte position, not count.
-  void on_grant_response(std::uint64_t flow, std::uint32_t allowance, std::int64_t request_seq,
+  // The sender answered one grant with `data_pkts_sent` data packets. A
+  // `repair` grant asks for one retransmission, others for `allowance` new
+  // packets. Offset grants (Homa) authorize by byte position, not count.
+  void on_grant_response(std::uint64_t flow, std::uint32_t allowance, bool repair,
                          std::uint64_t data_pkts_sent, bool offset_semantics) {
     if (offset_semantics) return;
-    const std::uint64_t allowed = request_seq >= 0 ? 1 : allowance;
+    const std::uint64_t allowed = repair ? 1 : allowance;
     if (data_pkts_sent > allowed) {
       fail("grant-response", "flow %llu sender sent %llu packets for a grant allowing %llu",
            static_cast<unsigned long long>(flow),
@@ -499,7 +500,7 @@ class Auditor {
                      std::uint64_t, std::uint32_t) {}
   void on_repair_grant(std::uint64_t, std::uint32_t, std::uint32_t) {}
   void on_offset_grant(std::uint64_t, std::uint64_t, std::uint64_t) {}
-  void on_grant_response(std::uint64_t, std::uint32_t, std::int64_t, std::uint64_t, bool) {}
+  void on_grant_response(std::uint64_t, std::uint32_t, bool, std::uint64_t, bool) {}
   void on_flow_finished(std::uint64_t, std::uint32_t, std::uint32_t, std::uint32_t) {}
   void on_dctcp_window(std::uint64_t, double, double, double) {}
   void on_dctcp_send(std::uint64_t, std::uint32_t, double) {}

@@ -4,13 +4,15 @@
 // reads/writes the subset it defines. This keeps the hot path allocation-free
 // (packets move by value through ports and switches) at the cost of a few
 // unused bytes per packet — the standard trade in packet-level simulators.
+// Every packet is copied into a delivery event and sits in an egress ring,
+// so its size is the per-packet memory cost: fields are as narrow as their
+// range allows (byte counts never exceed the MTU), ordered widest first so
+// the struct has no padding, and it is held to 56 bytes (DESIGN.md §8).
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <string>
-
-#include "sim/time.hpp"
 
 namespace amrt::net {
 
@@ -37,14 +39,24 @@ inline constexpr std::uint32_t kHeaderBytes = 40;
 inline constexpr std::uint32_t kMssBytes = kMtuBytes - kHeaderBytes;  // payload per full packet
 inline constexpr std::uint32_t kCtrlBytes = 64;
 
+// Grant field `request_seq` when the grant asks for new data rather than a
+// retransmission. Packet sequence numbers stop below it: a flow's last
+// packet index is packets_for_bytes(bytes) - 1 <= 2^32 - 2.
+inline constexpr std::uint32_t kNoRequestSeq = UINT32_MAX;
+
 struct Packet {
   FlowId flow = 0;
+  std::uint64_t grant_offset = 0;  // grant, Homa: authorized byte offset
+  std::uint64_t flow_bytes = 0;    // flow metadata (first packet / RTS advertising)
   std::uint32_t seq = 0;       // data: packet index within the flow; grant: grant serial
-  std::uint32_t wire_bytes = 0;
-  std::uint32_t payload_bytes = 0;
-  PacketType type = PacketType::kData;
+  // Grant: retransmit exactly this sequence number (kNoRequestSeq: none).
+  std::uint32_t request_seq = kNoRequestSeq;
   NodeId src{};
   NodeId dst{};
+  std::uint16_t wire_bytes = 0;     // <= kMtuBytes
+  std::uint16_t payload_bytes = 0;  // <= kMssBytes
+  std::uint16_t allowance = 1;      // grant: number of new data packets it triggers
+  PacketType type = PacketType::kData;
 
   // --- priority / ECN state (switch-visible header bits) ---
   std::uint8_t priority = 0;   // 0 = highest; selects a strict_priority band (Homa)
@@ -57,29 +69,22 @@ struct Packet {
   bool threshold_ecn = false;
   bool trimmed = false;        // NDP: payload removed by an overloaded queue
   bool unscheduled = false;    // sent blind in the first BDP (Aeolus-style drop preference)
-
-  // --- grant fields (receiver -> sender) ---
-  bool marked_grant = false;       // AMRT: echo of the data packet's CE bit
-  std::uint16_t allowance = 1;     // number of new data packets this grant triggers
-  std::int64_t request_seq = -1;   // >=0: retransmit exactly this sequence number
-  std::uint64_t grant_offset = 0;  // Homa: authorized byte offset
-
-  // --- flow metadata (first packet / RTS advertising) ---
-  std::uint64_t flow_bytes = 0;
-
-  sim::TimePoint created{};
+  bool marked_grant = false;   // grant, AMRT: echo of the data packet's CE bit
 
 #ifdef AMRT_AUDIT
   // Audit builds only: the AND of every hop's anti-ECN verdict, maintained
   // in parallel with `ce` so the auditor can verify Eq. 3 end to end. Lives
   // on the packet copy (not in the ledger) because a retransmission of the
   // same (flow, seq) may see different hop verdicts than the original.
+  // It takes one of the tail bytes the struct's alignment pads anyway.
   bool audit_ce_expected = false;
 #endif
 
   [[nodiscard]] bool is_control() const { return type != PacketType::kData || trimmed; }
+  [[nodiscard]] bool has_request_seq() const { return request_seq != kNoRequestSeq; }
   [[nodiscard]] std::string str() const;
 };
+static_assert(sizeof(Packet) <= 56, "a Packet rides in every delivery event and egress ring slot");
 
 // Number of MSS-sized packets needed to carry `bytes` of payload.
 [[nodiscard]] constexpr std::uint32_t packets_for_bytes(std::uint64_t bytes) {

@@ -42,13 +42,12 @@ class ShardMailbox {
  public:
   struct Msg {
     std::int64_t deliver_ns = 0;  // wire arrival time at the peer
-    NodeId peer{};                // receiving node (pool id)
-    std::int32_t peer_port = -1;  // its ingress port
+    EgressPort* from = nullptr;   // the sending port; its peer receives
     Packet pkt{};
   };
 
-  void push(std::int64_t deliver_ns, NodeId peer, std::int32_t peer_port, Packet&& pkt) {
-    msgs_.push_back(Msg{deliver_ns, peer, peer_port, std::move(pkt)});
+  void push(std::int64_t deliver_ns, EgressPort* from, Packet&& pkt) {
+    msgs_.push_back(Msg{deliver_ns, from, std::move(pkt)});
   }
 
   // Orders queued messages for injection: by delivery time, stable — ties
@@ -57,9 +56,17 @@ class ShardMailbox {
   // completes the (source shard, timestamp, seq) drain contract.
   void sort_for_injection();
 
-  [[nodiscard]] std::vector<Msg>& msgs() { return msgs_; }
+  // Drains the box into the receiving shard's scheduler, in injection order,
+  // as the same delivery event a same-shard port schedules (the sending
+  // port plus the packet, which fits the event record inline). Every
+  // message was sent in the window that ended at `window_end_ns`, so the
+  // lookahead promises it is delivered at or after that end; an earlier one
+  // would land in the receiver's past, and this throws std::logic_error
+  // rather than run it out of order.
+  void inject(sim::Scheduler& sched, std::int64_t window_end_ns);
+
+  [[nodiscard]] const std::vector<Msg>& msgs() const { return msgs_; }
   [[nodiscard]] bool empty() const { return msgs_.empty(); }
-  void clear() { msgs_.clear(); }
 
  private:
   std::vector<Msg> msgs_;

@@ -94,6 +94,10 @@ class EgressPort {
   // peer's handler on this shard. nullptr (the default) restores direct
   // delivery — the serial fast path pays one predicted-not-taken branch.
   void set_cross_shard_outbox(ShardMailbox* outbox) { outbox_ = outbox; }
+  // Hands a packet that has crossed the wire to the peer's ingress. The
+  // port's own delivery event calls it; ShardMailbox::inject schedules the
+  // same call on the peer's shard for a packet that crossed shards.
+  void deliver_to_peer(Packet&& pkt);
 
   // --- telemetry (read by monitors) ---
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
@@ -103,7 +107,6 @@ class EgressPort {
 
  private:
   void start_next_transmission();
-  void deliver_to_peer(Packet&& pkt);
   // Serialization time at this port's (fixed) rate, memoized by packet size.
   // Traffic is almost entirely two sizes — full-MTU data and small control
   // frames — so a two-entry MRU cache turns the 128-bit division in

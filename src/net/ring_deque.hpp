@@ -3,8 +3,8 @@
 // `std::deque` allocates and frees a ~512-byte chunk every few packets as a
 // FIFO window slides through it, which puts the allocator on the per-packet
 // path of every egress queue. This ring keeps one power-of-two buffer that
-// only grows (capacity is retained for the rest of the run), so steady-state
-// enqueue/dequeue never touches the heap.
+// starts small and only grows (capacity is retained for the rest of the
+// run), so steady-state enqueue/dequeue never touches the heap.
 #pragma once
 
 #include <cstddef>
@@ -16,8 +16,11 @@ namespace amrt::net {
 template <typename T>
 class RingDeque {
  public:
+  static constexpr std::size_t kFirstCapacity = 4;  // a power of two
+
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
 
   [[nodiscard]] T& front() { return buf_[head_]; }
   [[nodiscard]] const T& front() const { return buf_[head_]; }
@@ -59,9 +62,11 @@ class RingDeque {
   [[nodiscard]] std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
 
   void grow() {
-    // Start at 64: egress queues under incast reach hundreds of packets per
-    // run, and starting small just replays the doubling ladder every run.
-    const std::size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
+    // Start at 4 and double. Most of a large fabric's queues never hold more
+    // than a few packets, and the first buffer is kept for the rest of the
+    // run on every queue that ever sees a packet; a deep incast queue
+    // replays the ladder only once (DESIGN.md §8).
+    const std::size_t cap = buf_.empty() ? kFirstCapacity : buf_.size() * 2;
     std::vector<T> next(cap);
     for (std::size_t i = 0; i < size_; ++i) next[i] = std::move((*this)[i]);
     buf_ = std::move(next);

@@ -190,6 +190,10 @@ class EventQueue {
     std::uint32_t next_free = 0;  // freelist link while the slot is free
     bool live = false;            // scheduled and not cancelled/fired
   };
+  // One record per pending event, and most pending events are packets on
+  // the wire: the 64 B inline buffer, its ops pointer and the slot words
+  // round up to 96 B at max_align_t (DESIGN.md §7).
+  static_assert(sizeof(Record) <= 96, "event record outgrew its 96 B budget");
 
   // 16-byte wheel entry: the insertion sequence number (upper 40 bits, ~10^12
   // events) and the slot index (lower 24 bits, ~16M concurrent events) share

@@ -55,7 +55,6 @@ void DctcpEndpoint::send_seq(SenderFlow& flow, std::uint32_t seq) {
   // PIAS: demote by cumulative bytes already sent, before this packet.
   pkt.priority = pias_priority(flow.bytes_sent, cfg_.pias_base_threshold_bytes, cfg_.pias_levels);
   pkt.flow_bytes = flow.spec.bytes;
-  pkt.created = sched_.now();
   flow.bytes_sent += pkt.payload_bytes;
   send(std::move(pkt));
 }
@@ -150,7 +149,6 @@ void DctcpEndpoint::send_ack(const Packet& data) {
   ack.dst = data.src;
   ack.marked_grant = data.ce;  // ECN-Echo, per packet, reordering-safe
   ack.allowance = 0;           // an ACK is not a credit
-  ack.created = sched_.now();
   send(std::move(ack));
 }
 

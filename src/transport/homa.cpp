@@ -70,7 +70,7 @@ void HomaEndpoint::decorate_data(Packet& pkt, const SenderFlow& flow) {
 }
 
 void HomaEndpoint::handle_grant_packet(SenderFlow& flow, const Packet& grant) {
-  if (grant.request_seq >= 0) {
+  if (grant.has_request_seq()) {
     ReceiverDrivenEndpoint::handle_grant_packet(flow, grant);
     return;
   }

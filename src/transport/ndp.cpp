@@ -26,13 +26,13 @@ void NdpEndpoint::after_arrival(ReceiverFlow& flow, const Packet& pkt, bool fres
 void NdpEndpoint::enqueue_new_pull(ReceiverFlow& flow) {
   if (flow.remaining_ungranted() <= flow.pending_new_pulls) return;  // all remaining data covered
   ++flow.pending_new_pulls;
-  pull_queue_.push_back(PullRequest{flow.id, -1});
+  pull_queue_.push_back(PullRequest{flow.id, net::kNoRequestSeq});
   arm_pacer();
 }
 
 void NdpEndpoint::enqueue_rtx_pull(ReceiverFlow& flow, std::uint32_t seq) {
   // Retransmissions jump the queue: NDP prioritizes loss repair.
-  pull_queue_.push_front(PullRequest{flow.id, static_cast<std::int64_t>(seq)});
+  pull_queue_.push_front(PullRequest{flow.id, seq});
   arm_pacer();
 }
 
@@ -56,11 +56,9 @@ void NdpEndpoint::pacer_fire() {
     }
     ReceiverFlow& flow = *open;
     Packet pull = make_grant(flow);
-    if (req.rtx_seq >= 0) {
+    if (req.rtx_seq != net::kNoRequestSeq) {
 #ifdef AMRT_AUDIT
-      if (auto* a = sched_.auditor()) {
-        a->on_repair_grant(flow.id, static_cast<std::uint32_t>(req.rtx_seq), flow.total_pkts);
-      }
+      if (auto* a = sched_.auditor()) a->on_repair_grant(flow.id, req.rtx_seq, flow.total_pkts);
 #endif
       pull.request_seq = req.rtx_seq;
       pull.allowance = 0;

@@ -26,7 +26,8 @@ class NdpEndpoint final : public ReceiverDrivenEndpoint {
  private:
   struct PullRequest {
     net::FlowId flow = 0;
-    std::int64_t rtx_seq = -1;  // >=0: pull a retransmission of this seq
+    // A retransmission pull for this seq, or kNoRequestSeq for a new one.
+    std::uint32_t rtx_seq = net::kNoRequestSeq;
   };
 
   void enqueue_new_pull(ReceiverFlow& flow);

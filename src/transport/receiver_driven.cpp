@@ -62,7 +62,6 @@ void ReceiverDrivenEndpoint::send_rts(const SenderFlow& flow) {
   rts.src = host_.id();
   rts.dst = flow.spec.dst;
   rts.flow_bytes = flow.spec.bytes;
-  rts.created = sched_.now();
   send(std::move(rts));
 }
 
@@ -147,17 +146,14 @@ void ReceiverDrivenEndpoint::send_data_seq(SenderFlow& flow, std::uint32_t seq) 
   pkt.src = host_.id();
   pkt.dst = flow.spec.dst;
   pkt.flow_bytes = flow.spec.bytes;
-  pkt.created = sched_.now();
   decorate_data(pkt, flow);
   ++flow.packets_sent;
   send(std::move(pkt));
 }
 
 void ReceiverDrivenEndpoint::handle_grant_packet(SenderFlow& flow, const Packet& grant) {
-  if (grant.request_seq >= 0) {
-    if (grant.request_seq < flow.total_pkts) {
-      send_data_seq(flow, static_cast<std::uint32_t>(grant.request_seq));
-    }
+  if (grant.has_request_seq()) {
+    if (grant.request_seq < flow.total_pkts) send_data_seq(flow, grant.request_seq);
     return;
   }
   send_new_packets(flow, grant.allowance);
@@ -185,7 +181,7 @@ void ReceiverDrivenEndpoint::on_grant(Packet&& pkt) {
     // The sender must not overshoot the grant: one packet for a repair
     // request, at most `allowance` otherwise. Homa's byte-offset grants
     // (grant_offset > 0) authorize by position, not count — exempt.
-    a->on_grant_response(pkt.flow, pkt.allowance, pkt.request_seq,
+    a->on_grant_response(pkt.flow, pkt.allowance, pkt.has_request_seq(),
                          flow->packets_sent - sent_before, pkt.grant_offset > 0);
   }
 #endif
@@ -235,7 +231,6 @@ net::Packet ReceiverDrivenEndpoint::make_grant(const ReceiverFlow& flow) const {
   grant.wire_bytes = net::kCtrlBytes;
   grant.src = host_.id();
   grant.dst = flow.src;
-  grant.created = sched_.now();
   return grant;
 }
 
@@ -365,7 +360,7 @@ std::uint32_t ReceiverDrivenEndpoint::issue_credits(ReceiverFlow& flow, std::uin
     if (auto* a = sched_.auditor()) a->on_repair_grant(flow.id, *repair, flow.total_pkts);
 #endif
     Packet grant = make_grant(flow);
-    grant.request_seq = static_cast<std::int64_t>(*repair);
+    grant.request_seq = *repair;
     grant.allowance = 0;
     send(std::move(grant));
     ++issued;
@@ -396,7 +391,6 @@ void ReceiverDrivenEndpoint::on_rts(Packet&& pkt) {
     done.wire_bytes = net::kCtrlBytes;
     done.src = host_.id();
     done.dst = pkt.src;
-    done.created = sched_.now();
     send(std::move(done));
     return;
   }
@@ -519,7 +513,7 @@ void ReceiverDrivenEndpoint::recovery_fire(net::FlowId id) {
     if (auto* a = sched_.auditor()) a->on_repair_grant(flow.id, *repair, flow.total_pkts);
 #endif
     Packet grant = make_grant(flow);
-    grant.request_seq = static_cast<std::int64_t>(*repair);
+    grant.request_seq = *repair;
     grant.allowance = 0;
     send(std::move(grant));
     ++requested;

@@ -190,12 +190,12 @@ TEST_F(AuditTest, RepairOutOfRangeCaught) {
 }
 
 TEST_F(AuditTest, GrantResponseOvershootCaught) {
-  a.on_grant_response(1, /*allowance=*/2, /*request_seq=*/-1, /*sent=*/3, false);
+  a.on_grant_response(1, /*allowance=*/2, /*repair=*/false, /*sent=*/3, false);
   expect_violation(a, "grant-response");
 }
 
 TEST_F(AuditTest, OffsetSemanticsExemptFromCountCheck) {
-  a.on_grant_response(1, 0, -1, 40, /*offset_semantics=*/true);
+  a.on_grant_response(1, 0, /*repair=*/false, 40, /*offset_semantics=*/true);
   EXPECT_EQ(a.violation_count(), 0u);
 }
 

@@ -58,7 +58,8 @@ TEST(Packet, DefaultsAreSane) {
   EXPECT_FALSE(p.ce);
   EXPECT_FALSE(p.ecn_capable);
   EXPECT_EQ(p.allowance, 1);
-  EXPECT_EQ(p.request_seq, -1);
+  EXPECT_EQ(p.request_seq, kNoRequestSeq);
+  EXPECT_FALSE(p.has_request_seq());
   EXPECT_EQ(p.priority, 0);
 }
 

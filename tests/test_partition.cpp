@@ -3,9 +3,11 @@
 // one shard, pod co-location and core round-robin hold on the fat-tree,
 // cross flags sit only on inter-shard links, the lookahead matches the
 // hand-computed cross-link latency floor, mailbox injection order is
-// deterministic, and the per-shard seed derivation is pinned.
+// deterministic and rejects a delivery into the receiver's past, and the
+// per-shard seed derivation is pinned.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -135,7 +137,7 @@ TEST(ShardMailbox, InjectionOrderIsByTimestampThenPushOrder) {
   auto push = [&box](std::int64_t t, net::FlowId tag) {
     net::Packet p;
     p.flow = tag;
-    box.push(t, net::NodeId{0}, 0, std::move(p));
+    box.push(t, nullptr, std::move(p));
   };
   // Out of order, with a three-way tie at t=50.
   push(200, 1);
@@ -154,6 +156,46 @@ TEST(ShardMailbox, InjectionOrderIsByTimestampThenPushOrder) {
     EXPECT_EQ(msgs[i].deliver_ns, want_t[i]) << "slot " << i;
     EXPECT_EQ(msgs[i].pkt.flow, want_tag[i]) << "slot " << i;
   }
+}
+
+TEST(ShardMailbox, InjectionRejectsADeliveryBeforeTheSendingWindowsEnd) {
+  // A message sent in the window ending at t=100 that claims delivery at
+  // t=99 would land in the receiving shard's past: a lookahead bug, which
+  // must fail loudly rather than fire out of order.
+  sim::Simulation sim;
+  net::ShardMailbox box;
+  box.push(150, nullptr, net::Packet{});
+  box.push(99, nullptr, net::Packet{});
+  EXPECT_THROW(box.inject(sim.scheduler(), 100), std::logic_error);
+  EXPECT_EQ(sim.scheduler().pending_events(), 0u);
+}
+
+TEST(ShardMailbox, InjectionDeliversAtTheWindowEdgeThroughTheSendingPort) {
+  // A delivery exactly at the window's end is on time. It reaches the
+  // sending port's peer like a same-shard delivery, and the box empties.
+  sim::Simulation sim;
+  net::Network network{sim};
+  const auto topo = make_fabric(network, 4);
+  const net::Host& dst = *topo.hosts[0];
+  const net::Switch& edge = *topo.edges[0];
+  net::EgressPort* down = nullptr;
+  for (int i = 0; i < edge.port_count(); ++i) {
+    net::EgressPort& port = network.port_at(edge.port_id(i));
+    if (port.peer() == dst.id()) down = &port;
+  }
+  ASSERT_NE(down, nullptr);
+  net::ShardMailbox box;
+  net::Packet p;
+  p.type = net::PacketType::kDone;
+  p.wire_bytes = net::kCtrlBytes;
+  p.dst = dst.id();
+  box.push(100, down, std::move(p));
+  box.inject(sim.scheduler(), 100);
+  EXPECT_TRUE(box.empty());
+  EXPECT_EQ(sim.scheduler().pending_events(), 1u);
+  sim.scheduler().run();
+  EXPECT_EQ(sim.scheduler().now().ns(), 100);
+  EXPECT_EQ(dst.bytes_received(), net::kCtrlBytes);
 }
 
 TEST(ShardGroup, MasterCarriesTheSeedAndDerivationIsPinned) {
