@@ -1,5 +1,5 @@
 // Regenerates tests/golden_pins.inc: run fingerprints that the FCT fixtures
-// do not cover. Four families:
+// do not cover. Five families:
 //
 //   * scenario_fuzz case hashes (FNV over records, drops, trims, events and
 //     faulted packets) for seeds 1-3 x every topology x the four default
@@ -9,6 +9,11 @@
 //     run_leaf_spine on the golden config (tools/regen_golden_fct.cpp) in
 //     each execution mode: serial, shards=2, fault_incidents=3,
 //     background_dctcp_fraction=0.3 and fidelity=kMixed;
+//   * records-only FNV digests (records + drops + trims + faulted; no
+//     events, utilization or sim time) of the same run serial under AMRT,
+//     pHost, Homa, NDP and DCTCP, and at fault_incidents=3,
+//     background_dctcp_fraction=0.3 and fidelity=kMixed: what a change to how
+//     a run is observed must leave alone;
 //   * FNV digests over every field of the figure scenarios' results
 //     (harness/scenarios.hpp; doubles bit-cast) for AMRT, pHost, Homa and
 //     NDP: a chain using all three paths, dynamic traffic with 4 staggered
@@ -92,6 +97,15 @@ void emit_leaf_spine(const char* mode, const harness::ExperimentConfig& cfg) {
   fnv.add_all(r.flow_records, r.events, r.drops, r.trims, r.faulted);
   emit_pin(std::string{"run_leaf_spine golden "} + mode, r.flows_completed == r.flows_started,
            fnv);
+}
+
+// What the fabric did, not how the run observed it: records, drops, trims
+// and faulted packets.
+void emit_leaf_spine_records(const std::string& mode, const harness::ExperimentConfig& cfg) {
+  const harness::ExperimentResult r = harness::run_leaf_spine(cfg);
+  Fnv fnv;
+  fnv.add_all(r.flow_records, r.drops, r.trims, r.faulted);
+  emit_pin("run_leaf_spine golden records " + mode, r.flows_completed == r.flows_started, fnv);
 }
 
 // Every field of the result but wall_seconds, doubles bit-cast.
@@ -222,6 +236,16 @@ int main() {
                   golden_with([](Cfg& c) { c.background_dctcp_fraction = 0.3; }));
   const Cfg mixed_fidelity = golden_with([](Cfg& c) { c.fidelity = harness::Fidelity::kMixed; });
   emit_leaf_spine("fidelity=mixed", mixed_fidelity);
+  for (const transport::Protocol proto :
+       {transport::Protocol::kAmrt, transport::Protocol::kPhost, transport::Protocol::kHoma,
+        transport::Protocol::kNdp, transport::Protocol::kDctcp}) {
+    emit_leaf_spine_records(std::string{"serial "} + transport::to_string(proto),
+                            golden::golden_cfg(proto));
+  }
+  emit_leaf_spine_records("fault_incidents=3", golden_with([](Cfg& c) { c.fault_incidents = 3; }));
+  emit_leaf_spine_records("background_dctcp_fraction=0.3",
+                          golden_with([](Cfg& c) { c.background_dctcp_fraction = 0.3; }));
+  emit_leaf_spine_records("fidelity=mixed", mixed_fidelity);
   emit_scenarios();
 
   Cfg flow = golden_with([](Cfg& c) { c.fidelity = harness::Fidelity::kFlow; });
