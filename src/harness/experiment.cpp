@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -103,33 +102,6 @@ void fill_records(const stats::FctRecorder& recorder, std::size_t scheduled,
   out.fct_background = stats::summarize(bg, recorder.ideal());
 }
 
-// Per-port mean utilization restricted to the port's own active window, so
-// a downlink that only carried traffic for 2ms of a 50ms run is judged on
-// those 2ms (this is the "bottleneck utilization" of Fig. 13). Also returns
-// the bytes the port moved, used as the weight when averaging across ports:
-// a downlink that served one tiny RPC should not dilute the busy ones where
-// the protocols actually differ.
-struct PortUtilization {
-  double utilization = -1.0;  // -1: never active
-  double weight_bytes = 0.0;
-};
-
-PortUtilization active_window_utilization(const net::PortSampler& sampler) {
-  const auto& samples = sampler.samples();
-  std::size_t first = samples.size();
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (samples[i].utilization > 0.0) {
-      first = std::min(first, i);
-      last = i;
-    }
-  }
-  if (first >= samples.size()) return {};
-  double sum = 0.0;
-  for (std::size_t i = first; i <= last; ++i) sum += samples[i].utilization;
-  return PortUtilization{sum / static_cast<double>(last - first + 1),
-                         static_cast<double>(samples[last].bytes_sent)};
-}
 // Annotates records with membership and fills the collective summaries.
 void finish_group_stats(const stats::GroupBook& book, ExperimentResult& out) {
   if (book.empty()) return;
@@ -196,7 +168,7 @@ class FluidBackground {
         run_{run_spec(cfg), take_background(cfg.flow_background_fraction, flows)},
         // Reservation bin: a handful of RTTs smooths grant-clock ripple
         // without hiding shifts in the background load.
-        bin_{std::max(cfg.sample_interval, run_.rtt() * 8)} {
+        bin_{std::max(kMinReservationBin, run_.rtt() * 8)} {
     flows_ -= flows.size();  // the flows take_background moved to the fluid side
     run_.flowsim().record_link_usage(bin_);
     run_.run();
@@ -275,19 +247,38 @@ class FluidBackground {
     return background;
   }
 
+  static constexpr sim::Duration kMinReservationBin = sim::Duration::microseconds(100);
+
   std::size_t flows_ = 0;
   FlowRun run_;
   sim::Duration bin_;
 };
 
+// Receiver-downlink utilization from the ports' own counters: each
+// downlink judged over its own active window (net::active_utilization), the
+// fleet mean weighted by the bytes each one sent, so a downlink that served
+// one tiny RPC does not dilute the busy ones where the protocols differ.
+// Never-active downlinks read 0 and weigh nothing.
+void fill_downlink_utilization(PacketRun& run, ExperimentResult& out) {
+  double util_sum = 0.0;
+  double weight_sum = 0.0;
+  for (const auto& leaf : run.leaf_spine().leaf_down) {
+    for (const net::PortId id : leaf) {
+      const net::EgressPort& port = run.network().port_at(id);
+      const double util = net::active_utilization(port);
+      const auto bytes = static_cast<double>(port.bytes_sent());
+      out.downlink_utilization.push_back(util);
+      util_sum += util * bytes;
+      weight_sum += bytes;
+    }
+  }
+  out.mean_utilization = weight_sum == 0.0 ? 0.0 : util_sum / weight_sum;
+}
+
 // The packet-level experiment in every execution mode: serial or sharded,
 // with or without faults and DCTCP background, and the packet half of mixed
-// fidelity. Serial runs monitor every receiver downlink (the typical
-// bottleneck) and the fabric ports with PortSamplers and stop as soon as
-// every flow has completed. Sharded runs have neither — periodic callbacks
-// would keep every shard's window advancing forever — so they drain under
-// the horizon, report no utilization and take the queue high-water from the
-// queues' own counters.
+// fidelity. Every mode drains under the horizon and reads its utilization,
+// queue high-water, drops and trims from the fabric's own counters.
 ExperimentResult run_packet(const ExperimentConfig& cfg, std::vector<workload::GeneratedFlow> flows) {
   std::optional<FluidBackground> background;
   if (cfg.fidelity == Fidelity::kMixed) {
@@ -302,69 +293,19 @@ ExperimentResult run_packet(const ExperimentConfig& cfg, std::vector<workload::G
   PacketRun run{run_spec(cfg), flows};
   const auto injector = arm_faults(cfg, run);
   if (background) background->reserve(run);
-
-  std::vector<std::unique_ptr<net::PortSampler>> downlinks;
-  std::vector<std::unique_ptr<net::PortSampler>> fabric;
-  std::function<void()> poll;
-  if (!run.sharded()) {
-    sim::Simulation& simu = run.sim();
-    const net::LeafSpine& topo = run.leaf_spine();
-    auto sample = [&](std::vector<std::unique_ptr<net::PortSampler>>& into, net::PortId port) {
-      into.push_back(std::make_unique<net::PortSampler>(simu, run.network().port_at(port),
-                                                        cfg.sample_interval));
-      into.back()->start();
-    };
-    for (int l = 0; l < cfg.leaves; ++l) {
-      for (int h = 0; h < cfg.hosts_per_leaf; ++h) sample(downlinks, topo.leaf_down[l][h]);
-      for (int s = 0; s < cfg.spines; ++s) {
-        sample(fabric, topo.leaf_up[l][s]);
-        sample(fabric, topo.spine_down[s][l]);
-      }
-    }
-    // Samplers and recovery timers would keep the loop alive forever.
-    sim::Scheduler& sched = simu.scheduler();
-    const std::size_t expected = flows.size();
-    const sim::TimePoint last_start = flows.back().start;
-    poll = [&run, &sched, &poll, expected, last_start] {
-      if (run.recorder().completed().size() >= expected && sched.now() > last_start) {
-        sched.stop();
-        return;
-      }
-      sched.after(sim::Duration::milliseconds(1), poll);
-    };
-    sched.after(sim::Duration::milliseconds(1), poll);
-  }
-
   run.run();
 
   ExperimentResult out;
   fill_records(run.recorder(), flows.size(), cfg.background_dctcp_fraction, out);
   out.events = run.events();
   out.sim_seconds = run.now().to_seconds();
-
-  double util_sum = 0.0;
-  double weight_sum = 0.0;
-  out.downlink_utilization.reserve(downlinks.size());
-  for (const auto& s : downlinks) {
-    const auto u = active_window_utilization(*s);
-    out.downlink_utilization.push_back(u.utilization < 0.0 ? 0.0 : u.utilization);
-    if (u.utilization >= 0.0) {
-      util_sum += u.utilization * u.weight_bytes;
-      weight_sum += u.weight_bytes;
-    }
-    out.max_queue_pkts = std::max(out.max_queue_pkts, s->max_queue_pkts());
-  }
-  for (const auto& s : fabric) {
-    out.max_queue_pkts = std::max(out.max_queue_pkts, s->max_queue_pkts());
-  }
-  out.mean_utilization = weight_sum == 0.0 ? 0.0 : util_sum / weight_sum;
-
+  fill_downlink_utilization(run, out);
   for (const auto& sw : run.network().switches()) {
     for (int p = 0; p < sw.port_count(); ++p) {
       const auto& st = sw.port(p).queue().stats();
       out.drops += st.dropped;
       out.trims += st.trimmed;
-      if (run.sharded()) out.max_queue_pkts = std::max(out.max_queue_pkts, st.max_data_pkts);
+      out.max_queue_pkts = std::max(out.max_queue_pkts, st.max_data_pkts);
     }
   }
   out.faulted = run.network().packets_faulted();
@@ -380,8 +321,8 @@ ExperimentResult run_packet(const ExperimentConfig& cfg, std::vector<workload::G
   return out;
 }
 
-// Receiver-downlink utilization from the fluid per-link counters, mirroring
-// the packet path's active-window semantics: a link is judged over
+// Receiver-downlink utilization from the fluid per-link counters, with the
+// packet path's active-window semantics: a link is judged over
 // [first_busy, last_busy] only, and the fleet mean is byte-weighted.
 void fill_downlink_utilization(const FlowRun& run, ExperimentResult& out) {
   const flowsim::Fabric& fabric = run.fabric();
@@ -439,10 +380,6 @@ void validate(const ExperimentConfig& cfg) {
   if (cfg.shards > 1 && cfg.fault_incidents > 0) {
     reject("fault injection and sharded execution are mutually exclusive "
            "(the injector mutates link state from a serial-only control path)");
-  }
-  if (cfg.shards > 1 && coexist) {
-    reject("mixed transports are serial-only (the coexistence metrics need the serial "
-           "utilization samplers)");
   }
   if (cfg.fidelity == Fidelity::kPacket) return;
   if (cfg.shards > 1) reject(fidelity + " is serial-only (shards must be 1)");

@@ -67,7 +67,7 @@ struct ExperimentConfig {
   // (byte-identical to older builds). When set, `proto` must be kAmrt — the
   // mixed fabric pairs AMRT foreground with DCTCP background — the fabric
   // switches to strict-priority queues with both ECN markers, and both ends
-  // of every flow dispatch it by is_background_flow(). Serial-only.
+  // of every flow dispatch it by is_background_flow(). Composes with shards.
   double background_dctcp_fraction = 0.0;
 
   core::QueueConfig queues{};
@@ -83,9 +83,8 @@ struct ExperimentConfig {
   // same topology, workload draws and flow schedule (the master shard
   // carries `seed` unchanged) but interleave packet
   // events differently, so FCTs agree statistically rather than exactly.
-  // Utilization sampling needs the serial event loop; sharded runs report
-  // mean_utilization = 0 and take max_queue_pkts from the queues' own
-  // high-water marks. Mutually exclusive with fault injection.
+  // Utilization and max_queue_pkts come from the ports' and queues' own
+  // counters in every executor. Mutually exclusive with fault injection.
   unsigned shards = 1;
 
   // Fault injection (src/fault): number of random bounded incidents (link
@@ -95,9 +94,9 @@ struct ExperimentConfig {
   std::size_t fault_incidents = 0;
   std::uint64_t fault_seed = 1;  // independent of `seed` so schedules can be pinned
 
-  // Hard stop for pathological runs; completion normally stops the clock.
+  // Hard stop for pathological runs; a run normally ends when its event set
+  // drains after the last flow completes.
   sim::Duration max_sim_time = kDefaultMaxSimTime;
-  sim::Duration sample_interval = sim::Duration::microseconds(100);
 
   // Simulation fidelity. kFlow and kMixed are serial-only and exclusive
   // with fault injection; kPacket composes with everything as before.
@@ -117,9 +116,9 @@ struct ExperimentResult {
   // Single-transport runs put everything in fct_foreground.
   stats::FctSummary fct_foreground;
   stats::FctSummary fct_background;
-  double mean_utilization = 0;  // over active receiver downlinks
+  double mean_utilization = 0;  // byte-weighted over active receiver downlinks
   // Per-receiver-downlink active-window utilization, in topology order
-  // (leaf-major, host-minor); 0 for never-active ports. Serial runs only.
+  // (leaf-major, host-minor); 0 for never-active ports.
   std::vector<double> downlink_utilization;
   std::size_t max_queue_pkts = 0;
   std::uint64_t drops = 0;  // across all switch ports
@@ -153,9 +152,9 @@ void write_fct_csv(std::ostream& os, const std::vector<stats::FlowRecord>& recor
 
 // Throws std::invalid_argument for a combination the harness cannot run:
 // shards x faults, a trace engine without a path, DCTCP background without
-// an AMRT foreground, DCTCP background x shards, flow/mixed fidelity x
-// shards or faults, mixed fidelity x DCTCP background, and a mixed-fidelity
-// background fraction outside (0, 1). run_leaf_spine calls it first.
+// an AMRT foreground, flow/mixed fidelity x shards or faults, mixed fidelity
+// x DCTCP background, and a mixed-fidelity background fraction outside
+// (0, 1). run_leaf_spine calls it first.
 void validate(const ExperimentConfig& cfg);
 
 [[nodiscard]] ExperimentResult run_leaf_spine(const ExperimentConfig& cfg);

@@ -314,10 +314,6 @@ CaseResult run_case(const CaseConfig& c) {
     throw std::invalid_argument("fuzz: --mixed requires --transport AMRT "
                                 "(the foreground transport is fixed; DCTCP rides as background)");
   }
-  if (c.mixed && c.shards > 1) {
-    throw std::invalid_argument("fuzz: --mixed and --shards are mutually exclusive "
-                                "(mixed transports are serial-only)");
-  }
   if (c.shards > 1 && c.faults) {
     throw std::invalid_argument("fuzz: --faults and --shards are mutually exclusive "
                                 "(fault injection mutates link state serially)");

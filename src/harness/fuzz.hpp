@@ -67,9 +67,9 @@ struct CaseConfig {
   // of DCTCP background flows on a shared strict-priority fabric with both
   // ECN markers. Requires proto == kAmrt (the foreground transport); the
   // background fraction is drawn after every pre-existing draw, so non-mixed
-  // cases replay bit-identically. Serial-only (mutually exclusive with
-  // shards > 1). The oracles are unchanged — completion, physics, queue
-  // accounting and the audit ledger hold for both populations.
+  // cases replay bit-identically. Composes with shards > 1. The oracles are
+  // unchanged — completion, physics, queue accounting and the audit ledger
+  // hold for both populations.
   bool mixed = false;
   // Workload-engine cases (DESIGN.md §14): draw a non-legacy traffic engine
   // (skewed matrices with optional coflow groups, or front-end fan-out
@@ -119,7 +119,7 @@ struct FuzzOptions {
   unsigned shards = 1;
   // Mixed-transport cases: AMRT foreground + DCTCP background. Restricts the
   // protocol axis to kAmrt (the foreground transport is fixed; the DCTCP
-  // population rides inside the case). Mutually exclusive with shards > 1.
+  // population rides inside the case). Composes with shards > 1.
   bool mixed = false;
   // Workload-engine cases: every case draws a non-legacy traffic engine and
   // its knobs (see CaseConfig::engine).

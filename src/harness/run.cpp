@@ -141,11 +141,11 @@ void PacketRun::run() {
   }
   sim::Scheduler& sched = group_.master().scheduler();
   if (spec_.event_limit != 0) sched.set_event_limit(spec_.event_limit);
-  if (spec_.horizon < sim::TimePoint::max()) {
-    sched.run_until(spec_.horizon);
-  } else {
-    sched.run();
-  }
+  // Events at the horizon still fire, and the clock stays at the last one,
+  // as in a sharded run.
+  sched.run_window(spec_.horizon < sim::TimePoint::max()
+                       ? spec_.horizon + sim::Duration::nanoseconds(1)
+                       : sim::TimePoint::max());
 }
 
 const stats::FctRecorder& PacketRun::recorder() const {

@@ -5,11 +5,13 @@
 //   RunSpec spec;                          // topology as data + transport
 //   auto flows = draw_websearch(spec, n, load);  // or generate_traffic
 //   PacketRun run{spec, flows};            // build, endpoints, schedule
-//   ... optional hooks: PortSamplers on run.sim(), a FaultInjector on
-//       run.network(), rate reservations on the ports of run.leaf_spine(),
-//       a progress hook on run.serial_recorder()
+//   ... optional hooks: a FaultInjector on run.network(), rate
+//       reservations on the ports of run.leaf_spine(), and for a figure's
+//       time series PortSamplers on run.sim() and a progress hook on
+//       run.serial_recorder() (serial runs)
 //   run.run();
-//   run.recorder().completed(), run.events(), run.network() ...
+//   run.recorder().completed(), run.events(), run.now(), and the port and
+//   queue counters of run.network() ...
 //
 // PacketRun is the only packet-fabric builder: run_leaf_spine in every
 // packet mode, the figure scenarios (harness/scenarios.hpp), bench_scale and
@@ -106,7 +108,8 @@ class PacketRun {
   [[nodiscard]] const net::Line& line() const { return line_; }
   [[nodiscard]] bool sharded() const { return sharded_ != nullptr; }
 
-  // Runs to drain, the horizon or the event limit, whichever comes first.
+  // Runs to drain, the horizon or the event limit, whichever comes first,
+  // and leaves now() at the last fired event in either executor.
   void run();
 
   // The flow records: live during a serial run, merged across shards after

@@ -51,13 +51,9 @@ double PortSampler::mean_utilization(sim::TimePoint from, sim::TimePoint to) con
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
-double window_utilization(const EgressPort& port, std::uint64_t bytes_before,
-                          sim::TimePoint from, sim::TimePoint to) {
-  if (to <= from) return 0.0;
-  const auto bits = static_cast<double>(port.bytes_sent() - bytes_before) * 8.0;
-  const double secs = (to - from).to_seconds();
-  const double cap = static_cast<double>(port.config().rate.bits_per_second());
-  return std::min(1.0, bits / (cap * secs));
+double active_utilization(const EgressPort& port) {
+  if (port.packets_sent() == 0) return 0.0;
+  return port.busy_time() / (port.last_tx_end() - port.first_tx_start());
 }
 
 }  // namespace amrt::net

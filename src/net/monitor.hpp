@@ -2,9 +2,9 @@
 //
 // `PortSampler` polls a port on a fixed interval and records utilization
 // (busy fraction of the interval), queue depth and cumulative bytes — the
-// raw series behind the paper's throughput/utilization/queue figures.
-// `window_utilization` is the counter-based alternative: one window's
-// utilization from a caller's byte-counter snapshot, with no polling.
+// time series the figure timelines plot. `active_utilization` reads a
+// port's own counters instead, with no polling and no events: it is the
+// per-port number behind the experiment runner's utilization (Fig. 13).
 #pragma once
 
 #include <cstdint>
@@ -51,10 +51,10 @@ class PortSampler {
   std::size_t max_queue_ = 0;
 };
 
-// Utilization of `port` between two instants, from byte counters taken
-// before/after (caller snapshots with `bytes_sent()`): delivered bits over
-// capacity * elapsed.
-[[nodiscard]] double window_utilization(const EgressPort& port, std::uint64_t bytes_before,
-                                        sim::TimePoint from, sim::TimePoint to);
+// Busy fraction of `port` over its own active window, from its first
+// transmission's start to its last one's end: busy_time() / (last_tx_end()
+// - first_tx_start()). A port that carried traffic for 2 ms of a 50 ms run
+// is judged on those 2 ms. 0 for a port that never transmitted.
+[[nodiscard]] double active_utilization(const EgressPort& port);
 
 }  // namespace amrt::net

@@ -131,6 +131,7 @@ void EgressPort::start_next_transmission() {
   }
 
   sim::Duration tx = tx_time_for(next->wire_bytes);
+  if (packets_sent_ == 0) first_tx_start_ = tx_start;
   busy_time_ += tx;
   bytes_sent_ += next->wire_bytes;
   ++packets_sent_;

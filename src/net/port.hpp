@@ -103,6 +103,9 @@ class EgressPort {
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] std::uint64_t packets_sent() const { return packets_sent_; }
   [[nodiscard]] sim::Duration busy_time() const { return busy_time_; }
+  // Start of the first transmission and end of the last: the port's active
+  // window (both zero before the first packet).
+  [[nodiscard]] sim::TimePoint first_tx_start() const { return first_tx_start_; }
   [[nodiscard]] sim::TimePoint last_tx_end() const { return last_tx_end_; }
 
  private:
@@ -162,6 +165,7 @@ class EgressPort {
   sim::TimePoint busy_until_ = sim::TimePoint::zero();  // end of in-flight transmission
   bool wakeup_pending_ = false;
   sim::TimePoint last_tx_end_ = sim::TimePoint::zero();
+  sim::TimePoint first_tx_start_ = sim::TimePoint::zero();
 
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;

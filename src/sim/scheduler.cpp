@@ -26,7 +26,8 @@ void Scheduler::run_window(TimePoint end) {
   // NOT bumped to the window edge: at() during the next window's injection
   // phase must still accept deliveries anywhere >= the last fired event.
   const TimePoint horizon = TimePoint::from_ns(end.ns() - 1);
-  while (true) {
+  stopped_ = false;
+  while (!stopped_) {
     if (event_limit_ != 0 && processed_ >= event_limit_) break;
     if (!dispatch_next(horizon)) break;
   }

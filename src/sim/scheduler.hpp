@@ -53,11 +53,12 @@ class Scheduler {
   void run();
   // Runs events with timestamp <= `until`, then sets the clock to `until`.
   void run_until(TimePoint until);
-  // Runs events with timestamp strictly < `end` and leaves the clock at the
-  // last fired event. The sharded driver (net/partition.hpp) executes one
-  // conservative time window per call; windows are half-open so a message
-  // produced at t and delivered at exactly t + lookahead lands in the *next*
-  // window, never this one.
+  // Runs events with timestamp strictly < `end` (or until stop()/limits) and
+  // leaves the clock at the last fired event. The sharded driver
+  // (net/partition.hpp) executes one conservative time window per call;
+  // windows are half-open so a message produced at t and delivered at
+  // exactly t + lookahead lands in the *next* window, never this one. A
+  // serial harness run is one window that ends just past its horizon.
   void run_window(TimePoint end);
   // Timestamp of the earliest pending event, if any. The shard coordinator
   // uses the global minimum to skip idle windows.

@@ -121,7 +121,6 @@ TEST(Coexistence, MixedModeRejectsUnsupportedCombinations) {
   } rejected[] = {
       {"mixed transports need AMRT",
        [](harness::ExperimentConfig& c) { c.proto = transport::Protocol::kNdp; }},
-      {"mixed transports x shards", [](harness::ExperimentConfig& c) { c.shards = 2; }},
       {"shards x faults",
        [](harness::ExperimentConfig& c) {
          c.background_dctcp_fraction = 0.0;
@@ -163,4 +162,21 @@ TEST(Coexistence, MixedModeRejectsUnsupportedCombinations) {
     EXPECT_THROW(harness::validate(cfg), std::invalid_argument) << row.name;
     EXPECT_THROW((void)harness::run_leaf_spine(cfg), std::invalid_argument) << row.name;
   }
+}
+
+TEST(Coexistence, MixedTransportsRunUnderShards) {
+  // DCTCP background composes with partitioned execution: every flow of
+  // both populations completes across two shard threads, and the metrics
+  // come from the same port and queue counters as a serial run.
+  auto cfg = small_leaf_spine(0.25);
+  cfg.shards = 2;
+  EXPECT_NO_THROW(harness::validate(cfg));
+  const auto r = harness::run_leaf_spine(cfg);
+  EXPECT_EQ(r.flows_completed, r.flows_started);
+  EXPECT_EQ(r.flows_started, cfg.n_flows);
+  EXPECT_GT(r.fct_foreground.completed, 0u);
+  EXPECT_GT(r.fct_background.completed, 0u);
+  EXPECT_EQ(r.fct_foreground.completed + r.fct_background.completed, r.fct_all.completed);
+  EXPECT_EQ(r.downlink_utilization.size(), 2u * 4u);
+  EXPECT_GT(r.mean_utilization, 0.0);
 }

@@ -2,6 +2,8 @@
 // (workload generation -> fabric -> transports -> metrics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness/experiment.hpp"
 
 using namespace amrt;
@@ -67,6 +69,22 @@ TEST(FabricHorizon, UnfinishedFlowsReportAsIncomplete) {
     EXPECT_EQ(r.flows_started, 60u) << shards << " shards";
     EXPECT_LT(r.flows_completed, r.flows_started) << shards << " shards";
     EXPECT_EQ(r.flow_records.size(), r.flows_completed) << shards << " shards";
+  }
+}
+
+TEST(FabricHorizon, DrainedRunReportsItsLastEventTime) {
+  // Both executors drain once the last flow completes and report the clock
+  // at their last fired event: past the last completion, far short of the
+  // 30 s horizon.
+  for (const unsigned shards : {1u, 2u}) {
+    auto cfg = tiny(Protocol::kAmrt);
+    cfg.shards = shards;
+    const auto r = harness::run_leaf_spine(cfg);
+    ASSERT_EQ(r.flows_completed, r.flows_started) << shards << " shards";
+    sim::TimePoint last_end = sim::TimePoint::zero();
+    for (const auto& rec : r.flow_records) last_end = std::max(last_end, rec.end);
+    EXPECT_GE(r.sim_seconds, last_end.to_seconds()) << shards << " shards";
+    EXPECT_LT(r.sim_seconds, last_end.to_seconds() + 0.01) << shards << " shards";
   }
 }
 

@@ -1,4 +1,5 @@
-// Unit tests for port telemetry (src/net/monitor.hpp).
+// Unit tests for port telemetry (src/net/monitor.hpp): the PortSampler time
+// series and the counter-based active_utilization.
 #include <gtest/gtest.h>
 
 #include "net/monitor.hpp"
@@ -94,20 +95,59 @@ TEST(PortSampler, TracksQueueHighWater) {
   EXPECT_LE(sampler.max_queue_pkts(), 2u);
 }
 
-TEST(WindowUtilization, ComputesFromByteCounters) {
+namespace {
+// Queues `packets` full-size data packets straight onto `port`, so it
+// transmits them back to back with no NIC jitter in between.
+void burst(EgressPort& port, const Rig& rig, int packets) {
+  for (int i = 0; i < packets; ++i) {
+    Packet p;
+    p.flow = 2;
+    p.seq = static_cast<std::uint32_t>(i);
+    p.dst = rig.b->id();
+    p.type = PacketType::kData;
+    p.wire_bytes = kMtuBytes;
+    port.enqueue(std::move(p));
+  }
+}
+}  // namespace
+
+TEST(ActiveUtilization, SaturatedPortReadsOne) {
   Rig rig;
-  const auto& port = rig.sw->port(1);
-  const auto before = port.bytes_sent();
-  const auto t0 = rig.sched.now();
-  rig.blast(1000);
+  EgressPort& port = rig.sw->port(1);
+  burst(port, rig, 200);  // fits the 256-packet queue: no drops, no gaps
   rig.sched.run_until(TimePoint::zero() + 1_ms);
-  const double u = window_utilization(port, before, t0, rig.sched.now());
-  EXPECT_GT(u, 0.9);
-  EXPECT_LE(u, 1.0);
+  ASSERT_EQ(port.packets_sent(), 200u);
+  EXPECT_DOUBLE_EQ(active_utilization(port), 1.0);
+  // Through the jittered NIC the downlink is busy ~94% of its window.
+  Rig nic;
+  nic.blast(1000);
+  nic.sched.run_until(TimePoint::zero() + 2_ms);
+  EXPECT_GT(active_utilization(nic.sw->port(1)), 0.85);
+  EXPECT_LE(active_utilization(nic.sw->port(1)), 1.0);
 }
 
-TEST(WindowUtilization, EmptyWindowIsZero) {
+TEST(ActiveUtilization, IdlePortReadsZero) {
   Rig rig;
-  const auto& port = rig.sw->port(1);
-  EXPECT_DOUBLE_EQ(window_utilization(port, 0, TimePoint::zero(), TimePoint::zero()), 0.0);
+  rig.sched.run_until(TimePoint::zero() + 1_ms);
+  EXPECT_DOUBLE_EQ(active_utilization(rig.sw->port(1)), 0.0);
+  EXPECT_EQ(rig.sw->port(1).first_tx_start(), TimePoint::zero());
+}
+
+TEST(ActiveUtilization, PortIsJudgedOnItsOwnWindow) {
+  Rig rig;
+  EgressPort& port = rig.sw->port(1);
+  // Idle for the first ms of a 5 ms run, then one back-to-back burst: the
+  // idle time outside the burst does not count.
+  rig.sched.at(TimePoint::zero() + 1_ms, [&] { burst(port, rig, 100); });
+  rig.sched.run_until(TimePoint::zero() + 5_ms);
+  EXPECT_EQ(port.first_tx_start(), TimePoint::zero() + 1_ms);
+  EXPECT_DOUBLE_EQ(active_utilization(port), 1.0);
+  // A second burst at 6 ms: the gap between the bursts lies inside the
+  // window and counts, so the port reads busy time over the whole window.
+  rig.sched.at(TimePoint::zero() + 6_ms, [&] { burst(port, rig, 100); });
+  rig.sched.run_until(TimePoint::zero() + 10_ms);
+  const Duration tx = Bandwidth::gbps(10).tx_time(kMtuBytes);
+  EXPECT_EQ(port.busy_time(), tx * 200);
+  EXPECT_EQ(port.last_tx_end(), TimePoint::zero() + 6_ms + tx * 100);
+  EXPECT_DOUBLE_EQ(active_utilization(port), (tx * 200) / (5_ms + tx * 100));
 }

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "golden_runs.hpp"
 #include "harness/run.hpp"
 #include "stats/fct.hpp"
 
@@ -111,4 +112,22 @@ TEST(Sharded, SerialAndShardedSeeTheSameFlowSet) {
     return v;
   };
   EXPECT_EQ(collect(serial), collect(sharded));
+}
+
+TEST(Sharded, LeafSpineUtilizationTracksSerial) {
+  // Utilization and the queue high-water come from the ports' and queues'
+  // own counters in both executors: a sharded run reports one downlink per
+  // host and a fleet mean close to the serial one.
+  auto cfg = golden::golden_cfg(Protocol::kAmrt);
+  const auto serial = harness::run_leaf_spine(cfg);
+  cfg.shards = 2;
+  const auto sharded = harness::run_leaf_spine(cfg);
+  const auto hosts = static_cast<std::size_t>(cfg.leaves * cfg.hosts_per_leaf);
+  ASSERT_EQ(serial.flows_completed, serial.flows_started);
+  ASSERT_EQ(sharded.flows_completed, sharded.flows_started);
+  EXPECT_EQ(serial.downlink_utilization.size(), hosts);
+  EXPECT_EQ(sharded.downlink_utilization.size(), hosts);
+  EXPECT_GT(sharded.mean_utilization, 0.0);
+  EXPECT_NEAR(sharded.mean_utilization, serial.mean_utilization, 0.01);
+  EXPECT_GT(sharded.max_queue_pkts, 0u);
 }

@@ -36,7 +36,7 @@ void usage() {
       "                                simulated fluidly (default 0.5)\n"
       "  --mixed=FRAC                  carry FRAC of flows (by id) on DCTCP background\n"
       "                                senders under an AMRT foreground (requires\n"
-      "                                --proto=AMRT; serial-only — excludes --shards)\n"
+      "                                --proto=AMRT)\n"
       "  --workload=WSv|CF|HC|WSc|DM   flow-size distribution (default WSc)\n"
       "  --workload-engine=legacy|skewed|fanout|trace\n"
       "                                traffic engine (default legacy — byte-identical\n"
@@ -65,8 +65,8 @@ void usage() {
       "  --fault-seed=S                seed for the fault schedule (default 1)\n"
       "  --seed=S                      RNG seed (default 1)\n"
       "  --shards=N                    partition the fabric across N shard threads\n"
-      "                                (default 1 = serial; excludes --faults; sharded\n"
-      "                                runs report utilization as 0 — see DESIGN.md §12)\n"
+      "                                (default 1 = serial; excludes --faults and\n"
+      "                                --fidelity=flow|mixed; see DESIGN.md §12)\n"
       "  --seeds=N                     sweep seeds S..S+N-1 in parallel (default 1)\n"
       "  --threads=N                   sweep worker threads (0 = one per core)\n"
       "  --json=PATH                   dump sweep results as JSON\n"

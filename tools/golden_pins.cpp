@@ -4,7 +4,7 @@
 //   * scenario_fuzz case hashes (FNV over records, drops, trims, events and
 //     faulted packets) for seeds 1-3 x every topology x the four default
 //     transports, in every case class: plain, --faults, --shards 2,
-//     --shards 3, --mixed and --workload-engine;
+//     --shards 3, --mixed, --mixed --shards 2 and --workload-engine;
 //   * FNV digests (records + events + drops + trims + faulted) of
 //     run_leaf_spine on the golden config (tools/regen_golden_fct.cpp) in
 //     each execution mode: serial, shards=2, fault_incidents=3,
@@ -217,6 +217,8 @@ int main() {
   }
   harness::fuzz::FuzzOptions mixed;
   mixed.mixed = true;
+  emit_fuzz_class(mixed);
+  mixed.shards = 2;
   emit_fuzz_class(mixed);
   harness::fuzz::FuzzOptions engine;
   engine.engine = true;

@@ -34,12 +34,12 @@ void usage(const char* argv0) {
                "  --seeds N      seeds per (topology, transport) pair (default 25)\n"
                "  --shards N     run every case partitioned across N worker threads (fat-tree\n"
                "                 and leaf-spine only; other topologies are skipped). Mutually\n"
-               "                 exclusive with --faults and --mixed\n"
+               "                 exclusive with --faults\n"
                "  --faults       inject a seeded fault schedule (link flaps, blackhole\n"
                "                 windows, rate dips) into every case; oracles must still hold\n"
                "  --mixed        mixed transports: AMRT foreground + a drawn fraction of DCTCP\n"
                "                 background flows on a shared strict-priority fabric. Restricts\n"
-               "                 the transport axis to AMRT; serial-only\n"
+               "                 the transport axis to AMRT\n"
                "  --workload-engine\n"
                "                 draw a non-legacy traffic engine per case (skewed matrices\n"
                "                 with coflow groups, or fan-out requests); adds the group-\n"
@@ -122,10 +122,6 @@ int main(int argc, char** argv) {
 
   if (opts.faults && opts.shards > 1) {
     std::fprintf(stderr, "%s: --faults and --shards are mutually exclusive\n", argv[0]);
-    return 2;
-  }
-  if (opts.mixed && opts.shards > 1) {
-    std::fprintf(stderr, "%s: --mixed and --shards are mutually exclusive\n", argv[0]);
     return 2;
   }
   if (opts.mixed) {
