@@ -31,7 +31,8 @@ struct Rig {
     b = &net.host(hb);
   }
 
-  void blast(int packets) {
+  // Queues `packets` full-size data packets for host b onto `port`.
+  void fill(EgressPort& port, int packets) {
     for (int i = 0; i < packets; ++i) {
       Packet p;
       p.flow = 1;
@@ -39,9 +40,13 @@ struct Rig {
       p.dst = b->id();
       p.type = PacketType::kData;
       p.wire_bytes = kMtuBytes;
-      a->nic().enqueue(std::move(p));
+      port.enqueue(std::move(p));
     }
   }
+  // From host a, through its jittered NIC.
+  void blast(int packets) { fill(a->nic(), packets); }
+  // Straight onto b's downlink, so it transmits back to back.
+  void burst(int packets) { fill(sw->port(1), packets); }
 };
 }  // namespace
 
@@ -95,26 +100,10 @@ TEST(PortSampler, TracksQueueHighWater) {
   EXPECT_LE(sampler.max_queue_pkts(), 2u);
 }
 
-namespace {
-// Queues `packets` full-size data packets straight onto `port`, so it
-// transmits them back to back with no NIC jitter in between.
-void burst(EgressPort& port, const Rig& rig, int packets) {
-  for (int i = 0; i < packets; ++i) {
-    Packet p;
-    p.flow = 2;
-    p.seq = static_cast<std::uint32_t>(i);
-    p.dst = rig.b->id();
-    p.type = PacketType::kData;
-    p.wire_bytes = kMtuBytes;
-    port.enqueue(std::move(p));
-  }
-}
-}  // namespace
-
 TEST(ActiveUtilization, SaturatedPortReadsOne) {
   Rig rig;
   EgressPort& port = rig.sw->port(1);
-  burst(port, rig, 200);  // fits the 256-packet queue: no drops, no gaps
+  rig.burst(200);  // fits the 256-packet queue: no drops, no gaps
   rig.sched.run_until(TimePoint::zero() + 1_ms);
   ASSERT_EQ(port.packets_sent(), 200u);
   EXPECT_DOUBLE_EQ(active_utilization(port), 1.0);
@@ -138,13 +127,13 @@ TEST(ActiveUtilization, PortIsJudgedOnItsOwnWindow) {
   EgressPort& port = rig.sw->port(1);
   // Idle for the first ms of a 5 ms run, then one back-to-back burst: the
   // idle time outside the burst does not count.
-  rig.sched.at(TimePoint::zero() + 1_ms, [&] { burst(port, rig, 100); });
+  rig.sched.at(TimePoint::zero() + 1_ms, [&] { rig.burst(100); });
   rig.sched.run_until(TimePoint::zero() + 5_ms);
   EXPECT_EQ(port.first_tx_start(), TimePoint::zero() + 1_ms);
   EXPECT_DOUBLE_EQ(active_utilization(port), 1.0);
   // A second burst at 6 ms: the gap between the bursts lies inside the
   // window and counts, so the port reads busy time over the whole window.
-  rig.sched.at(TimePoint::zero() + 6_ms, [&] { burst(port, rig, 100); });
+  rig.sched.at(TimePoint::zero() + 6_ms, [&] { rig.burst(100); });
   rig.sched.run_until(TimePoint::zero() + 10_ms);
   const Duration tx = Bandwidth::gbps(10).tx_time(kMtuBytes);
   EXPECT_EQ(port.busy_time(), tx * 200);
