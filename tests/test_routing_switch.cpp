@@ -190,6 +190,38 @@ TEST(RoutingTable, MutationRestartsSprayCursors) {
   EXPECT_EQ(rt.select(to_dst(NodeId{2})), 5);
 }
 
+TEST(RoutingTable, SprayCursorsAcrossLinkDownThenUp) {
+  // Pins the exact spray sequence of two destinations through a link
+  // failure and its repair. While a port is down the table sprays over the
+  // live ports with cursors that start at 0; after recovery the full sets
+  // resume from the cursors they had before the failure.
+  LinkState ls;
+  ls.up.assign(8, 1);
+  RoutingTable rt;
+  rt.bind_link_state(&ls);
+  rt.set_mode(MultipathMode::kPacketSpray);
+  for (int p = 0; p < 3; ++p) rt.add_route(NodeId{1}, p);
+  for (int p = 3; p < 5; ++p) rt.add_route(NodeId{2}, p);
+
+  std::vector<int> seq;
+  auto spray = [&](std::uint32_t dst, int n) {
+    for (int i = 0; i < n; ++i) seq.push_back(rt.select(to_dst(NodeId{dst})));
+  };
+  spray(1, 2);
+  spray(2, 1);
+  ls.up[1] = 0;
+  ls.epoch.fetch_add(1);
+  spray(1, 3);
+  spray(2, 3);
+  ls.up[1] = 1;
+  ls.epoch.fetch_add(1);
+  spray(1, 3);
+  spray(2, 2);
+  EXPECT_EQ(seq, (std::vector<int>{0, 1, 3,         // healthy
+                                   0, 2, 0, 3, 4, 3,  // port 1 down
+                                   2, 0, 1, 4, 3}));  // port 1 back up
+}
+
 TEST(EcmpHash, DistinctForConsecutiveFlows) {
   std::set<std::uint64_t> hashes;
   for (FlowId f = 0; f < 1000; ++f) hashes.insert(ecmp_hash(f));
