@@ -14,7 +14,6 @@ EgressPort::EgressPort(sim::Scheduler& sched, Config cfg, EgressQueue& queue)
       queue_{&queue},
       effective_rate_{cfg_.rate} {
   if (cfg_.rate.bits_per_second() <= 0) throw std::invalid_argument("EgressPort requires a positive rate");
-  if (cfg_.tx_jitter > sim::Duration::zero()) jitter_rng_ = std::make_unique<sim::Rng>(cfg_.jitter_seed);
 }
 
 void EgressPort::connect(Node& peer, int peer_ingress_port) {
@@ -136,6 +135,7 @@ void EgressPort::start_next_transmission() {
   bytes_sent_ += next->wire_bytes;
   ++packets_sent_;
   if (cfg_.tx_jitter > sim::Duration::zero()) {
+    if (!jitter_rng_) jitter_rng_ = std::make_unique<sim::Rng>(cfg_.jitter_seed);
     tx += sim::Duration::nanoseconds(jitter_rng_->uniform_int(0, cfg_.tx_jitter.ns()));
   }
 

@@ -148,9 +148,11 @@ class EgressPort {
   NodeId peer_id_{};
   int peer_port_ = -1;
   // The random streams live out of line: a std::mt19937_64 is 2.5 KB, only
-  // host NICs jitter and only armed ports blackhole. jitter_rng_ exists iff
-  // cfg_.tx_jitter > 0, seeded with cfg_.jitter_seed; fault_rng_ is created
-  // and re-seeded by every set_drop_prob(prob > 0, seed).
+  // host NICs jitter and only armed ports blackhole. jitter_rng_ is made on
+  // the first transmission of a port with cfg_.tx_jitter > 0, seeded with
+  // cfg_.jitter_seed, so a NIC that never sends holds none and the stream is
+  // the same as an engine made up front; fault_rng_ is created and re-seeded
+  // by every set_drop_prob(prob > 0, seed).
   std::unique_ptr<sim::Rng> jitter_rng_;
   // Fault state (src/fault). effective_rate_ = cfg_.rate * rate_scale_, kept
   // materialized so the healthy fast path pays nothing.

@@ -16,23 +16,50 @@ std::uint64_t ecmp_hash(FlowId flow) {
   return x ^ (x >> 31);
 }
 
-void RoutingTable::add_route(NodeId dst, int port) {
+void RoutingTable::add_route(NodeId dst, PortId port) {
+  const Entry e = dst.value < entries_.size() ? entries_[dst.value] : Entry{};
+  if (e.count == kMaxSetPorts) {
+    throw std::length_error("RoutingTable: more than " + std::to_string(kMaxSetPorts) +
+                            " ports toward node " + std::to_string(dst.value));
+  }
+  install(dst, intern_extended(e.offset, e.count, port), e.count + 1);
+}
+
+void RoutingTable::set_routes(NodeId dst, std::span<const PortId> ports) {
+  if (ports.empty()) throw std::invalid_argument("RoutingTable::set_routes: empty ECMP set");
+  if (ports.size() > kMaxSetPorts) {
+    throw std::length_error("RoutingTable: more than " + std::to_string(kMaxSetPorts) +
+                            " ports toward node " + std::to_string(dst.value));
+  }
+  std::uint32_t offset = 0;
+  for (std::uint32_t i = 0; i < ports.size(); ++i) offset = intern_extended(offset, i, ports[i]);
+  install(dst, offset, static_cast<std::uint32_t>(ports.size()));
+}
+
+void RoutingTable::install(NodeId dst, std::uint32_t offset, std::uint32_t count) {
   if (dst.value >= entries_.size()) entries_.resize(dst.value + 1);
   Entry& e = entries_[dst.value];
   if (e.count == 0) ++dst_count_;
-  e.offset = intern_extended(e.offset, e.count, port);
-  ++e.count;
+  e.offset = offset;
+  e.count = count;
   dirty_ = true;
 }
 
-std::uint32_t RoutingTable::intern_extended(std::uint32_t offset, std::uint32_t count, int port) {
+std::uint32_t RoutingTable::intern_extended(std::uint32_t offset, std::uint32_t count,
+                                            PortId port) {
   const std::uint32_t end = offset + count;
   const std::uint64_t key = (std::uint64_t{end} << 32) | static_cast<std::uint32_t>(port);
   Memo& memo = memo_[count % kMemoSlots];
   if (memo.key == key) return memo.offset;
   auto [child, inserted] = interned_.try_emplace(key);
   if (inserted) {
-    if (end != pool_.size()) {
+    const bool copy = end != pool_.size();
+    if (pool_.size() + (copy ? count : 0) + 1 > kMaxPoolPorts) {
+      interned_.erase(key);
+      throw std::length_error("RoutingTable: port pool would pass " +
+                              std::to_string(kMaxPoolPorts) + " ports");
+    }
+    if (copy) {
       // The parent set is not at the pool's end: copy it there (after the
       // resize, which may move the source).
       const auto at = static_cast<std::uint32_t>(pool_.size());
@@ -47,13 +74,13 @@ std::uint32_t RoutingTable::intern_extended(std::uint32_t offset, std::uint32_t 
   return *child;
 }
 
-// The entries and pool are always current; a mutation leaves only the route
-// cache and the spray cursors stale, and this resets both.
+// The entries and pool are always current; a mutation leaves only the view
+// pointers and the spray cursors stale, and this resets both.
 void RoutingTable::restart_lookups() const {
-  for (Entry& e : entries_) e.spray = 0;
-  cache_.fill(CacheSlot{});
+  spray_.assign(mode_ == MultipathMode::kPacketSpray ? entries_.size() : 0, 0);
   view_entries_ = entries_.data();
   view_pool_ = pool_.data();
+  view_spray_ = spray_.data();
   view_size_ = entries_.size();
   // Any past link transition invalidates this full view; resetting the seen
   // epoch below the live one makes the next select() re-filter. Epoch 0
@@ -64,19 +91,18 @@ void RoutingTable::restart_lookups() const {
 
 void RoutingTable::refresh_link_view() const {
   seen_epoch_ = link_state_->epoch.load(std::memory_order_relaxed);
-  // Cached ECMP picks may point at ports that just died (or skip ports that
-  // just revived): flush wholesale, repopulated per flow on the next packet.
-  cache_.fill(CacheSlot{});
   bool any_down = false;
-  for (const int p : pool_) {
+  for (const PortId p : pool_) {
     if (!link_state_->is_up(p)) {
       any_down = true;
       break;
     }
   }
   if (!any_down) {
+    // Back on the full view: its spray cursors resume where they stopped.
     view_entries_ = entries_.data();
     view_pool_ = pool_.data();
+    view_spray_ = spray_.data();
     view_size_ = entries_.size();
     return;
   }
@@ -87,7 +113,7 @@ void RoutingTable::refresh_link_view() const {
     const Entry& e = entries_[dst];
     const auto offset = static_cast<std::uint32_t>(alive_pool_.size());
     for (std::uint32_t i = 0; i < e.count; ++i) {
-      const int p = pool_[e.offset + i];
+      const PortId p = pool_[e.offset + i];
       if (link_state_->is_up(p)) alive_pool_.push_back(p);
     }
     auto count = static_cast<std::uint32_t>(alive_pool_.size()) - offset;
@@ -99,14 +125,17 @@ void RoutingTable::refresh_link_view() const {
       for (std::uint32_t i = 0; i < e.count; ++i) alive_pool_.push_back(pool_[e.offset + i]);
       count = e.count;
     }
-    alive_entries_[dst] = Entry{offset, count, 0};
+    alive_entries_[dst].offset = offset;
+    alive_entries_[dst].count = count;
   }
+  alive_spray_.assign(mode_ == MultipathMode::kPacketSpray ? entries_.size() : 0, 0);
   view_entries_ = alive_entries_.data();
   view_pool_ = alive_pool_.data();
+  view_spray_ = alive_spray_.data();
   view_size_ = alive_entries_.size();
 }
 
-std::span<const int> RoutingTable::ports_for(NodeId dst) const {
+std::span<const PortId> RoutingTable::ports_for(NodeId dst) const {
   if (dst.value >= entries_.size()) return {};
   const Entry& e = entries_[dst.value];
   return {pool_.data() + e.offset, e.count};

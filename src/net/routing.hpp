@@ -5,16 +5,13 @@
 // (per-flow ECMP, see DESIGN.md §6 for why all protocols share this choice).
 //
 // Data-plane layout (see DESIGN.md "Data-plane fast path"): destinations are
-// dense small integers per topology, so the table is a flat array of
+// dense small integers per topology, so the table is a flat array of 4-byte
 // {offset, count} entries into one shared port pool — a forward is two
-// indexed loads, no hashing and no node allocation. The pool holds each
-// distinct ECMP set once (an edge switch of a k=16 fat-tree has 9 sets for
-// its 1024 destinations), interned as routes are added. On top of that a
-// direct-mapped per-flow route cache memoizes the ECMP pick: the hash and
-// the (division-heavy) modulo run once per flow per switch, after which a
-// forward is a single 16-byte cache-slot compare. The cache is sound because
-// `ecmp_hash` is a pure function of the flow id and the port set is frozen
-// after wiring; any later `add_route` invalidates it wholesale.
+// indexed loads, the SplitMix64 flow hash and one modulo, with no hashing
+// into a map and no node allocation. The pool holds each distinct ECMP set
+// once (an edge switch of a k=16 fat-tree has 9 sets for its 1024
+// destinations), interned as routes are wired. The table keeps nothing per
+// flow: a switch's state is fixed by its topology, not by its traffic.
 #pragma once
 
 #include <array>
@@ -23,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "net/node.hpp"
 #include "net/packet.hpp"
 #include "util/flat_map.hpp"
 
@@ -59,25 +57,47 @@ enum class MultipathMode : std::uint8_t { kPerFlowEcmp, kPacketSpray };
 
 class RoutingTable {
  public:
-  // Registers `port` as one of the equal-cost next hops toward `dst`,
-  // after the ones already registered. Mutating the table flushes the route
-  // cache and restarts the spray cursors on the next select().
-  void add_route(NodeId dst, int port);
+  // A destination's ECMP set: `count` ports at `offset` in the port pool.
+  // Packed into 4 bytes, so a set holds at most kMaxSetPorts ports and the
+  // pool at most kMaxPoolPorts; wiring past either throws std::length_error.
+  struct Entry {
+    std::uint32_t offset : 24 = 0;
+    std::uint32_t count : 8 = 0;
+  };
+  static constexpr std::size_t kMaxSetPorts = 255;
+  static constexpr std::size_t kMaxPoolPorts = std::size_t{1} << 24;
 
-  void set_mode(MultipathMode mode) { mode_ = mode; }
+  // Registers `port` as one of the equal-cost next hops toward `dst`,
+  // after the ones already registered. Mutating the table restarts the
+  // spray cursors on the next select().
+  void add_route(NodeId dst, PortId port);
+  // Installs `ports` (non-empty, in order) as the whole ECMP set toward
+  // `dst`, replacing any earlier one. Equivalent to add_route per port on a
+  // fresh destination, at one entry store: the builders wire uplink sets
+  // with it.
+  void set_routes(NodeId dst, std::span<const PortId> ports);
+  // Sizes the entry array for destinations [0, n) up front, so builders that
+  // know their node count wire without growth slack.
+  void reserve(std::size_t n) { entries_.reserve(n); }
+
+  // Switching modes counts as a mutation (spray cursors restart).
+  void set_mode(MultipathMode mode) {
+    if (mode != mode_) dirty_ = true;
+    mode_ = mode;
+  }
   [[nodiscard]] MultipathMode mode() const { return mode_; }
 
   // Subscribes this table to the fabric's link liveness (Network wires every
   // switch at construction). When the state's epoch moves past the one the
   // current view was compiled for, the next select() rebuilds an ECMP view
-  // restricted to live ports and flushes the route cache; healthy runs pay
-  // one epoch compare per forward.
+  // restricted to live ports; healthy runs pay one epoch compare per
+  // forward.
   void bind_link_state(const LinkState* ls) { link_state_ = ls; }
 
   // Picks the egress port for `pkt`. Unknown destinations are a wiring bug:
   // the process aborts with a diagnostic (use `require_route` at build time
   // to fail during setup instead of mid-run).
-  [[nodiscard]] int select(const Packet& pkt) {
+  [[nodiscard]] PortId select(const Packet& pkt) {
     if (dirty_) restart_lookups();
     if (link_state_ != nullptr &&
         link_state_->epoch.load(std::memory_order_relaxed) != seen_epoch_) [[unlikely]] {
@@ -87,23 +107,20 @@ class RoutingTable {
     if (dst >= view_size_ || view_entries_[dst].count == 0) [[unlikely]] {
       die_unknown_destination(pkt.dst);
     }
-    Entry& e = view_entries_[dst];
-    const int* ports = view_pool_ + e.offset;
-    if (e.count == 1) return ports[0];
+    const Entry e = view_entries_[dst];
+    const PortId* ports = view_pool_ + e.offset;
+    const std::uint32_t count = e.count;
+    if (count == 1) return ports[0];
     if (mode_ == MultipathMode::kPacketSpray && pkt.type == PacketType::kData) {
       // Control packets stay on the flow's hashed path so grant clocks are
       // not reordered; only data is sprayed (as in NDP).
-      return ports[e.spray++ % e.count];
+      return ports[view_spray_[dst]++ % count];
     }
-    CacheSlot& slot = cache_[cache_index(pkt.flow, dst)];
-    if (slot.flow == pkt.flow && slot.dst == dst) return slot.port;
-    const int port = ports[ecmp_hash(pkt.flow) % e.count];
-    slot = CacheSlot{pkt.flow, dst, port};
-    return port;
+    return ports[ecmp_hash(pkt.flow) % count];
   }
 
   // The ECMP set toward `dst`; empty if the destination is unknown.
-  [[nodiscard]] std::span<const int> ports_for(NodeId dst) const;
+  [[nodiscard]] std::span<const PortId> ports_for(NodeId dst) const;
   [[nodiscard]] bool knows(NodeId dst) const { return !ports_for(dst).empty(); }
   [[nodiscard]] std::size_t destinations() const { return dst_count_; }
   // Ports stored in the shared pool: the sum of the distinct ECMP sets'
@@ -116,31 +133,9 @@ class RoutingTable {
   void require_route(NodeId dst) const;
 
  private:
-  // Dense per-destination view into the shared port pool. `spray` is the
-  // destination's own round-robin cursor (kPacketSpray mode).
-  struct Entry {
-    std::uint32_t offset = 0;
-    std::uint32_t count = 0;
-    std::uint32_t spray = 0;
-  };
-  struct CacheSlot {
-    FlowId flow = ~FlowId{0};
-    std::uint32_t dst = ~std::uint32_t{0};
-    std::int32_t port = -1;
-  };
-  static constexpr std::size_t kCacheSlots = 512;  // direct-mapped, 8KB
-
-  [[nodiscard]] static std::size_t cache_index(FlowId flow, std::uint32_t dst) {
-    // Flow ids are sequential; fold the high half in and mix with the
-    // destination so forward and reverse traffic of one flow land apart.
-    return (static_cast<std::size_t>(flow ^ (flow >> 32)) ^
-            (static_cast<std::size_t>(dst) * 0x9e3779b9u)) &
-           (kCacheSlots - 1);
-  }
-
-  // Runs on the first select() after a mutation: flushes the route cache
-  // (cached picks name positions in sets that may have grown) and restarts
-  // every destination's spray cursor at the front of its set.
+  // Runs on the first select() after a mutation: points the view at the
+  // full tables and restarts every destination's spray cursor at the front
+  // of its set.
   void restart_lookups() const;
   // Rebuilds the live-port view after a link-state transition (cold: runs
   // once per epoch change, not per packet). If every port toward some
@@ -148,12 +143,15 @@ class RoutingTable {
   // dead port's `faulted` counter instead of aborting the run.
   void refresh_link_view() const;
   [[noreturn]] static void die_unknown_destination(NodeId dst);
+  // Stores `dst`'s set as `count` ports at pool `offset`.
+  void install(NodeId dst, std::uint32_t offset, std::uint32_t count);
   // Interns the set "pool_[offset, offset + count) followed by `port`" and
   // returns its offset (its count is count + 1).
-  [[nodiscard]] std::uint32_t intern_extended(std::uint32_t offset, std::uint32_t count, int port);
+  [[nodiscard]] std::uint32_t intern_extended(std::uint32_t offset, std::uint32_t count,
+                                              PortId port);
 
-  // Per-destination {offset, count} into pool_, kept current by add_route.
-  mutable std::vector<Entry> entries_;
+  // Per-destination sets into pool_, kept current by add_route/set_routes.
+  std::vector<Entry> entries_;
   std::size_t dst_count_ = 0;
   mutable bool dirty_ = false;
 
@@ -169,23 +167,25 @@ class RoutingTable {
     std::uint32_t offset = 0;
   };
   static constexpr std::size_t kMemoSlots = 8;
-  std::vector<int> pool_;
+  std::vector<PortId> pool_;
   util::FlatMap<std::uint64_t, std::uint32_t> interned_;
   std::array<Memo, kMemoSlots> memo_{};
 
   // The view select() reads: the full tables above, or (between a link
-  // transition and full recovery) the filtered alive_* copies. Raw pointers
-  // are re-derived by restart_lookups()/refresh_link_view() whenever the
-  // backing vectors may have moved.
-  mutable Entry* view_entries_ = nullptr;
-  mutable const int* view_pool_ = nullptr;
+  // transition and full recovery) the filtered alive_* copies. Each view
+  // has its own spray cursors, allocated only in kPacketSpray mode. Raw
+  // pointers are re-derived by restart_lookups()/refresh_link_view()
+  // whenever the backing vectors may have moved.
+  mutable const Entry* view_entries_ = nullptr;
+  mutable const PortId* view_pool_ = nullptr;
+  mutable std::uint32_t* view_spray_ = nullptr;
   mutable std::size_t view_size_ = 0;
+  mutable std::vector<std::uint32_t> spray_;
   mutable std::vector<Entry> alive_entries_;
-  mutable std::vector<int> alive_pool_;
+  mutable std::vector<PortId> alive_pool_;
+  mutable std::vector<std::uint32_t> alive_spray_;
   mutable std::uint64_t seen_epoch_ = 0;
   const LinkState* link_state_ = nullptr;
-
-  mutable std::array<CacheSlot, kCacheSlots> cache_{};
   MultipathMode mode_ = MultipathMode::kPerFlowEcmp;
 };
 

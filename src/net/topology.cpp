@@ -32,6 +32,10 @@ LeafSpine build_leaf_spine(Network& net, const LeafSpineConfig& cfg) {
   std::vector<HostId> hosts;
   for (int l = 0; l < cfg.leaves; ++l) leaves.push_back(net.add_switch());
   for (int s = 0; s < cfg.spines; ++s) spines.push_back(net.add_switch());
+  // Routing entries are indexed by NodeId: size them for every node once.
+  const std::size_t n_nodes = net.host_count() + net.switch_count() + n_hosts;
+  for (const SwitchId l : leaves) net.switch_at(l).routes().reserve(n_nodes);
+  for (const SwitchId s : spines) net.switch_at(s).routes().reserve(n_nodes);
 
   out.leaf_down.resize(static_cast<std::size_t>(cfg.leaves));
   out.leaf_up.resize(static_cast<std::size_t>(cfg.leaves));
@@ -64,14 +68,13 @@ LeafSpine build_leaf_spine(Network& net, const LeafSpineConfig& cfg) {
   // Routing: leaves send remote traffic up any spine (ECMP); spines know
   // which leaf owns each host.
   for (int l = 0; l < cfg.leaves; ++l) {
+    RoutingTable& routes = net.switch_at(leaves[l]).routes();
     for (int other = 0; other < cfg.leaves; ++other) {
       if (other == l) continue;
       for (int h = 0; h < cfg.hosts_per_leaf; ++h) {
         const NodeId dst =
             net.id_of(hosts[static_cast<std::size_t>(other) * cfg.hosts_per_leaf + h]);
-        for (int s = 0; s < cfg.spines; ++s) {
-          net.switch_at(leaves[l]).routes().add_route(dst, out.leaf_up[l][s]);
-        }
+        routes.set_routes(dst, out.leaf_up[l]);
       }
     }
   }
@@ -138,6 +141,12 @@ FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg) {
     for (int a = 0; a < half; ++a) aggs.push_back(net.add_switch());
   }
   for (int c = 0; c < n_cores; ++c) cores.push_back(net.add_switch());
+  // Routing entries are indexed by NodeId: size them for every node once.
+  const std::size_t n_nodes =
+      net.host_count() + net.switch_count() + static_cast<std::size_t>(n_hosts);
+  for (const SwitchId s : edges) net.switch_at(s).routes().reserve(n_nodes);
+  for (const SwitchId s : aggs) net.switch_at(s).routes().reserve(n_nodes);
+  for (const SwitchId s : cores) net.switch_at(s).routes().reserve(n_nodes);
 
   out.edge_down.resize(static_cast<std::size_t>(n_edges));
   out.edge_up.resize(static_cast<std::size_t>(n_edges));
@@ -209,7 +218,7 @@ FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg) {
     for (int hi = 0; hi < n_hosts; ++hi) {
       if (edge_of(hi) == ei) continue;  // local hosts already routed
       const NodeId dst = net.id_of(hosts[static_cast<std::size_t>(hi)]);
-      for (int a = 0; a < half; ++a) routes.add_route(dst, out.edge_up[ei][a]);
+      routes.set_routes(dst, out.edge_up[ei]);
     }
   }
 
@@ -224,7 +233,7 @@ FatTree build_fat_tree(Network& net, const FatTreeConfig& cfg) {
         if (pod_of(hi) == p) {
           routes.add_route(dst, out.agg_down[ai][static_cast<std::size_t>(edge_of(hi) % half)]);
         } else {
-          for (int j = 0; j < half; ++j) routes.add_route(dst, out.agg_up[ai][j]);
+          routes.set_routes(dst, out.agg_up[ai]);
         }
       }
     }

@@ -130,6 +130,29 @@ TEST(EgressPort, MarkerSeesIdleGapState) {
   EXPECT_EQ(probe_ptr->gaps[1], 10_us);
 }
 
+TEST(EgressPort, LateFirstTransmissionDrawsTheSeededJitterStream) {
+  // The jitter engine is made on the first transmission; a NIC that first
+  // sends at 1 ms draws exactly the delays of an engine seeded up front.
+  EgressPort::Config cfg{Bandwidth::gbps(10), 5_us};
+  cfg.tx_jitter = 150_ns;
+  cfg.jitter_seed = 7;
+  PortRig rig{cfg};
+  constexpr std::uint32_t kPackets = 20;
+  rig.sched.after(1_ms, [&] {
+    for (std::uint32_t i = 0; i < kPackets; ++i) rig.port.enqueue(data_pkt(i));
+  });
+  rig.sched.run();
+  Rng eager{cfg.jitter_seed};
+  std::vector<TimePoint> want;
+  TimePoint start = TimePoint::zero() + 1_ms;
+  for (std::uint32_t i = 0; i < kPackets; ++i) {
+    const auto tx = 1200_ns + Duration::nanoseconds(eager.uniform_int(0, cfg.tx_jitter.ns()));
+    want.push_back(start + tx + cfg.delay);
+    start += tx;
+  }
+  EXPECT_EQ(rig.sink.times, want);
+}
+
 TEST(EgressPort, JitterBoundsInterPacketSpacing) {
   EgressPort::Config cfg{Bandwidth::gbps(10), Duration::zero()};
   cfg.tx_jitter = 150_ns;

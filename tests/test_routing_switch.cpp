@@ -4,6 +4,9 @@
 #include <map>
 #include <random>
 #include <set>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/switch.hpp"
@@ -22,7 +25,41 @@ Packet to_dst(NodeId dst, FlowId flow = 1) {
   p.wire_bytes = kMtuBytes;
   return p;
 }
+
+QueueFactory drop_tail_factory() {
+  return [](bool) { return EgressQueue::drop_tail(64); };
+}
+
+// Rewires every switch of `net` port by port with add_route, destinations
+// in NodeId order, and checks the copy against the builder's set_routes
+// wiring: the same ECMP sets, the same interned pool and the same picks.
+void expect_set_routes_match_add_route(Network& net, const std::vector<Host*>& hosts) {
+  const std::size_t n_nodes = net.host_count() + net.switch_count();
+  for (std::size_t s = 0; s < net.switch_count(); ++s) {
+    RoutingTable& built = net.switch_at(SwitchId{static_cast<std::uint32_t>(s)}).routes();
+    RoutingTable ref;
+    for (std::uint32_t d = 0; d < n_nodes; ++d) {
+      for (const PortId p : built.ports_for(NodeId{d})) ref.add_route(NodeId{d}, p);
+    }
+    ASSERT_EQ(ref.destinations(), built.destinations()) << "switch " << s;
+    ASSERT_EQ(ref.pool_size(), built.pool_size()) << "switch " << s;
+    for (std::uint32_t d = 0; d < n_nodes; ++d) {
+      const auto a = ref.ports_for(NodeId{d});
+      const auto b = built.ports_for(NodeId{d});
+      ASSERT_EQ(std::vector<PortId>(a.begin(), a.end()), std::vector<PortId>(b.begin(), b.end()))
+          << "switch " << s << " dst " << d;
+    }
+    for (FlowId f = 1; f <= 2000; ++f) {
+      const Packet pkt = to_dst(hosts[f % hosts.size()]->id(), f);
+      ASSERT_EQ(ref.select(pkt), built.select(pkt)) << "switch " << s << " flow " << f;
+    }
+  }
+}
 }  // namespace
+
+// A forward reads one 4-byte entry; a switch carries no per-flow state.
+static_assert(sizeof(RoutingTable::Entry) == 4, "routing entries must stay 4 bytes");
+static_assert(sizeof(Switch) < 1024, "a switch's inline state must stay under 1 KB");
 
 TEST(RoutingTable, SinglePathSelected) {
   RoutingTable rt;
@@ -74,11 +111,10 @@ TEST(RoutingTable, PortsForExposesEcmpSet) {
   EXPECT_EQ(rt.destinations(), 1u);
 }
 
-TEST(RoutingTable, RouteCacheSurvivesChurnAndInvalidation) {
-  // The per-flow route cache must never change an answer: repeated lookups
-  // across many interleaved flows (direct-mapped slots will collide and
-  // evict) always reproduce the first pick, and adding a route afterwards
-  // rebuilds the table without stale cached ports escaping.
+TEST(RoutingTable, EcmpPickIsStableAcrossChurnAndMutation) {
+  // A flow's pick is a pure function of its id and the ECMP set: repeated
+  // lookups across many interleaved flows always reproduce the first pick,
+  // and after a route is added every answer comes from the grown set.
   RoutingTable rt;
   for (int p = 0; p < 3; ++p) rt.add_route(NodeId{1}, p);
   std::map<FlowId, int> first_pick;
@@ -88,13 +124,12 @@ TEST(RoutingTable, RouteCacheSurvivesChurnAndInvalidation) {
       ASSERT_EQ(rt.select(to_dst(NodeId{1}, f)), first_pick[f]) << "flow " << f;
     }
   }
-  // Table mutation invalidates the compiled form and the cache wholesale;
-  // every answer must still be a member of the (new) ECMP set.
+  // Every answer after the mutation is a member of the (new) ECMP set.
   rt.add_route(NodeId{1}, 7);
   std::set<int> used;
   for (FlowId f = 1; f <= 2000; ++f) used.insert(rt.select(to_dst(NodeId{1}, f)));
   for (int p : used) EXPECT_TRUE((p >= 0 && p < 3) || p == 7);
-  EXPECT_TRUE(used.count(7) > 0) << "new route never selected after invalidation";
+  EXPECT_TRUE(used.count(7) > 0) << "new route never selected after the mutation";
 }
 
 TEST(RoutingTable, SprayCountersArePerDestination) {
@@ -220,6 +255,42 @@ TEST(RoutingTable, SprayCursorsAcrossLinkDownThenUp) {
   EXPECT_EQ(seq, (std::vector<int>{0, 1, 3,         // healthy
                                    0, 2, 0, 3, 4, 3,  // port 1 down
                                    2, 0, 1, 4, 3}));  // port 1 back up
+}
+
+TEST(RoutingTable, SetRoutesMatchesAddRouteOnFatTrees) {
+  for (const int k : {4, 16}) {
+    Simulation sim;
+    Network net{sim};
+    FatTreeConfig cfg;
+    cfg.k = k;
+    cfg.queue_factory = drop_tail_factory();
+    const FatTree topo = build_fat_tree(net, cfg);
+    SCOPED_TRACE("k=" + std::to_string(k));
+    expect_set_routes_match_add_route(net, topo.hosts);
+  }
+}
+
+TEST(RoutingTable, SetRoutesMatchesAddRouteOnLeafSpine) {
+  Simulation sim;
+  Network net{sim};
+  LeafSpineConfig cfg;
+  cfg.queue_factory = drop_tail_factory();
+  const LeafSpine topo = build_leaf_spine(net, cfg);
+  expect_set_routes_match_add_route(net, topo.hosts);
+}
+
+TEST(RoutingTable, OversizedEcmpSetThrowsAtWiringTime) {
+  // An entry counts its set in 8 bits: a 256th port is a wiring error.
+  std::vector<PortId> ports(RoutingTable::kMaxSetPorts + 1);
+  for (std::size_t i = 0; i < ports.size(); ++i) ports[i] = static_cast<PortId>(i);
+  RoutingTable rt;
+  EXPECT_THROW(rt.set_routes(NodeId{1}, ports), std::length_error);
+  EXPECT_FALSE(rt.knows(NodeId{1}));
+  rt.set_routes(NodeId{1}, std::span<const PortId>{ports}.first(RoutingTable::kMaxSetPorts));
+  EXPECT_EQ(rt.ports_for(NodeId{1}).size(), RoutingTable::kMaxSetPorts);
+  EXPECT_THROW(rt.add_route(NodeId{1}, ports.back()), std::length_error);
+  EXPECT_EQ(rt.ports_for(NodeId{1}).size(), RoutingTable::kMaxSetPorts);
+  EXPECT_THROW(rt.set_routes(NodeId{2}, {}), std::invalid_argument);
 }
 
 TEST(EcmpHash, DistinctForConsecutiveFlows) {
