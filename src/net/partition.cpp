@@ -136,6 +136,9 @@ Partition partition_leaf_spine(const Network& net, const LeafSpine& topo, unsign
 
 ShardedRunner::ShardedRunner(Network& net, Partition part, sim::ShardGroup& shards, Config cfg)
     : net_{net}, part_{std::move(part)}, shards_{shards}, cfg_{std::move(cfg)} {
+  if (part_.n_shards < 2) {
+    throw std::logic_error("ShardedRunner: a partitioned run needs at least two shards");
+  }
   if (shards_.size() != part_.n_shards) {
     throw std::logic_error("ShardedRunner: shard group size does not match the partition");
   }
@@ -217,18 +220,6 @@ void ShardedRunner::coordinate() noexcept {
 
 void ShardedRunner::run() {
   const unsigned n = part_.n_shards;
-  if (n <= 1) {
-    // Degenerate case: a plain serial run on the master scheduler.
-    sim::Scheduler& sched = shards_.master().scheduler();
-    if (cfg_.event_limit != 0) sched.set_event_limit(cfg_.event_limit);
-    if (cfg_.horizon < sim::TimePoint::max()) {
-      sched.run_until(cfg_.horizon);
-    } else {
-      sched.run();
-    }
-    return;
-  }
-
   bind();
   std::barrier post_inject{static_cast<std::ptrdiff_t>(n), [this]() noexcept { coordinate(); }};
   std::barrier<> post_run{static_cast<std::ptrdiff_t>(n)};

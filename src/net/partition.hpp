@@ -109,8 +109,9 @@ struct Partition {
 // Drives a partitioned run: binds every port/host/queue to its owning
 // shard's scheduler, spawns one worker per shard, and executes conservative
 // time windows between barriers until every shard drains (or a limit trips).
-// Single-shot: build, run() once, read the results. With n_shards == 1 the
-// runner degenerates to a plain serial run on the master scheduler.
+// Single-shot: build, run() once, read the results. A partition of fewer
+// than two shards is rejected at construction: serial runs use the plain
+// scheduler (harness::PacketRun at shards == 1), not this runner.
 class ShardedRunner {
  public:
   struct Config {
@@ -125,7 +126,9 @@ class ShardedRunner {
     std::string audit_context;
   };
 
-  // `net` must be fully built against `shards.master()` and frozen.
+  // `net` must be fully built against `shards.master()` and frozen. Throws
+  // std::logic_error if the partition has fewer than two shards or the
+  // group's size does not match it.
   ShardedRunner(Network& net, Partition part, sim::ShardGroup& shards, Config cfg);
   ShardedRunner(Network& net, Partition part, sim::ShardGroup& shards);
 

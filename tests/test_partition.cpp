@@ -3,8 +3,9 @@
 // one shard, pod co-location and core round-robin hold on the fat-tree,
 // cross flags sit only on inter-shard links, the lookahead matches the
 // hand-computed cross-link latency floor, mailbox injection order is
-// deterministic and rejects a delivery into the receiver's past, and the
-// per-shard seed derivation is pinned.
+// deterministic and rejects a delivery into the receiver's past, the
+// runner refuses a one-shard partition, and the per-shard seed derivation
+// is pinned.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -130,6 +131,16 @@ TEST(Partition, SingleShardHasNoCrossPortsAndInfiniteLookahead) {
   const auto part = net::partition_fat_tree(network, topo, 1);
   EXPECT_EQ(part.cross_ports, 0u);
   EXPECT_EQ(part.lookahead, sim::Duration::max());
+}
+
+TEST(ShardedRunner, RejectsFewerThanTwoShards) {
+  // Serial runs go through the plain scheduler; a one-shard partition is a
+  // caller bug, refused at construction like a shard-count mismatch.
+  sim::ShardGroup group{1, 1};
+  net::Network network{group.master()};
+  const auto topo = make_fabric(network, 4);
+  EXPECT_THROW((net::ShardedRunner{network, net::partition_fat_tree(network, topo, 1), group}),
+               std::logic_error);
 }
 
 TEST(ShardMailbox, InjectionOrderIsByTimestampThenPushOrder) {
