@@ -16,21 +16,25 @@ std::uint64_t ecmp_hash(FlowId flow) {
   return x ^ (x >> 31);
 }
 
+namespace {
+void check_set_size(NodeId dst, std::size_t ports) {
+  if (ports > RoutingTable::kMaxSetPorts) {
+    throw std::length_error("RoutingTable: more than " +
+                            std::to_string(RoutingTable::kMaxSetPorts) + " ports toward node " +
+                            std::to_string(dst.value));
+  }
+}
+}  // namespace
+
 void RoutingTable::add_route(NodeId dst, PortId port) {
   const Entry e = dst.value < entries_.size() ? entries_[dst.value] : Entry{};
-  if (e.count == kMaxSetPorts) {
-    throw std::length_error("RoutingTable: more than " + std::to_string(kMaxSetPorts) +
-                            " ports toward node " + std::to_string(dst.value));
-  }
+  check_set_size(dst, e.count + 1);
   install(dst, intern_extended(e.offset, e.count, port), e.count + 1);
 }
 
 void RoutingTable::set_routes(NodeId dst, std::span<const PortId> ports) {
   if (ports.empty()) throw std::invalid_argument("RoutingTable::set_routes: empty ECMP set");
-  if (ports.size() > kMaxSetPorts) {
-    throw std::length_error("RoutingTable: more than " + std::to_string(kMaxSetPorts) +
-                            " ports toward node " + std::to_string(dst.value));
-  }
+  check_set_size(dst, ports.size());
   std::uint32_t offset = 0;
   for (std::uint32_t i = 0; i < ports.size(); ++i) offset = intern_extended(offset, i, ports[i]);
   install(dst, offset, static_cast<std::uint32_t>(ports.size()));

@@ -257,6 +257,51 @@ TEST(RoutingTable, SprayCursorsAcrossLinkDownThenUp) {
                                    2, 0, 1, 4, 3}));  // port 1 back up
 }
 
+TEST(RoutingTable, SetRoutesEqualsAddRoutePerPort) {
+  // Random sets with shared and diverging prefixes and repeated ports,
+  // wired whole on one table and port by port on another.
+  std::mt19937 gen{23};
+  RoutingTable whole, per_port;
+  std::map<std::uint32_t, std::vector<PortId>> want;
+  for (std::uint32_t dst = 0; dst < 200; ++dst) {
+    std::vector<PortId> ports(1 + gen() % 6);
+    for (PortId& p : ports) p = static_cast<PortId>(gen() % 4);
+    whole.set_routes(NodeId{dst}, ports);
+    for (const PortId p : ports) per_port.add_route(NodeId{dst}, p);
+    want[dst] = ports;
+  }
+  EXPECT_EQ(whole.pool_size(), per_port.pool_size());
+  for (const auto& [dst, ports] : want) {
+    const auto got = whole.ports_for(NodeId{dst});
+    ASSERT_EQ(std::vector<PortId>(got.begin(), got.end()), ports) << "dst " << dst;
+    for (FlowId f = 1; f <= 20; ++f) {
+      ASSERT_EQ(whole.select(to_dst(NodeId{dst}, f)), per_port.select(to_dst(NodeId{dst}, f)));
+    }
+  }
+}
+
+TEST(RoutingTable, SprayAliveCursorsRestartOnEveryTransition) {
+  // Each rebuild of the live-port view starts its spray cursors at 0, also
+  // when a second port fails while the first is still down.
+  LinkState ls;
+  ls.up.assign(8, 1);
+  RoutingTable rt;
+  rt.bind_link_state(&ls);
+  rt.set_mode(MultipathMode::kPacketSpray);
+  for (int p = 0; p < 4; ++p) rt.add_route(NodeId{1}, p);
+  std::vector<int> seq;
+  auto spray = [&](int n) {
+    for (int i = 0; i < n; ++i) seq.push_back(rt.select(to_dst(NodeId{1})));
+  };
+  ls.up[1] = 0;
+  ls.epoch.fetch_add(1);
+  spray(1);
+  ls.up[3] = 0;
+  ls.epoch.fetch_add(1);
+  spray(3);
+  EXPECT_EQ(seq, (std::vector<int>{0, 0, 2, 0}));
+}
+
 TEST(RoutingTable, SetRoutesMatchesAddRouteOnFatTrees) {
   for (const int k : {4, 16}) {
     Simulation sim;
