@@ -10,7 +10,7 @@ ShardedScenario::ShardedScenario(sim::ShardGroup& group, net::Network& net, net:
     recorders_.push_back(std::make_unique<stats::FctRecorder>(reference_rate, base_rtt));
     // Starts book at the sender, completions at the receiver — possibly on
     // another shard. merge_from pairs the halves after the run.
-    if (part_.n_shards > 1) recorders_.back()->set_cross_shard(true);
+    recorders_.back()->set_cross_shard(true);
   }
 }
 
