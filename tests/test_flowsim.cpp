@@ -456,6 +456,85 @@ TEST(FlowSimWaterFill, ChainOfThreeSuccessiveBottlenecks) {
   EXPECT_EQ(ends.at(5), 2'750'000);
 }
 
+TEST(FlowSimWaterFill, CoBottleneckRoundingOnInexactCapacities) {
+  // host_up(1) and host_down(0) carry C/3 over seven flows each, one flow
+  // (1->0) on both: a tie at s = (C/3)/7, broken toward host_up(1), which
+  // 1->0 lists first. Freezing its seven flows leaves host_down(0)
+  // (C/3 - s)/6, an ulp *below* s, so host_down(0)'s other six freeze just
+  // under the first seven. host_up(2) (C/14) carries only 2->0, so once
+  // that freezes it is empty yet keyed below what is left. host_down(8)
+  // (C/7: 1->8 and 9->8) rises from C/14 to C/7 - s once 1->8 freezes, so
+  // 9->8 is held by host_up(9) (0.6 C/7) instead. The sizes stagger the
+  // completions, and every one re-water-fills what is left.
+  const double third = kC / 3.0;
+  const double seventh = kC / 7.0;
+  ASSERT_LT((third - third / 7.0) / 6.0, third / 7.0);  // the rounding this case is about
+  Fabric f = one_leaf(10);
+  set_payload(f, f.host_up(1), third);
+  set_payload(f, f.host_down(0), third);
+  set_payload(f, f.host_up(2), seventh / 2.0);
+  set_payload(f, f.host_down(8), seventh);
+  set_payload(f, f.host_up(9), seventh * 0.6);
+  std::vector<Spec> flows;
+  std::uint64_t id = 0;
+  for (const std::size_t dst : {0, 2, 3, 4, 5, 6, 8}) {
+    ++id;
+    flows.push_back({id, 1, dst, 100'000 * id});
+  }
+  for (std::size_t src = 2; src <= 7; ++src) {
+    ++id;
+    flows.push_back({id, src, 0, 150'000 + 70'000 * src});
+  }
+  flows.push_back({++id, 9, 8, 900'000});
+  const std::map<std::uint64_t, std::int64_t> expected = {
+      {1, 2'100'000},  {2, 3'900'000},  {3, 5'400'000},  {4, 6'545'455},  {5, 7'309'092},
+      {6, 7'690'910},  {7, 11'000'000}, {8, 5'520'000},  {9, 6'570'000},  {10, 7'410'000},
+      {11, 8'040'000}, {12, 8'460'000}, {13, 8'670'000}, {14, 11'600'000}};
+  EXPECT_EQ(end_ns(f, flows), expected);
+}
+
+TEST(FlowSim, BusyWindowsSpanEachLinksFirstAndLastStreamedInstant) {
+  // Every one_leaf() link carries 4C. a (0->1, 2e6) and b (0->2, 6e6)
+  // share host_up(0) at 2C: a drains at 1 ms, then b runs alone at 4C and
+  // drains its last 4e6 at 2 ms. c (3->4, 2e6) arrives at 0.5 ms on idle
+  // links and drains at 4C by 1 ms. host_up(5) carries nothing.
+  const Fabric f = one_leaf(6);
+  {
+    FlowSim fs{f, exact_config()};
+    fs.add_flow(1, 0, 1, 2'000'000, TimePoint::zero(), RateModel::kInstant);
+    fs.add_flow(2, 0, 2, 6'000'000, TimePoint::zero(), RateModel::kInstant);
+    fs.add_flow(3, 3, 4, 2'000'000, TimePoint::zero() + 500_us, RateModel::kInstant);
+    ASSERT_EQ(fs.run(nullptr).completed, 3u);
+    const auto window = [&](LinkId l) {
+      return std::pair{fs.link_first_busy(l).ns(), fs.link_last_busy(l).ns()};
+    };
+    using W = std::pair<std::int64_t, std::int64_t>;
+    EXPECT_EQ(window(f.host_up(0)), (W{0, 2'000'000}));
+    EXPECT_EQ(window(f.host_down(1)), (W{0, 1'000'000}));
+    EXPECT_EQ(window(f.host_down(2)), (W{0, 2'000'000}));
+    EXPECT_EQ(window(f.host_up(3)), (W{500'000, 1'000'000}));
+    EXPECT_EQ(window(f.host_down(4)), (W{500'000, 1'000'000}));
+    EXPECT_EQ(fs.link_first_busy(f.host_up(5)), TimePoint::max());
+    EXPECT_EQ(fs.link_last_busy(f.host_up(5)), TimePoint::zero());
+  }
+  // Cut by the horizon: a (0->1, 8e6 at 4C, 2 ms) has streamed to 1.5 ms,
+  // and b (2->3, 2e6) drained at 0.5 ms.
+  {
+    FlowSimConfig cfg = exact_config();
+    cfg.max_time = TimePoint::zero() + 1500_us;
+    FlowSim fs{f, cfg};
+    fs.add_flow(1, 0, 1, 8'000'000, TimePoint::zero(), RateModel::kInstant);
+    fs.add_flow(2, 2, 3, 2'000'000, TimePoint::zero(), RateModel::kInstant);
+    const FlowSimResult r = fs.run(nullptr);
+    EXPECT_EQ(r.completed, 1u);
+    EXPECT_EQ(r.end_time, cfg.max_time);
+    EXPECT_EQ(fs.link_first_busy(f.host_up(0)), TimePoint::zero());
+    EXPECT_EQ(fs.link_last_busy(f.host_up(0)), cfg.max_time);
+    EXPECT_EQ(fs.link_last_busy(f.host_down(1)), cfg.max_time);
+    EXPECT_EQ(fs.link_last_busy(f.host_up(2)), TimePoint::zero() + 500_us);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Component-local recomputes: only the flows that share a link, transitively,
 // with an arrival or a completion are water-filled again. Every link of
