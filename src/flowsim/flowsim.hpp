@@ -87,7 +87,8 @@ class FlowSim {
   [[nodiscard]] const std::vector<std::vector<double>>& link_usage() const { return usage_; }
   [[nodiscard]] sim::Duration usage_bin() const { return usage_bin_; }
 
-  // Per-link lifetime counters (for utilization summaries).
+  // Per-link lifetime counters (for utilization summaries), complete once
+  // run() returns.
   [[nodiscard]] double link_bytes(LinkId l) const { return link_bytes_[l]; }
   [[nodiscard]] sim::TimePoint link_first_busy(LinkId l) const { return link_first_[l]; }
   [[nodiscard]] sim::TimePoint link_last_busy(LinkId l) const { return link_last_[l]; }
@@ -106,17 +107,21 @@ class FlowSim {
     double rate = 0.0;             // current payload bytes/sec
     double target = 0.0;           // max-min share
     double ramp_step = 0.0;        // bytes/sec added per RTT tick while rate < target
-    RateModel model = RateModel::kInstant;
-    sim::TimePoint start{};
+    sim::TimePoint last_adv{};     // end of its latest advanced segment
     std::uint32_t path_off = 0;
     std::uint32_t path_len = 0;
     std::uint32_t input = 0;  // its index in inputs_
-    bool fresh = true;        // not yet given an initial rate
+    RateModel model = RateModel::kInstant;
+    bool fresh = true;      // not yet given an initial rate
+    bool advanced = false;  // has streamed a segment: its links' first-busy is folded
   };
 
   void collect_touched();
   void recompute_targets();
-  void advance_to(sim::TimePoint t, stats::FlowObserver* observer);
+  // Streams every flow to `t`; true if an advanced flow drained to kDoneEps.
+  bool advance_to(sim::TimePoint t, stats::FlowObserver* observer);
+  void spread_usage(const Active& f, sim::TimePoint t);
+  void fold_last_busy(const Active& f);
   void apply_ramp_tick();
   [[nodiscard]] sim::Duration completion_latency(const Active& f) const;
 
@@ -166,11 +171,11 @@ class FlowSim {
   std::vector<std::uint32_t> link_flows_;  // per used link, its touched_ slots in order
   std::vector<std::uint32_t> flows_off_;   // position -> start of its run in link_flows_
   std::vector<char> frozen_;               // by touched_ slot
-  std::vector<std::uint32_t> changed_;     // positions a bottleneck's freezes changed
-  std::vector<char> is_changed_;           // by position
 
   // Min-heap of used-link positions keyed on (share, position), indexed so
-  // a position's key is changed or removed in place.
+  // a position's key is lowered in place. Keys lag: a link that still has
+  // flows is keyed at or below its current share (DESIGN.md §15
+  // "Tie-break invariant").
   struct Bottleneck {
     double share;
     std::uint32_t pos;
@@ -183,10 +188,10 @@ class FlowSim {
   void heap_place(std::size_t slot, Bottleneck b);
   void heap_sift_up(std::size_t slot);
   void heap_sift_down(std::size_t slot);
-  void heap_update(std::uint32_t pos, double share);
-  void heap_remove(std::uint32_t pos);
+  void heap_pop();
 
-  // Usage recording.
+  // Usage recording. link_last_ lags while a flow is active: its busy
+  // windows fold once per flow (DESIGN.md §15 "Sharing").
   sim::Duration usage_bin_ = sim::Duration::zero();
   std::vector<std::vector<double>> usage_;  // usage_[link][bin] = mean bytes/sec
   std::vector<double> link_bytes_;
