@@ -1,13 +1,15 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
 // event-queue throughput (sparse and at fabric density), queue disciplines,
 // the anti-ECN marker, routing, fat-tree construction, workload sampling,
-// and a small end-to-end simulation as a packets/second figure.
+// the flow-level fast path alone, and a small end-to-end simulation as a
+// packets/second figure.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "core/anti_ecn.hpp"
 #include "core/factory.hpp"
+#include "harness/run.hpp"
 #include "net/topology.hpp"
 #include "net/routing.hpp"
 #include "sim/event_queue.hpp"
@@ -251,6 +253,33 @@ void BM_WorkloadSampling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WorkloadSampling);
+
+// The flow-level fast path (src/flowsim) alone: 1000 web-search flows at
+// load 0.5 on a k=16 fat-tree under the AMRT grant-clock model, through
+// harness::FlowRun (fabric, path resolution, water-filling, recorder). The
+// schedule is drawn once, outside the timing; items/s is fluid events per
+// wall second.
+void BM_FlowSimFatTree(benchmark::State& state) {
+  harness::RunSpec spec;
+  spec.fabric.topology = harness::Topology::kFatTree;
+  spec.fabric.fat_k = 16;
+  spec.fabric.link_delay = net::FatTreeConfig{}.link_delay;
+  spec.proto = transport::Protocol::kAmrt;
+  const auto flows = harness::draw_websearch(spec, 1'000, 0.5);
+  double total_events = 0;
+  double total_recomputes = 0;
+  for (auto _ : state) {
+    harness::FlowRun run{spec, flows};
+    run.run();
+    benchmark::DoNotOptimize(run.recorder().completed().size());
+    total_events += static_cast<double>(run.result().events);
+    total_recomputes += static_cast<double>(run.result().recomputes);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(total_events));
+  state.counters["events"] = total_events / static_cast<double>(state.iterations());
+  state.counters["recomputes"] = total_recomputes / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_FlowSimFatTree)->Unit(benchmark::kMillisecond);
 
 // End-to-end: a 2x2x4 AMRT fabric moving 20 x 100KB flows; items/s is the
 // simulator's packet throughput (delivered data packets per wall second) and
