@@ -219,6 +219,53 @@ TEST(EventCore, InsertionOrderAcrossManySlabsWithChurn) {
   EXPECT_EQ(order, expect);
 }
 
+TEST(EventCore, HandleIsInertInsideItsOwnCallback) {
+  // fire_next runs a callback in place in its slab record. While it runs,
+  // the event's own handle is already inert: pending() is false and
+  // cancel() is a no-op, so the running callable and its captures survive
+  // and the live count is not decremented twice. Events it pushes at its
+  // own timestamp fire after those already queued there.
+  struct Seen {
+    EventQueue* q = nullptr;
+    const std::shared_ptr<int>* token = nullptr;
+    EventQueue::Handle self;
+    bool pending = true;
+    long uses = 0;
+    std::size_t live = 0;
+    int read = 0;
+    std::vector<int> order;
+  };
+  EventQueue q;
+  auto token = std::make_shared<int>(5);
+  Seen seen;
+  seen.q = &q;
+  seen.token = &token;
+  auto body = [&seen, held = token] {
+    seen.pending = seen.self.pending();
+    seen.self.cancel();
+    seen.uses = seen.token->use_count();
+    seen.live = seen.q->live_size();
+    seen.read = *held;
+    seen.order.push_back(1);
+    (void)seen.q->push(at_ns(10), [&seen] { seen.order.push_back(3); });
+    (void)seen.q->push(at_ns(10), [&seen] { seen.order.push_back(4); });
+  };
+  static_assert(InplaceCallback::fits_inline<decltype(body)>());  // the record path
+  seen.self = q.push(at_ns(10), std::move(body));
+  (void)q.push(at_ns(10), [&seen] { seen.order.push_back(2); });
+  EXPECT_TRUE(seen.self.pending());
+  while (q.fire_next(at_ns(100), [](TimePoint) {})) {
+  }
+  EXPECT_FALSE(seen.pending);
+  EXPECT_EQ(seen.uses, 2);
+  EXPECT_EQ(seen.live, 1u);
+  EXPECT_EQ(seen.read, 5);
+  EXPECT_EQ(seen.order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_FALSE(seen.self.pending());
+  EXPECT_EQ(token.use_count(), 1);  // released once the event fired
+  EXPECT_TRUE(q.empty());
+}
+
 // ---------------------------------------------------------------------------
 // size() vs live_size() accounting
 // ---------------------------------------------------------------------------

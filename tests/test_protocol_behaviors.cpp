@@ -2,6 +2,10 @@
 // AMRT, pHost, Homa and NDP from the shared receiver-driven skeleton.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "core/amrt.hpp"
 #include "test_rig.hpp"
 
@@ -157,6 +161,37 @@ TEST(HomaBehavior, ScheduledDataCarriesPriorities) {
   // The smaller message is SRPT-preferred: it must finish well before the
   // larger despite starting together (priority queueing + grant priority).
   EXPECT_LT(rig.recorder().record_of(2)->end, rig.recorder().record_of(1)->end);
+}
+
+TEST(HomaBehavior, ExactRecordsThroughLossyOvercommittedIncast) {
+  // Exact completion times (ns) of one Homa incast, generated once from the
+  // code and pinned: four senders into one receiver with overcommitment
+  // K = 2, a message shorter than its unscheduled window, and a lossy path
+  // (the bottleneck drops data, the receiver's NIC drops grants), so the
+  // recovery timer re-requests lost data and re-advertises lost grants
+  // (three re-advertisements here, two of them at the message's full size).
+  // Any change to how a grant carries its offset must keep these.
+  RigOptions opt;
+  opt.proto = Protocol::kHoma;
+  opt.pairs = 4;
+  opt.homa_overcommit = 2;
+  DumbbellRig rig{opt};
+  rig.bottleneck().set_drop_prob(0.05, 7);
+  rig.receiver(0).nic().set_drop_prob(0.2, 11);
+  const std::uint64_t bytes[] = {10'000, 200'000, 450'000, 700'003};
+  ASSERT_LT(net::packets_for_bytes(bytes[0]), rig.tcfg().bdp_packets());
+  for (int i = 0; i < 4; ++i) {
+    const sim::TimePoint at = sim::TimePoint::zero() + sim::Duration::microseconds(3 * i);
+    transport::FlowSpec spec{static_cast<net::FlowId>(i + 1), rig.sender(i).id(),
+                             rig.receiver(0).id(), bytes[i], at};
+    rig.sched().at(at, [ep = &rig.sender_ep(i), spec] { ep->start_flow(spec); });
+  }
+  ASSERT_TRUE(rig.run_to_completion(4, 1_s));
+  std::vector<std::pair<std::uint64_t, std::int64_t>> ends;
+  for (const auto& r : rig.recorder().completed()) ends.emplace_back(r.flow, r.end.ns());
+  const std::vector<std::pair<std::uint64_t, std::int64_t>> expected = {
+      {1, 33'329}, {2, 543'538}, {3, 897'724}, {4, 1'481'096}};
+  EXPECT_EQ(ends, expected);
 }
 
 // ---------------------------------------------------------------------------
