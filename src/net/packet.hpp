@@ -7,7 +7,7 @@
 // Every packet is copied into a delivery event and sits in an egress ring,
 // so its size is the per-packet memory cost: fields are as narrow as their
 // range allows (byte counts never exceed the MTU), ordered widest first so
-// the struct has no padding, and it is held to 56 bytes (DESIGN.md §8).
+// the struct pads only its tail, and it is held to 48 bytes (DESIGN.md §8).
 #pragma once
 
 #include <compare>
@@ -46,9 +46,10 @@ inline constexpr std::uint32_t kNoRequestSeq = UINT32_MAX;
 
 struct Packet {
   FlowId flow = 0;
-  std::uint64_t grant_offset = 0;  // grant, Homa: authorized byte offset
-  std::uint64_t flow_bytes = 0;    // flow metadata (first packet / RTS advertising)
-  std::uint32_t seq = 0;       // data: packet index within the flow; grant: grant serial
+  std::uint64_t flow_bytes = 0;  // flow metadata (first packet / RTS advertising)
+  // Data: packet index within the flow. Homa grant: the number of packets
+  // the sender may have sent in all (the granted byte offset, in packets).
+  std::uint32_t seq = 0;
   // Grant: retransmit exactly this sequence number (kNoRequestSeq: none).
   std::uint32_t request_seq = kNoRequestSeq;
   NodeId src{};
@@ -76,7 +77,7 @@ struct Packet {
   // in parallel with `ce` so the auditor can verify Eq. 3 end to end. Lives
   // on the packet copy (not in the ledger) because a retransmission of the
   // same (flow, seq) may see different hop verdicts than the original.
-  // It takes one of the tail bytes the struct's alignment pads anyway.
+  // It takes one of the two tail bytes the struct's alignment pads anyway.
   bool audit_ce_expected = false;
 #endif
 
@@ -84,7 +85,7 @@ struct Packet {
   [[nodiscard]] bool has_request_seq() const { return request_seq != kNoRequestSeq; }
   [[nodiscard]] std::string str() const;
 };
-static_assert(sizeof(Packet) <= 56, "a Packet rides in every delivery event and egress ring slot");
+static_assert(sizeof(Packet) <= 48, "a Packet rides in every delivery event and egress ring slot");
 
 // Number of MSS-sized packets needed to carry `bytes` of payload.
 [[nodiscard]] constexpr std::uint32_t packets_for_bytes(std::uint64_t bytes) {

@@ -5,10 +5,10 @@
 // record, so steady-state scheduling performs no heap allocation. Larger
 // callables fall back to a single heap allocation, same as `std::function`
 // would. The buffer is exactly the size of the hottest event shape, a port's
-// delivery lambda capturing `this` plus a `net::Packet` by value (8 + 56 =
-// 64 bytes); a whole `std::function` (32 bytes) fits too. Every byte of the
-// buffer is paid by every pending event record, so it is no larger than
-// that (DESIGN.md §7).
+// delivery lambda capturing `this` plus a `net::Packet` by value (8 + 48 =
+// 56 bytes); a whole `std::function` (32 bytes) fits too. With the ops
+// pointer the callback is one 64 B cache line, and every pending event
+// record is exactly that callback, so the buffer is no larger (DESIGN.md §7).
 //
 // Move-only by design: an event callback has exactly one owner (the event
 // record, then the dispatch loop).
@@ -23,7 +23,7 @@ namespace amrt::sim {
 
 class InplaceCallback {
  public:
-  static constexpr std::size_t kInlineBytes = 64;
+  static constexpr std::size_t kInlineBytes = 56;
 
   InplaceCallback() = default;
   InplaceCallback(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)

@@ -14,22 +14,22 @@ bool EventQueue::Handle::pending() const { return q_ != nullptr && q_->pending(s
 std::uint32_t EventQueue::alloc_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = record(slot).next_free;
+    free_head_ = slots_[slot].next_free;
     return slot;
   }
   if (slot_count_ % kSlabSize == 0) {
     slabs_.push_back(std::make_unique<Record[]>(kSlabSize));
+    slots_.resize(slots_.size() + kSlabSize);
   }
   assert(slot_count_ < kRawFlag);  // bit 23 is the raw-lane tag
   return slot_count_++;
 }
 
+// The slot's generation has already moved (its event fired, was popped or
+// was cancelled), so no Handle reaches the slot any more.
 void EventQueue::recycle_slot(std::uint32_t slot) {
-  Record& rec = record(slot);
-  rec.cb.reset();
-  rec.live = false;
-  ++rec.gen;  // invalidates every outstanding Handle to this slot
-  rec.next_free = free_head_;
+  record(slot).cb.reset();
+  slots_[slot].next_free = free_head_;
   free_head_ = slot;
 }
 
@@ -156,28 +156,26 @@ void EventQueue::regear(int shift) {
 }
 
 EventQueue::Handle EventQueue::push(TimePoint when, Callback cb) {
+  assert(cb);  // an empty record reads as cancelled
   const std::uint32_t slot = alloc_slot();
-  Record& rec = record(slot);
-  rec.cb = std::move(cb);
-  rec.live = true;
+  record(slot).cb = std::move(cb);
   insert_entry(when.ns(), slot);
   ++live_;
-  return Handle{this, slot, rec.gen};
+  return Handle{this, slot, slots_[slot].gen};
 }
 
+// A matching generation means the event is still pending: every way out of
+// pending moves it. The emptied record stays in its bucket until the drain
+// cursor reclaims it.
 void EventQueue::cancel(std::uint32_t slot, std::uint32_t gen) {
-  if (slot >= slot_count_) return;
-  Record& rec = record(slot);
-  if (rec.gen != gen || !rec.live) return;
-  rec.live = false;
-  rec.cb.reset();  // release captured state eagerly
+  if (!pending(slot, gen)) return;
+  ++slots_[slot].gen;
+  record(slot).cb.reset();  // release captured state eagerly
   --live_;
 }
 
 bool EventQueue::pending(std::uint32_t slot, std::uint32_t gen) const {
-  if (slot >= slot_count_) return false;
-  const Record& rec = record(slot);
-  return rec.gen == gen && rec.live;
+  return slot < slot_count_ && slots_[slot].gen == gen;
 }
 
 std::optional<TimePoint> EventQueue::next_time() {
@@ -200,6 +198,7 @@ std::optional<EventQueue::Ready> EventQueue::pop() {
     recycle_raw(slot & ~kRawFlag);
     return Ready{TimePoint::from_ns(top.when_ns), [r] { r.fn(r.ctx); }};
   }
+  ++slots_[slot].gen;
   Ready out{TimePoint::from_ns(top.when_ns), std::move(record(slot).cb)};
   recycle_slot(slot);
   return out;

@@ -35,9 +35,9 @@
 // retired bucket's buffer goes to a spare pool for the next bucket to fill.
 //
 // Handles are weak references carrying a generation counter: destroying a
-// Handle does not cancel the event, and a Handle whose slot has been
-// recycled becomes inert (cancel is a no-op, pending() is false). A Handle
-// must not outlive its EventQueue. Cancellation is O(1) and lazy: a
+// Handle does not cancel the event, and a Handle whose event has fired, been
+// popped or been cancelled is inert (cancel is a no-op, pending() is false).
+// A Handle must not outlive its EventQueue. Cancellation is O(1) and lazy: a
 // cancelled record keeps its bucket entry until the drain cursor reaches it
 // and it is skipped, so `size()` over-counts — use `live_size()` for the
 // number of events that will actually fire. Handles name a record slot, not
@@ -99,12 +99,10 @@ class EventQueue {
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
   Handle push(TimePoint when, F&& f) {
     const std::uint32_t slot = alloc_slot();
-    Record& rec = record(slot);
-    rec.cb.assign(std::forward<F>(f));
-    rec.live = true;
+    record(slot).cb.assign(std::forward<F>(f));
     insert_entry(when.ns(), slot);
     ++live_;
-    return Handle{this, slot, rec.gen};
+    return Handle{this, slot, slots_[slot].gen};
   }
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -168,7 +166,7 @@ class EventQueue {
     // Handles go inert before the callback runs, matching pop(): an event
     // that cancels its own handle mid-flight is a no-op. The record itself
     // stays put even if the callback pushes new events (slabs never move).
-    rec.live = false;
+    ++slots_[slot].gen;
     pre(TimePoint::from_ns(top.when_ns));
     try {
       rec.cb();
@@ -184,16 +182,22 @@ class EventQueue {
   static constexpr std::uint32_t kSlabSize = 256;  // records per slab
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  struct Record {
-    Callback cb;
-    std::uint32_t gen = 0;        // bumped on every recycle; pairs with Handle
-    std::uint32_t next_free = 0;  // freelist link while the slot is free
-    bool live = false;            // scheduled and not cancelled/fired
-  };
   // One record per pending event, and most pending events are packets on
-  // the wire: the 64 B inline buffer, its ops pointer and the slot words
-  // round up to 96 B at max_align_t (DESIGN.md §7).
-  static_assert(sizeof(Record) <= 96, "event record outgrew its 96 B budget");
+  // the wire, so a record is the callback alone: the 56 B inline buffer and
+  // its ops pointer, one cache line (DESIGN.md §7). A pending record is live
+  // iff its callback is non-empty; cancel() empties it.
+  struct alignas(64) Record {
+    Callback cb;
+  };
+  static_assert(sizeof(Record) == 64 && alignof(Record) == 64,
+                "an event record is one cache line");
+  // Per-slot words beside the records, grown with the slabs. The generation
+  // moves whenever an event stops being pending (fired, popped, cancelled),
+  // which is what makes every older Handle to the slot inert.
+  struct SlotWord {
+    std::uint32_t gen = 0;        // pairs with Handle
+    std::uint32_t next_free = 0;  // freelist link while the slot is free
+  };
 
   // 16-byte wheel entry: the insertion sequence number (upper 40 bits, ~10^12
   // events) and the slot index (lower 24 bits, ~16M concurrent events) share
@@ -256,7 +260,7 @@ class EventQueue {
         const Entry& e = b[drain_idx_];
         // Raw events cannot be cancelled, so they are live by construction.
         const std::uint32_t slot = entry_slot(e);
-        if ((slot & kRawFlag) != 0 || record(slot).live) return &e;
+        if ((slot & kRawFlag) != 0 || record(slot).cb) return &e;
         recycle_slot(slot);  // cancelled: reclaim lazily
         ++drain_idx_;
         --entry_count_;
@@ -356,15 +360,13 @@ class EventQueue {
   [[nodiscard]] Record& record(std::uint32_t slot) {
     return slabs_[slot / kSlabSize][slot % kSlabSize];
   }
-  [[nodiscard]] const Record& record(std::uint32_t slot) const {
-    return slabs_[slot / kSlabSize][slot % kSlabSize];
-  }
   [[nodiscard]] std::uint32_t alloc_slot();
   void recycle_slot(std::uint32_t slot);
   void cancel(std::uint32_t slot, std::uint32_t gen);
   [[nodiscard]] bool pending(std::uint32_t slot, std::uint32_t gen) const;
 
   std::vector<std::unique_ptr<Record[]>> slabs_;
+  std::vector<SlotWord> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint32_t slot_count_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -57,9 +57,10 @@ void HomaEndpoint::send_offset_grant(ReceiverFlow& flow, std::uint64_t offset, s
   if (auto* a = sched_.auditor()) a->on_offset_grant(flow.id, offset, flow.bytes);
 #endif
   Packet grant = make_grant(flow);
-  grant.grant_offset = offset;
+  // The offset travels as the packet count it covers: the sender's target.
+  grant.seq = net::packets_for_bytes(std::min(offset, flow.bytes));
   grant.priority = priority;
-  grant.allowance = 0;  // byte-offset semantics, not packet-count semantics
+  grant.allowance = 0;  // offset semantics, not allowance semantics
   send(std::move(grant));
 }
 
@@ -74,9 +75,7 @@ void HomaEndpoint::handle_grant_packet(SenderFlow& flow, const Packet& grant) {
     ReceiverDrivenEndpoint::handle_grant_packet(flow, grant);
     return;
   }
-  const std::uint64_t offset = std::min(grant.grant_offset, flow.spec.bytes);
-  const auto target_pkts = net::packets_for_bytes(offset);
-  while (flow.next_new_seq < target_pkts) {
+  while (flow.next_new_seq < grant.seq) {
     send_data_seq(flow, flow.next_new_seq);
     ++flow.next_new_seq;
   }

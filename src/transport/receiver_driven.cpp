@@ -179,10 +179,10 @@ void ReceiverDrivenEndpoint::on_grant(Packet&& pkt) {
 #ifdef AMRT_AUDIT
   if (auto* a = sched_.auditor()) {
     // The sender must not overshoot the grant: one packet for a repair
-    // request, at most `allowance` otherwise. Homa's byte-offset grants
-    // (grant_offset > 0) authorize by position, not count — exempt.
+    // request, at most `allowance` otherwise. Homa's offset grants (a
+    // packet count in `seq`) authorize by position, not count — exempt.
     a->on_grant_response(pkt.flow, pkt.allowance, pkt.has_request_seq(),
-                         flow->packets_sent - sent_before, pkt.grant_offset > 0);
+                         flow->packets_sent - sent_before, pkt.seq > 0);
   }
 #endif
 }
