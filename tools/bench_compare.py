@@ -48,6 +48,21 @@ which prints per-mode (amrt / dctcp / mixed) deltas of per-request
 completion time (mean/p99/max) next to the member-flow FCT. --fail-above
 gates the worst request-p99 ratio -- the request tail is the number the
 fan-out scenario exists to protect.
+
+A fifth mode runs interleaved pairs of the repository benchmark
+(perfbench/) on two prebuilt perfbench binaries:
+
+    python3 tools/bench_compare.py --perfbench websearch_k16 \
+        --baseline-bin old/perfbench --test-bin .bench_build/perfbench/perfbench \
+        --pairs 10 --seconds 8 --seed 3201
+
+Pair i runs both binaries on the inputs perfbench/run.py --seed (SEED + i)
+would use, one process each for --seconds, and alternates which side goes
+first. For every end-to-end metric in BENCHMARK.json it prints each side's
+median and quartiles over the pairs (one value per process: the median of
+its timed runs), how many pairs the candidate won or tied, and the
+baseline's interquartile range. It exits non-zero if any input's flow-record
+digest differs between or within the sides, or any run reports an error.
 """
 
 import argparse
@@ -100,6 +115,112 @@ def run_bench(binary, bench_filter, min_time):
             continue  # skip _mean/_median aggregate rows
         res[b["name"]] = (b["cpu_time"], b["time_unit"])
     return res
+
+
+def run_perfbench(binary, workload, seed, seconds):
+    """One perfbench process on inputs seed, seed + 1, ... for `seconds`;
+    returns its run records, the warm-up first."""
+    out = subprocess.run(
+        [binary, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        check=True, capture_output=True, text=True, timeout=seconds + 150)
+    return [json.loads(line) for line in out.stdout.splitlines() if line.strip()]
+
+
+def end_to_end_metrics():
+    """BENCHMARK.json's end-to-end metrics as (name, unit, lower_is_better)."""
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    return [(m["name"], m["unit"], m["better"] == "lower") for m in spec["end_to_end"]]
+
+
+def quartiles(vals):
+    """(q1, median, q3) of `vals`, inclusive method; one value is all three."""
+    if len(vals) == 1:
+        return vals[0], vals[0], vals[0]
+    q = statistics.quantiles(vals, n=4, method="inclusive")
+    return q[0], q[1], q[2]
+
+
+def pair_stats(base_vals, test_vals, lower_is_better):
+    """Per-metric summary of paired values: each side's quartiles, the pairs
+    the candidate won or tied, the baseline's interquartile range and the
+    (baseline, candidate) values themselves."""
+    bq, tq = quartiles(base_vals), quartiles(test_vals)
+    wins = sum(1 for b, t in zip(base_vals, test_vals)
+               if (t < b if lower_is_better else t > b))
+    ties = sum(1 for b, t in zip(base_vals, test_vals) if t == b)
+    return {"base": bq, "test": tq, "wins": wins, "ties": ties, "pairs": len(base_vals),
+            "base_iqr": bq[2] - bq[0], "values": list(zip(base_vals, test_vals))}
+
+
+def summarize_perfbench(pairs, metrics):
+    """Checks and summarizes interleaved perfbench pairs.
+
+    `pairs` holds one (baseline_runs, test_runs) tuple of run records per
+    pair; `metrics` is end_to_end_metrics()'s list. Exits with a message if
+    any input's digest differs or any run reports an error; otherwise prints
+    one line per metric and returns {metric: pair_stats(...)}.
+    """
+    digests, problems = {}, []
+    for base_runs, test_runs in pairs:
+        for side, runs in (("baseline", base_runs), ("test", test_runs)):
+            for r in runs:
+                digests.setdefault(r["seed"], {}).setdefault(r["digest"], set()).add(side)
+                problems += [f"{side} input {r['seed']}: {e}" for e in r.get("errors", [])]
+    for seed in sorted(digests):
+        if len(digests[seed]) > 1:
+            seen = ", ".join(f"{d} ({'/'.join(sorted(sides))})"
+                             for d, sides in sorted(digests[seed].items()))
+            problems.append(f"input {seed}: digests differ: {seen}")
+    if problems:
+        sys.exit("FAIL:\n  " + "\n  ".join(problems))
+
+    def per_process(runs, name):
+        return statistics.median(r[name] for r in runs if not r["warmup"])
+
+    out = {}
+    header = (f"{'metric':<12}  {'baseline median [q1, q3]':>30}  "
+              f"{'candidate median [q1, q3]':>30}  {'delta':>7}  {'wins':>6}  {'ties':>4}  "
+              f"{'base IQR':>9}")
+    print(header)
+    print("-" * len(header))
+    for name, unit, lower in metrics:
+        base_vals = [per_process(b, name) for b, _ in pairs]
+        test_vals = [per_process(t, name) for _, t in pairs]
+        st = pair_stats(base_vals, test_vals, lower)
+        out[name] = st
+        (b1, bm, b3), (t1, tm, t3) = st["base"], st["test"]
+        delta = f"{(tm / bm - 1) * 100:+6.1f}%" if bm else f"{'n/a':>7}"
+        print(f"{name:<12}  {bm:>9.4g} [{b1:.4g}, {b3:.4g}] {unit:<3}  "
+              f"{tm:>9.4g} [{t1:.4g}, {t3:.4g}] {unit:<3}  {delta}  "
+              f"{st['wins']:>2}/{st['pairs']:<3}  {st['ties']:>4}  {st['base_iqr']:>9.4g}")
+    inputs = len(digests)
+    print("\nper pair, baseline -> candidate:")
+    for name, _, _ in metrics:
+        print(f"  {name}: " + ", ".join(f"{b:.4g}->{t:.4g}" for b, t in out[name]["values"]))
+    print(f"\n({len(pairs)} interleaved pairs; wins count pairs where the candidate is "
+          f"better; digests equal on all {inputs} inputs)")
+    return out
+
+
+def compare_perfbench(args):
+    metrics = end_to_end_metrics()
+    test_bin = args.test_bin or os.path.join(REPO, ".bench_build", "perfbench", "perfbench")
+    for binary in (args.baseline_bin, test_bin):
+        if not binary or not os.access(binary, os.X_OK):
+            sys.exit(f"error: {binary} is not an executable perfbench")
+    pairs = []
+    for i in range(args.pairs):
+        seed = (args.seed + i) * 1000  # perfbench/run.py's input for --seed SEED + i
+        order = ["baseline", "test"] if i % 2 == 0 else ["test", "baseline"]
+        print(f"pair {i + 1}/{args.pairs}: input {seed}, {order[0]} first ...", flush=True)
+        runs = {}
+        for side in order:
+            binary = args.baseline_bin if side == "baseline" else test_bin
+            runs[side] = run_perfbench(binary, args.perfbench, seed, args.seconds)
+        pairs.append((runs["baseline"], runs["test"]))
+    print()
+    summarize_perfbench(pairs, metrics)
 
 
 def load_scale_report(path):
@@ -253,15 +374,26 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     src = ap.add_mutually_exclusive_group(required=True)
     src.add_argument("--baseline-ref", help="git ref to build as the baseline")
-    src.add_argument("--baseline-bin", help="path to a prebuilt baseline micro_core")
+    src.add_argument("--baseline-bin",
+                     help="path to a prebuilt baseline micro_core (perfbench with --perfbench)")
     src.add_argument("--scale", nargs=2, metavar=("BASELINE_JSON", "TEST_JSON"),
                      help="diff two bench_scale JSON reports instead of running micro_core")
     src.add_argument("--coexist", nargs=2, metavar=("BASELINE_JSON", "TEST_JSON"),
                      help="diff two bench_coexist JSON reports (FCT + utilization per mode)")
     src.add_argument("--fanout", nargs=2, metavar=("BASELINE_JSON", "TEST_JSON"),
                      help="diff two bench_fanout JSON reports (per-request completion per mode)")
-    ap.add_argument("--test-bin", default=os.path.join(REPO, "build", "bench", "micro_core"),
-                    help="candidate binary (default: build/bench/micro_core)")
+    ap.add_argument("--perfbench", metavar="WORKLOAD",
+                    help="run interleaved perfbench pairs of WORKLOAD on --baseline-bin and "
+                         "--test-bin instead of micro_core")
+    ap.add_argument("--test-bin", default=None,
+                    help="candidate binary (default: build/bench/micro_core, or "
+                         ".bench_build/perfbench/perfbench with --perfbench)")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="--perfbench: interleaved pairs (default 10)")
+    ap.add_argument("--seconds", type=int, default=8,
+                    help="--perfbench: seconds per perfbench process (default 8)")
+    ap.add_argument("--seed", type=int, default=1,
+                    help="--perfbench: run.py --seed of the first pair (default 1)")
     ap.add_argument("--filter", default=".", help="benchmark name regex")
     ap.add_argument("--rounds", type=int, default=7,
                     help="interleaved A/B rounds (default 7; median is reported)")
@@ -272,6 +404,15 @@ def main():
     ap.add_argument("-j", "--jobs", type=int, default=os.cpu_count() or 4)
     args = ap.parse_args()
 
+    if args.perfbench:
+        if not args.baseline_bin:
+            ap.error("--perfbench needs --baseline-bin")
+        if args.pairs < 1 or args.seconds < 1:
+            ap.error("--pairs and --seconds must be at least 1")
+        compare_perfbench(args)
+        return
+    if args.test_bin is None:
+        args.test_bin = os.path.join(REPO, "build", "bench", "micro_core")
     if args.scale:
         compare_scale(args.scale[0], args.scale[1], args.fail_above)
         return
