@@ -1,5 +1,5 @@
 // Regenerates tests/golden_pins.inc: run fingerprints that the FCT fixtures
-// do not cover. Five families:
+// do not cover. Six families:
 //
 //   * scenario_fuzz case hashes (FNV over records, drops, trims, events and
 //     faulted packets) for seeds 1-3 x every topology x the four default
@@ -22,7 +22,10 @@
 //     run_leaf_spine on the golden config at flow fidelity (with and
 //     without background_dctcp_fraction=0.25) and at mixed fidelity, and of
 //     the k=4, 200-flow fat-tree flow run (records, events, recomputes,
-//     refills, bytes) under AMRT, pHost and DCTCP.
+//     refills, bytes) under AMRT, pHost and DCTCP;
+//   * FNV digests (records + events + drops + trims + faulted) of the k=4,
+//     200-flow fat-tree packet run, serial and at shards=2, under AMRT and
+//     NDP.
 //
 //   build/tools/golden_pins > tests/golden_pins.inc    (or tools/regen_golden.sh)
 //
@@ -36,7 +39,9 @@
 
 #include "golden_runs.hpp"
 #include "harness/fuzz.hpp"
+#include "harness/run.hpp"
 #include "harness/scenarios.hpp"
+#include "net/network.hpp"
 
 using namespace amrt;
 
@@ -133,6 +138,32 @@ void emit_fat_tree_flow(transport::Protocol proto) {
   fnv.add_all(run.recorder().completed(), r.events, r.recomputes, r.flows_refilled,
               run.recorder().bytes_delivered());
   emit_pin(std::string{"fat-tree flow k=4 flows=200 "} + transport::to_string(proto),
+           run.recorder().completed().size() == flows.size(), fnv);
+}
+
+// The k=4, 200-flow fat-tree packet run under one transport, serial or
+// sharded: records, events, drops, trims and faulted packets, as the
+// run_leaf_spine pins hash them.
+void emit_fat_tree_packet(transport::Protocol proto, unsigned shards) {
+  harness::RunSpec spec = golden::fat_tree_spec(4);
+  spec.proto = proto;
+  spec.shards = shards;
+  const auto flows = harness::draw_websearch(spec, 200, 0.6);
+  harness::PacketRun run{spec, flows};
+  run.run();
+  std::uint64_t drops = 0;
+  std::uint64_t trims = 0;
+  for (const auto& sw : run.network().switches()) {
+    for (int p = 0; p < sw.port_count(); ++p) {
+      drops += sw.port(p).queue().stats().dropped;
+      trims += sw.port(p).queue().stats().trimmed;
+    }
+  }
+  Fnv fnv;
+  fnv.add_all(run.recorder().completed(), run.events(), drops, trims,
+              run.network().packets_faulted());
+  emit_pin(std::string{"fat-tree packet k=4 flows=200 "} + transport::to_string(proto) +
+               (shards > 1 ? " shards=" + std::to_string(shards) : std::string{" serial"}),
            run.recorder().completed().size() == flows.size(), fnv);
 }
 
@@ -258,6 +289,9 @@ int main() {
   for (const transport::Protocol proto :
        {transport::Protocol::kAmrt, transport::Protocol::kPhost, transport::Protocol::kDctcp}) {
     emit_fat_tree_flow(proto);
+  }
+  for (const transport::Protocol proto : {transport::Protocol::kAmrt, transport::Protocol::kNdp}) {
+    for (const unsigned shards : {1u, 2u}) emit_fat_tree_packet(proto, shards);
   }
   std::printf("};\n");
   return 0;
