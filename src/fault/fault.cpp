@@ -56,6 +56,14 @@ void FaultPlan::draw(sim::Rng& rng, const std::vector<std::int32_t>& ports,
   }
 }
 
+std::vector<std::int32_t> switch_ports(const net::Network& net) {
+  std::vector<std::int32_t> ports;
+  for (const auto& sw : net.switches()) {
+    for (int i = 0; i < sw.port_count(); ++i) ports.push_back(sw.port_id(i));
+  }
+  return ports;
+}
+
 namespace {
 
 [[noreturn]] void bad_plan(const FaultEvent& e, const char* why) {

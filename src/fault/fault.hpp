@@ -87,6 +87,12 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
 };
 
+// Every switch egress port of `net`, in network.switches() order and port
+// order within a switch: the pool random fault plans draw against. Host NICs
+// never fault: they are the measurement reference point (a sender
+// serializes at its configured rate at least once).
+[[nodiscard]] std::vector<std::int32_t> switch_ports(const net::Network& net);
+
 // Applies a plan to a network: validates it, then schedules one simulation
 // event per FaultEvent. The injector must outlive the run (it owns the plan
 // the scheduled callbacks read).

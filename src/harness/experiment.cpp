@@ -135,19 +135,10 @@ std::vector<workload::GeneratedFlow> draw_schedule(const ExperimentConfig& cfg,
 // callbacks read it.
 std::unique_ptr<fault::FaultInjector> arm_faults(const ExperimentConfig& cfg, PacketRun& run) {
   if (cfg.fault_incidents == 0) return nullptr;
-  const net::LeafSpine& topo = run.leaf_spine();
-  std::vector<net::PortId> fabric_ports;
-  for (int l = 0; l < cfg.leaves; ++l) {
-    for (int h = 0; h < cfg.hosts_per_leaf; ++h) fabric_ports.push_back(topo.leaf_down[l][h]);
-    for (int s = 0; s < cfg.spines; ++s) {
-      fabric_ports.push_back(topo.leaf_up[l][s]);
-      fabric_ports.push_back(topo.spine_down[s][l]);
-    }
-  }
   fault::FaultPlan plan;
   plan.seed = cfg.fault_seed;
   sim::Rng fault_rng{cfg.fault_seed};
-  plan.draw(fault_rng, fabric_ports, topo.base_rtt, cfg.fault_incidents);
+  plan.draw(fault_rng, fault::switch_ports(run.network()), run.base_rtt(), cfg.fault_incidents);
   auto injector = std::make_unique<fault::FaultInjector>(run.network(), std::move(plan));
   injector->arm();
   return injector;

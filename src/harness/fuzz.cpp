@@ -147,14 +147,9 @@ fault::FaultPlan draw_fault_plan(const CaseConfig& c, const net::Network& networ
                                  sim::Duration base_rtt, sim::Rng& rng) {
   fault::FaultPlan plan;
   plan.seed = mix(c.seed, case_salt(c) ^ 0xFA17ULL);
-
-  // Only switch-owned egress ports fault: host NICs are the measurement
-  // reference point (the FCT floor oracle assumes the sender serializes at
-  // its configured rate at least once).
-  std::vector<net::PortId> eligible;
-  for (const auto& sw : network.switches()) {
-    for (int i = 0; i < sw.port_count(); ++i) eligible.push_back(sw.port_id(i));
-  }
+  // Only switch-owned egress ports fault (the FCT floor oracle assumes the
+  // sender serializes at its configured rate at least once).
+  const std::vector<net::PortId> eligible = fault::switch_ports(network);
   if (eligible.empty()) return plan;
 
   const auto incidents = rng.uniform_int(1, 4);
