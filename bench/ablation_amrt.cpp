@@ -87,12 +87,12 @@ int main(int argc, char** argv) {
     std::vector<harness::ExperimentConfig> points;
     for (int x : multiples) {
       harness::ExperimentConfig cfg;
-      cfg.proto = transport::Protocol::kAmrt;
-      cfg.workload = workload::Kind::kWebSearch;
       cfg.load = 0.7;
       cfg.n_flows = opts.scaled(200);
-      cfg.seed = opts.seed;
-      cfg.loss_timeout = net::path_base_rtt(4, cfg.link_rate, cfg.link_delay) * x;
+      cfg.run.seed = opts.seed;
+      const harness::FabricSpec& fabric = cfg.run.fabric;
+      cfg.run.transport.loss_timeout =
+          net::path_base_rtt(4, fabric.link_rate, fabric.link_delay) * x;
       points.push_back(cfg);
     }
     const auto rs = runner.run(points);
@@ -111,19 +111,19 @@ int main(int argc, char** argv) {
     for (auto proto : {transport::Protocol::kNdp, transport::Protocol::kAmrt}) {
       for (auto mode : {net::MultipathMode::kPerFlowEcmp, net::MultipathMode::kPacketSpray}) {
         harness::ExperimentConfig cfg;
-        cfg.proto = proto;
-        cfg.workload = workload::Kind::kWebSearch;
+        cfg.run.proto = proto;
         cfg.load = 0.7;
         cfg.n_flows = opts.scaled(200);
-        cfg.seed = opts.seed;
-        cfg.multipath = mode;
+        cfg.run.seed = opts.seed;
+        cfg.run.fabric.multipath = mode;
         points.push_back(cfg);
       }
     }
     const auto rs = runner.run(points);
     for (std::size_t i = 0; i < rs.size(); ++i) {
-      t4.add_row({transport::to_string(points[i].proto),
-                  points[i].multipath == net::MultipathMode::kPerFlowEcmp ? "per-flow" : "spray",
+      const harness::RunSpec& run = points[i].run;
+      t4.add_row({transport::to_string(run.proto),
+                  run.fabric.multipath == net::MultipathMode::kPerFlowEcmp ? "per-flow" : "spray",
                   harness::fmt(rs[i].fct_all.afct_us, 1), harness::fmt(rs[i].fct_all.p99_us, 1),
                   harness::fmt_pct(rs[i].mean_utilization)});
     }

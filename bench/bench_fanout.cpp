@@ -56,10 +56,10 @@ harness::ExperimentConfig base_config(const Options& opt) {
   cfg.load = opt.load;
   // n_flows counts member flows: `requests` requests of `fanout` responses.
   cfg.n_flows = opt.requests * opt.fanout;
-  cfg.leaves = opt.leaves;
-  cfg.spines = opt.spines;
-  cfg.hosts_per_leaf = opt.hosts_per_leaf;
-  cfg.seed = opt.seed;
+  cfg.run.fabric.leaves = opt.leaves;
+  cfg.run.fabric.spines = opt.spines;
+  cfg.run.fabric.hosts_per_leaf = opt.hosts_per_leaf;
+  cfg.run.seed = opt.seed;
   cfg.engine.engine = workload::Engine::kFanout;
   cfg.engine.fanout = opt.fanout;
   cfg.engine.response_bytes = opt.response_bytes;
@@ -69,11 +69,11 @@ harness::ExperimentConfig base_config(const Options& opt) {
 ModeResult run_mode(const Options& opt, const char* mode, transport::Protocol proto,
                     double fraction) {
   auto cfg = base_config(opt);
-  cfg.proto = proto;
-  cfg.background_dctcp_fraction = fraction;
+  cfg.run.proto = proto;
+  cfg.run.background_dctcp_fraction = fraction;
   const auto t0 = std::chrono::steady_clock::now();
   ModeResult m;
-  m.r = harness::run_leaf_spine(cfg);
+  m.r = harness::run_experiment(cfg);
   m.wall_ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
                   .count();
   m.name = std::string{"BM_Fanout/leafspine_"} + std::to_string(opt.leaves) + "x" +

@@ -34,7 +34,7 @@
 // shrinks the fabric (k=4, a few hundred flows) and exits non-zero unless
 // every flow completes under every requested transport — the scale_smoke /
 // shard_smoke ctests run exactly that in a few seconds. Packet rows stop at
-// the harness's max_sim_time horizon, so a run that strands flows reports
+// the harness's default 30 s horizon, so a run that strands flows reports
 // FAIL and exits 1 instead of running forever.
 #include <sys/resource.h>
 #include <unistd.h>
@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "harness/options.hpp"
+#include "harness/experiment.hpp"
 #include "harness/run.hpp"
 #include "host_info.hpp"
 #include "net/packet.hpp"
@@ -108,19 +109,22 @@ long current_rss_kb() {
   return resident * (sysconf(_SC_PAGESIZE) / 1024);
 }
 
-// Both rows of a transport run this spec and its schedule: a fat-tree with
+// Both rows of a transport run this experiment and its schedule: a fat-tree with
 // the stock 100us links, serial or pod-sharded across `opt.shards` worker
 // threads, and the websearch flows drawn from the seed's stream before any
 // fabric is built, so every shard count and the flow row run the same flows.
-harness::RunSpec scale_spec(const Options& opt, transport::Protocol proto) {
-  harness::RunSpec spec;
+harness::ExperimentConfig scale_cfg(const Options& opt, transport::Protocol proto) {
+  harness::ExperimentConfig cfg;
+  harness::RunSpec& spec = cfg.run;
   spec.fabric.topology = harness::Topology::kFatTree;
   spec.fabric.fat_k = opt.k;
   spec.fabric.link_delay = net::FatTreeConfig{}.link_delay;
   spec.proto = proto;
   spec.seed = opt.seed;
   spec.shards = opt.shards;
-  return spec;
+  cfg.n_flows = opt.flows;
+  cfg.load = opt.load;
+  return cfg;
 }
 
 std::string row_name(const Options& opt, transport::Protocol proto) {
@@ -130,11 +134,11 @@ std::string row_name(const Options& opt, transport::Protocol proto) {
 
 // A packet row: the harness run object.
 RunResult run_packet(const Options& opt, transport::Protocol proto) {
-  const harness::RunSpec spec = scale_spec(opt, proto);
-  const auto flows = harness::draw_websearch(spec, opt.flows, opt.load);
+  const harness::ExperimentConfig cfg = scale_cfg(opt, proto);
+  const auto flows = harness::draw_schedule(cfg);
 
   const auto t_build = std::chrono::steady_clock::now();
-  harness::PacketRun run{spec, flows};
+  harness::PacketRun run{cfg.run, flows};
   const auto t0 = std::chrono::steady_clock::now();
   const long fixed_rss_kb = current_rss_kb();
   run.run();  // natural drain under the harness horizon: no samplers
@@ -160,12 +164,12 @@ RunResult run_packet(const Options& opt, transport::Protocol proto) {
 // tools/bench_compare.py --scale can diff either against a baseline. Its
 // time covers building the fluid run and running it.
 RunResult run_one_flow(const Options& opt, transport::Protocol proto) {
-  harness::RunSpec spec = scale_spec(opt, proto);
-  spec.shards = 1;  // the flow level is serial
-  const auto flows = harness::draw_websearch(spec, opt.flows, opt.load);
+  harness::ExperimentConfig cfg = scale_cfg(opt, proto);
+  cfg.run.shards = 1;  // the flow level is serial
+  const auto flows = harness::draw_schedule(cfg);
 
   const auto t0 = std::chrono::steady_clock::now();
-  harness::FlowRun run{spec, flows};
+  harness::FlowRun run{cfg.run, flows};
   run.run();
   const auto t1 = std::chrono::steady_clock::now();
 

@@ -52,16 +52,16 @@ int main(int argc, char** argv) {
     for (double load : loads) {
       for (auto proto : kProtos) {
         ExperimentConfig cfg;
-        cfg.proto = proto;
+        cfg.run.proto = proto;
         cfg.workload = wk;
         cfg.load = load;
         cfg.n_flows = opts.scaled(base_flows(wk));
-        cfg.seed = opts.seed;
+        cfg.run.seed = opts.seed;
         if (opts.paper_scale) {
-          cfg.leaves = 10;
-          cfg.spines = 8;
-          cfg.hosts_per_leaf = 40;
-          cfg.link_delay = sim::Duration::microseconds(100);
+          cfg.run.fabric.leaves = 10;
+          cfg.run.fabric.spines = 8;
+          cfg.run.fabric.hosts_per_leaf = 40;
+          cfg.run.fabric.link_delay = sim::Duration::microseconds(100);
         }
         points.push_back(cfg);
       }

@@ -38,16 +38,16 @@ int main(int argc, char** argv) {
     for (std::size_t n : flow_counts) {
       for (auto proto : kProtos) {
         ExperimentConfig cfg;
-        cfg.proto = proto;
+        cfg.run.proto = proto;
         cfg.workload = wk;
         cfg.load = 0.6;  // a busy fabric, short of saturation
         cfg.n_flows = static_cast<std::size_t>(static_cast<double>(n) * opts.scale);
-        cfg.seed = opts.seed;
+        cfg.run.seed = opts.seed;
         if (opts.paper_scale) {
-          cfg.leaves = 10;
-          cfg.spines = 8;
-          cfg.hosts_per_leaf = 40;
-          cfg.link_delay = sim::Duration::microseconds(100);
+          cfg.run.fabric.leaves = 10;
+          cfg.run.fabric.spines = 8;
+          cfg.run.fabric.hosts_per_leaf = 40;
+          cfg.run.fabric.link_delay = sim::Duration::microseconds(100);
         }
         points.push_back(cfg);
       }

@@ -9,6 +9,7 @@
 
 #include "core/anti_ecn.hpp"
 #include "core/factory.hpp"
+#include "harness/experiment.hpp"
 #include "harness/run.hpp"
 #include "net/topology.hpp"
 #include "net/routing.hpp"
@@ -260,16 +261,16 @@ BENCHMARK(BM_WorkloadSampling);
 // schedule is drawn once, outside the timing; items/s is fluid events per
 // wall second.
 void BM_FlowSimFatTree(benchmark::State& state) {
-  harness::RunSpec spec;
-  spec.fabric.topology = harness::Topology::kFatTree;
-  spec.fabric.fat_k = 16;
-  spec.fabric.link_delay = net::FatTreeConfig{}.link_delay;
-  spec.proto = transport::Protocol::kAmrt;
-  const auto flows = harness::draw_websearch(spec, 1'000, 0.5);
+  harness::ExperimentConfig cfg;
+  cfg.run.fabric.topology = harness::Topology::kFatTree;
+  cfg.run.fabric.fat_k = 16;
+  cfg.run.fabric.link_delay = net::FatTreeConfig{}.link_delay;
+  cfg.n_flows = 1'000;
+  const auto flows = harness::draw_schedule(cfg);
   double total_events = 0;
   double total_recomputes = 0;
   for (auto _ : state) {
-    harness::FlowRun run{spec, flows};
+    harness::FlowRun run{cfg.run, flows};
     run.run();
     benchmark::DoNotOptimize(run.recorder().completed().size());
     total_events += static_cast<double>(run.result().events);

@@ -12,6 +12,7 @@
 #include "fault/fault.hpp"
 #include "harness/run.hpp"
 #include "net/monitor.hpp"
+#include "sim/trace.hpp"
 #include "workload/flow_trace.hpp"
 
 namespace amrt::harness {
@@ -46,35 +47,7 @@ Fidelity fidelity_from_string(const std::string& name) {
   throw std::invalid_argument("unknown fidelity '" + name + "' (packet|flow|mixed)");
 }
 
-bool is_background_flow(net::FlowId id, double fraction) {
-  if (fraction <= 0.0) return false;
-  if (fraction >= 1.0) return true;
-  const auto cut = static_cast<net::FlowId>(fraction * 100.0 + 0.5);
-  return (id % 100) < cut;
-}
-
 namespace {
-
-// The RunSpec of an experiment: its fabric, transport, seed, shards and
-// max_sim_time as the horizon. Both fidelities run over it.
-RunSpec run_spec(const ExperimentConfig& cfg) {
-  RunSpec spec;
-  spec.fabric.leaves = cfg.leaves;
-  spec.fabric.spines = cfg.spines;
-  spec.fabric.hosts_per_leaf = cfg.hosts_per_leaf;
-  spec.fabric.link_rate = cfg.link_rate;
-  spec.fabric.link_delay = cfg.link_delay;
-  spec.fabric.queues = cfg.queues;
-  spec.fabric.multipath = cfg.multipath;
-  spec.proto = cfg.proto;
-  spec.background_dctcp_fraction = cfg.background_dctcp_fraction;
-  spec.transport.homa_overcommit = cfg.homa_overcommit;
-  spec.transport.loss_timeout = cfg.loss_timeout;
-  spec.seed = cfg.seed;
-  spec.shards = cfg.shards;
-  spec.horizon = sim::TimePoint::zero() + cfg.max_sim_time;
-  return spec;
-}
 
 // The per-flow half of a result, shared by every fidelity: FCT summaries,
 // records and byte count from `recorder`, flows_started = `scheduled` (so
@@ -110,25 +83,6 @@ void finish_group_stats(const stats::GroupBook& book, ExperimentResult& out) {
   out.request_stats = book.request_stats(out.flow_records);
 }
 
-// The run's schedule, drawn once for every fidelity and shard count from a
-// fresh sim::Rng{cfg.seed}, optionally dumped as a replayable trace, with
-// group/request membership registered in `book`.
-std::vector<workload::GeneratedFlow> draw_schedule(const ExperimentConfig& cfg,
-                                                   stats::GroupBook& book) {
-  workload::TrafficConfig traffic;
-  traffic.load = cfg.load;
-  traffic.n_flows = cfg.n_flows;
-  traffic.n_hosts = static_cast<std::size_t>(cfg.leaves) * static_cast<std::size_t>(cfg.hosts_per_leaf);
-  traffic.host_rate = cfg.link_rate;
-  const workload::EmpiricalCdf* sizes =
-      cfg.engine.engine == workload::Engine::kTrace ? nullptr : &workload::cdf(cfg.workload);
-  sim::Rng rng{cfg.seed};
-  auto flows = workload::generate_traffic(cfg.engine, sizes, traffic, rng);
-  if (!cfg.trace_out.empty()) workload::write_trace_file(cfg.trace_out, flows);
-  for (const auto& f : flows) book.note(f.id, f.group_id, f.request_id);
-  return flows;
-}
-
 // Injected fault schedule against every switch port of the fabric, drawn
 // from its own seed stream (so a fault scenario can be pinned while the
 // workload seed sweeps). The injector must outlive the run: its scheduled
@@ -156,7 +110,7 @@ class FluidBackground {
  public:
   FluidBackground(const ExperimentConfig& cfg, std::vector<workload::GeneratedFlow>& flows)
       : flows_{flows.size()},
-        run_{run_spec(cfg), take_background(cfg.flow_background_fraction, flows)},
+        run_{cfg.run, take_background(cfg.flow_background_fraction, flows)},
         // Reservation bin: a handful of RTTs smooths grant-clock ripple
         // without hiding shifts in the background load.
         bin_{std::max(kMinReservationBin, run_.rtt() * 8)} {
@@ -168,6 +122,7 @@ class FluidBackground {
   // The packet side keeps whatever wire share the fluid side left on each
   // switch port it occupied. (Host NIC uplinks have no switch port; their
   // contention is the documented approximation of this one-way coupling.)
+  // It walks leaf-spine ports, so validate() keeps mixed fidelity on them.
   void reserve(PacketRun& run) const {
     const net::LeafSpine& topo = run.leaf_spine();
     const flowsim::Fabric& fabric = run_.fabric();
@@ -253,15 +208,13 @@ class FluidBackground {
 void fill_downlink_utilization(PacketRun& run, ExperimentResult& out) {
   double util_sum = 0.0;
   double weight_sum = 0.0;
-  for (const auto& leaf : run.leaf_spine().leaf_down) {
-    for (const net::PortId id : leaf) {
-      const net::EgressPort& port = run.network().port_at(id);
-      const double util = net::active_utilization(port);
-      const auto bytes = static_cast<double>(port.bytes_sent());
-      out.downlink_utilization.push_back(util);
-      util_sum += util * bytes;
-      weight_sum += bytes;
-    }
+  for (const net::PortId id : run.host_downlinks()) {
+    const net::EgressPort& port = run.network().port_at(id);
+    const double util = net::active_utilization(port);
+    const auto bytes = static_cast<double>(port.bytes_sent());
+    out.downlink_utilization.push_back(util);
+    util_sum += util * bytes;
+    weight_sum += bytes;
   }
   out.mean_utilization = weight_sum == 0.0 ? 0.0 : util_sum / weight_sum;
 }
@@ -281,13 +234,13 @@ ExperimentResult run_packet(const ExperimentConfig& cfg, std::vector<workload::G
     }
   }
 
-  PacketRun run{run_spec(cfg), flows};
+  PacketRun run{cfg.run, flows};
   const auto injector = arm_faults(cfg, run);
   if (background) background->reserve(run);
   run.run();
 
   ExperimentResult out;
-  fill_records(run.recorder(), flows.size(), cfg.background_dctcp_fraction, out);
+  fill_records(run.recorder(), flows.size(), cfg.run.background_dctcp_fraction, out);
   out.events = run.events();
   out.sim_seconds = run.now().to_seconds();
   fill_downlink_utilization(run, out);
@@ -302,11 +255,12 @@ ExperimentResult run_packet(const ExperimentConfig& cfg, std::vector<workload::G
   out.faulted = run.network().packets_faulted();
 
   if (out.flows_completed < out.flows_started) {
-    const std::string shards = cfg.shards > 1 ? ", " + std::to_string(cfg.shards) + " shards" : "";
-    run.sim().trace().warn("run_leaf_spine[%s/%s%s]: %zu of %zu flows incomplete at t=%s",
-                           transport::to_string(cfg.proto), workload::abbrev(cfg.workload),
-                           shards.c_str(), out.flows_started - out.flows_completed,
-                           out.flows_started, run.now().str().c_str());
+    const std::string shards =
+        cfg.run.shards > 1 ? ", " + std::to_string(cfg.run.shards) + " shards" : "";
+    AMRT_WARN("run_experiment[%s/%s%s]: %zu of %zu flows incomplete at t=%s",
+              transport::to_string(cfg.run.proto), workload::abbrev(cfg.workload),
+              shards.c_str(), out.flows_started - out.flows_completed, out.flows_started,
+              run.now().str().c_str());
   }
   if (background) background->merge_into(out);
   return out;
@@ -343,10 +297,10 @@ void fill_downlink_utilization(const FlowRun& run, ExperimentResult& out) {
 // The flow-level experiment: one FlowRun over the experiment's spec.
 ExperimentResult run_flow(const ExperimentConfig& cfg,
                           const std::vector<workload::GeneratedFlow>& flows) {
-  FlowRun run{run_spec(cfg), flows};
+  FlowRun run{cfg.run, flows};
   run.run();
   ExperimentResult out;
-  fill_records(run.recorder(), flows.size(), cfg.background_dctcp_fraction, out);
+  fill_records(run.recorder(), flows.size(), cfg.run.background_dctcp_fraction, out);
   out.events = run.result().events;
   out.sim_seconds = run.result().end_time.to_seconds();
   fill_downlink_utilization(run, out);
@@ -357,25 +311,47 @@ ExperimentResult run_flow(const ExperimentConfig& cfg,
 
 void validate(const ExperimentConfig& cfg) {
   auto reject = [](const std::string& why) {
-    throw std::invalid_argument("run_leaf_spine: " + why);
+    throw std::invalid_argument("run_experiment: " + why);
   };
-  const bool coexist = cfg.background_dctcp_fraction > 0.0;
+  const RunSpec& run = cfg.run;
+  const FabricSpec& fabric = run.fabric;
+  const bool coexist = run.background_dctcp_fraction > 0.0;
   const std::string fidelity = std::string{to_string(cfg.fidelity)} + " fidelity";
-  if (cfg.engine.engine == workload::Engine::kTrace && cfg.engine.trace_path.empty()) {
-    reject("the trace engine needs engine.trace_path");
+  if (fabric.topology == Topology::kLeafSpine &&
+      (fabric.leaves < 1 || fabric.spines < 1 || fabric.hosts_per_leaf < 1)) {
+    reject("a leaf-spine needs at least one leaf, one spine and one host per leaf");
   }
-  if (coexist && cfg.proto != transport::Protocol::kAmrt) {
+  if (fabric.topology == Topology::kFatTree && (fabric.fat_k < 2 || fabric.fat_k % 2 != 0)) {
+    reject("a fat-tree needs an even k of at least 2");
+  }
+  if (fabric.host_count() < 2) reject("the fabric needs at least two hosts");
+  if (fabric.link_rate.bits_per_second() <= 0 || fabric.link_delay < sim::Duration::zero()) {
+    reject("links need a positive rate and a non-negative delay");
+  }
+  if (cfg.engine.engine == workload::Engine::kTrace) {
+    if (cfg.engine.trace_path.empty()) reject("the trace engine needs engine.trace_path");
+  } else if (!(cfg.load > 0.0)) {
+    reject("the load must be positive");
+  }
+  if (coexist && run.proto != transport::Protocol::kAmrt) {
     reject("background_dctcp_fraction pairs DCTCP background with AMRT foreground; "
            "set proto = kAmrt");
   }
-  if (cfg.shards > 1 && cfg.fault_incidents > 0) {
+  if (run.shards > 1 && cfg.fault_incidents > 0) {
     reject("fault injection and sharded execution are mutually exclusive "
            "(the injector mutates link state from a serial-only control path)");
   }
   if (cfg.fidelity == Fidelity::kPacket) return;
-  if (cfg.shards > 1) reject(fidelity + " is serial-only (shards must be 1)");
+  if (run.shards > 1) reject(fidelity + " is serial-only (shards must be 1)");
   if (cfg.fault_incidents > 0) reject(fidelity + " does not compose with fault injection");
+  if (fabric.topology == Topology::kLine) {
+    reject(fidelity + " models leaf-spine and fat-tree fabrics only");
+  }
   if (cfg.fidelity == Fidelity::kMixed) {
+    if (fabric.topology != Topology::kLeafSpine) {
+      reject("mixed fidelity needs a leaf-spine (its bandwidth reservations map the fluid "
+             "fabric's links onto leaf-spine ports only)");
+    }
     if (coexist) {
       reject("mixed fidelity and mixed transports are exclusive (the fluid side is the "
              "background class; use flow_background_fraction)");
@@ -386,12 +362,27 @@ void validate(const ExperimentConfig& cfg) {
   }
 }
 
-ExperimentResult run_leaf_spine(const ExperimentConfig& cfg) {
+std::vector<workload::GeneratedFlow> draw_schedule(const ExperimentConfig& cfg) {
+  workload::TrafficConfig traffic;
+  traffic.load = cfg.load;
+  traffic.n_flows = cfg.n_flows;
+  traffic.n_hosts = cfg.run.fabric.host_count();
+  traffic.host_rate = cfg.run.fabric.link_rate;
+  const workload::EmpiricalCdf* sizes =
+      cfg.engine.engine == workload::Engine::kTrace ? nullptr : &workload::cdf(cfg.workload);
+  sim::Rng rng{cfg.run.seed};
+  auto flows = workload::generate_traffic(cfg.engine, sizes, traffic, rng);
+  if (!cfg.trace_out.empty()) workload::write_trace_file(cfg.trace_out, flows);
+  return flows;
+}
+
+ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   validate(cfg);
   const auto wall_start = std::chrono::steady_clock::now();
-  stats::GroupBook book;
-  auto flows = draw_schedule(cfg, book);
+  auto flows = draw_schedule(cfg);
   if (flows.empty()) return {};
+  stats::GroupBook book;
+  for (const auto& f : flows) book.note(f.id, f.group_id, f.request_id);
   ExperimentResult out = cfg.fidelity == Fidelity::kFlow ? run_flow(cfg, flows)
                                                          : run_packet(cfg, std::move(flows));
   finish_group_stats(book, out);

@@ -1,6 +1,7 @@
-// The large-scale experiment runner behind Figs. 12/13: a leaf-spine fabric,
-// one transport endpoint per host, Poisson workload arrivals, and the
-// FCT/utilization/queue metrics the paper reports.
+// The large-scale experiment runner behind Figs. 12/13: a fabric described
+// by a RunSpec (leaf-spine by default, fat-tree too), one transport endpoint
+// per host, Poisson workload arrivals, and the FCT/utilization/queue metrics
+// the paper reports.
 #pragma once
 
 #include <cstdint>
@@ -8,8 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/factory.hpp"
-#include "net/routing.hpp"
+#include "harness/run.hpp"
 #include "stats/fct.hpp"
 #include "stats/group.hpp"
 #include "workload/traffic.hpp"
@@ -27,14 +27,21 @@ namespace amrt::harness {
 //             as scheduled rate reservations.
 enum class Fidelity : std::uint8_t { kPacket, kFlow, kMixed };
 
-// The horizon every harness run stops at unless told otherwise.
-inline constexpr sim::Duration kDefaultMaxSimTime = sim::Duration::seconds(30);
-
 [[nodiscard]] const char* to_string(Fidelity f);
 [[nodiscard]] Fidelity fidelity_from_string(const std::string& name);
 
+// One experiment: the run (fabric, transport, seed, shards, horizon) plus
+// what a RunSpec does not say: the schedule to draw, the faults to inject
+// and the fidelity to run it at. Every topology that PacketRun builds runs
+// through run_experiment; mixed fidelity alone is leaf-spine only (validate).
 struct ExperimentConfig {
-  transport::Protocol proto = transport::Protocol::kAmrt;
+  // Paper scale is a 10/8/40 leaf-spine with 100us links; RunSpec's default
+  // is a scaled-down 4/4/8 with 10us links, so the full sweep runs on a
+  // laptop (see DESIGN.md). run.horizon is the hard stop for pathological
+  // runs; a run normally ends when its event set drains after the last flow
+  // completes.
+  RunSpec run;
+
   workload::Kind workload = workload::Kind::kWebSearch;
   double load = 0.5;          // Fig. 12 x-axis
   std::size_t n_flows = 400;  // Fig. 13 x-axis
@@ -45,7 +52,7 @@ struct ExperimentConfig {
   // pair/arrival/structure axes; kTrace replays engine.trace_path and ignores
   // workload/load/n_flows (the trace carries its own sizes and schedule).
   // Every engine composes with every fidelity and shard count: the schedule
-  // is drawn once, from sim::Rng{seed}, before any fabric is built.
+  // is drawn once, from sim::Rng{run.seed}, before any fabric is built.
   workload::WorkloadSpec engine{};
 
   // Non-empty: dump the generated schedule (whatever engine produced it) as
@@ -54,49 +61,13 @@ struct ExperimentConfig {
   // records bit for bit.
   std::string trace_out;
 
-  // Topology. Paper scale is 10/8/40 with 100us links; the default is a
-  // scaled-down fabric so the full sweep runs on a laptop (see DESIGN.md).
-  int leaves = 4;
-  int spines = 4;
-  int hosts_per_leaf = 8;
-  sim::Bandwidth link_rate = sim::Bandwidth::gbps(10);
-  sim::Duration link_delay = sim::Duration::microseconds(10);
-
-  // Mixed transports (DESIGN.md §13): fraction of flows, by id, carried by
-  // DCTCP background senders instead of `proto`. 0 = single-transport run
-  // (byte-identical to older builds). When set, `proto` must be kAmrt — the
-  // mixed fabric pairs AMRT foreground with DCTCP background — the fabric
-  // switches to strict-priority queues with both ECN markers, and both ends
-  // of every flow dispatch it by is_background_flow(). Composes with shards.
-  double background_dctcp_fraction = 0.0;
-
-  core::QueueConfig queues{};
-  int homa_overcommit = 2;
-  // Zero = per-protocol default (see TransportConfig::default_loss_timeout).
-  sim::Duration loss_timeout = sim::Duration::zero();
-  net::MultipathMode multipath = net::MultipathMode::kPerFlowEcmp;
-  std::uint64_t seed = 1;
-
-  // Partitioned execution: run the fabric across this many shard threads
-  // under the conservative window protocol (src/net/partition.hpp). 1 = the
-  // classic serial run, bit-identical to older builds. Values > 1 keep the
-  // same topology, workload draws and flow schedule (the master shard
-  // carries `seed` unchanged) but interleave packet
-  // events differently, so FCTs agree statistically rather than exactly.
-  // Utilization and max_queue_pkts come from the ports' and queues' own
-  // counters in every executor. Mutually exclusive with fault injection.
-  unsigned shards = 1;
-
   // Fault injection (src/fault): number of random bounded incidents (link
   // flaps, blackhole windows, rate dips) drawn against the fabric's switch
-  // ports. 0 (the default) runs a pristine fabric — byte-identical to
-  // builds without fault injection.
+  // ports (fault::switch_ports). 0 (the default) runs a pristine fabric —
+  // byte-identical to builds without fault injection. Serial packet runs
+  // only.
   std::size_t fault_incidents = 0;
-  std::uint64_t fault_seed = 1;  // independent of `seed` so schedules can be pinned
-
-  // Hard stop for pathological runs; a run normally ends when its event set
-  // drains after the last flow completes.
-  sim::Duration max_sim_time = kDefaultMaxSimTime;
+  std::uint64_t fault_seed = 1;  // independent of run.seed so schedules can be pinned
 
   // Simulation fidelity. kFlow and kMixed are serial-only and exclusive
   // with fault injection; kPacket composes with everything as before.
@@ -117,8 +88,8 @@ struct ExperimentResult {
   stats::FctSummary fct_foreground;
   stats::FctSummary fct_background;
   double mean_utilization = 0;  // byte-weighted over active receiver downlinks
-  // Per-receiver-downlink active-window utilization, in topology order
-  // (leaf-major, host-minor); 0 for never-active ports.
+  // Per-receiver-downlink active-window utilization, in host order
+  // (PacketRun::host_downlinks); 0 for never-active ports.
   std::vector<double> downlink_utilization;
   std::size_t max_queue_pkts = 0;
   std::uint64_t drops = 0;  // across all switch ports
@@ -144,19 +115,25 @@ struct ExperimentResult {
 // consumers that split on ',' still find their columns where they were.
 void write_fct_csv(std::ostream& os, const std::vector<stats::FlowRecord>& records);
 
-// The mixed-transport dispatch rule, shared by the harness, the fuzzer and
-// the benches: a flow is DCTCP background iff its id falls in the first
-// round(fraction*100) residues mod 100. Pure in the id, so the sender and
-// receiver ends (and any post-processing) always agree.
-[[nodiscard]] bool is_background_flow(net::FlowId id, double fraction);
-
-// Throws std::invalid_argument for a combination the harness cannot run:
-// shards x faults, a trace engine without a path, DCTCP background without
-// an AMRT foreground, flow/mixed fidelity x shards or faults, mixed fidelity
-// x DCTCP background, and a mixed-fidelity background fraction outside
-// (0, 1). run_leaf_spine calls it first.
+// Throws std::invalid_argument for an experiment the harness cannot run: a
+// fabric shape with fewer than two hosts or a non-positive dimension, link
+// rate or load, shards x faults, a trace engine without a path, DCTCP
+// background without an AMRT foreground, flow/mixed fidelity x shards or faults, flow
+// fidelity on a line fabric, mixed fidelity on anything but a leaf-spine or x
+// DCTCP background, and a mixed-fidelity background fraction outside (0, 1).
+// run_experiment calls it first.
 void validate(const ExperimentConfig& cfg);
 
-[[nodiscard]] ExperimentResult run_leaf_spine(const ExperimentConfig& cfg);
+// The experiment's schedule, drawn once for every fidelity and shard count
+// from a fresh sim::Rng{cfg.run.seed} against cfg.run.fabric's hosts, and
+// dumped as a replayable trace when cfg.trace_out is set. A default config
+// with `run`, `n_flows` and `load` set draws the legacy-engine web-search
+// schedule.
+[[nodiscard]] std::vector<workload::GeneratedFlow> draw_schedule(const ExperimentConfig& cfg);
+
+// Draws the schedule and runs it at cfg.fidelity on cfg.run's fabric: serial
+// or sharded, with or without faults and DCTCP background, at packet, flow
+// or mixed fidelity.
+[[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
 }  // namespace amrt::harness

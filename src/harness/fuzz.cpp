@@ -7,6 +7,7 @@
 
 #include "audit/auditor.hpp"
 #include "fault/fault.hpp"
+#include "harness/experiment.hpp"
 #include "harness/run.hpp"
 #include "harness/sweep.hpp"
 #include "stats/fct.hpp"
@@ -45,23 +46,15 @@ struct Fnv {
   }
 };
 
-// Everything a case draws before the simulation starts.
-struct CaseParams {
-  FabricSpec fabric;  // every family's knobs are drawn; c.topo picks one
-  // Traffic.
-  workload::Kind workload = workload::Kind::kWebSearch;
-  double load = 0.5;
-  std::size_t n_flows = 16;
-  // Mixed cases only: fraction of flows (by id residue) that run DCTCP.
-  double background_fraction = 0.0;
-  // Engine cases only: drawn traffic-engine spec; the default is the legacy
-  // engine, which generates draw-for-draw like the original generator.
-  workload::WorkloadSpec spec{};
-};
-
-CaseParams draw_params(const CaseConfig& c, sim::Rng& rng) {
-  CaseParams p;
-  FabricSpec& f = p.fabric;
+// Everything a case draws before the simulation starts: the fabric (every
+// family's knobs are drawn; c.topo picks one), the traffic, and for mixed
+// cases the fraction of flows (by id residue) that run DCTCP. Engine cases
+// also draw a traffic-engine spec; the default is the legacy engine, which
+// generates draw-for-draw like the original generator. run_case fills in
+// the rest of the run.
+ExperimentConfig draw_params(const CaseConfig& c, sim::Rng& rng) {
+  ExperimentConfig p;
+  FabricSpec& f = p.run.fabric;
   f.leaves = static_cast<int>(rng.uniform_int(2, 3));
   f.spines = static_cast<int>(rng.uniform_int(1, 2));
   f.hosts_per_leaf = static_cast<int>(rng.uniform_int(2, 4));
@@ -110,28 +103,28 @@ CaseParams draw_params(const CaseConfig& c, sim::Rng& rng) {
   f.fat_k = rng.bernoulli(0.5) ? 6 : 4;
   // Mixed-only draw, strictly after every single-transport draw: non-mixed
   // cases consume exactly the old stream.
-  if (c.mixed) p.background_fraction = rng.uniform(0.2, 0.7);
+  if (c.mixed) p.run.background_dctcp_fraction = rng.uniform(0.2, 0.7);
   // Engine-only draws, strictly after everything above (including the mixed
   // draw): non-engine cases consume exactly the old stream.
   if (c.engine) {
     if (rng.bernoulli(0.5)) {
-      p.spec.engine = workload::Engine::kSkewed;
-      p.spec.pairs = rng.bernoulli(0.5) ? workload::PairModel::kHotRack
+      p.engine.engine = workload::Engine::kSkewed;
+      p.engine.pairs = rng.bernoulli(0.5) ? workload::PairModel::kHotRack
                                         : workload::PairModel::kPermutation;
-      p.spec.arrivals = rng.bernoulli(0.5) ? workload::ArrivalModel::kPoisson
+      p.engine.arrivals = rng.bernoulli(0.5) ? workload::ArrivalModel::kPoisson
                                            : workload::ArrivalModel::kFixedRate;
-      p.spec.skew.hosts_per_rack = static_cast<std::size_t>(rng.uniform_int(2, 4));
-      p.spec.skew.hot_rack_fraction = rng.uniform(0.2, 0.6);
-      p.spec.skew.hot_weight = rng.uniform(0.5, 0.9);
-      p.spec.skew.locality = rng.uniform(0.1, 0.5);
+      p.engine.skew.hosts_per_rack = static_cast<std::size_t>(rng.uniform_int(2, 4));
+      p.engine.skew.hot_rack_fraction = rng.uniform(0.2, 0.6);
+      p.engine.skew.hot_weight = rng.uniform(0.5, 0.9);
+      p.engine.skew.locality = rng.uniform(0.1, 0.5);
       if (rng.bernoulli(0.5)) {
-        p.spec.coflow_fraction = rng.uniform(0.1, 0.4);
-        p.spec.coflow_width = static_cast<std::size_t>(rng.uniform_int(2, 4));
+        p.engine.coflow_fraction = rng.uniform(0.1, 0.4);
+        p.engine.coflow_width = static_cast<std::size_t>(rng.uniform_int(2, 4));
       }
     } else {
-      p.spec.engine = workload::Engine::kFanout;
-      p.spec.fanout = static_cast<std::size_t>(rng.uniform_int(2, 6));
-      p.spec.response_bytes = rng.bernoulli(0.5) ? rng.uniform_int(2'000, 40'000) : 0;
+      p.engine.engine = workload::Engine::kFanout;
+      p.engine.fanout = static_cast<std::size_t>(rng.uniform_int(2, 6));
+      p.engine.response_bytes = rng.bernoulli(0.5) ? rng.uniform_int(2'000, 40'000) : 0;
     }
   }
   return p;
@@ -315,29 +308,19 @@ CaseResult run_case(const CaseConfig& c) {
   }
 
   sim::Rng draw{mix(c.seed, case_salt(c))};
-  const CaseParams params = draw_params(c, draw);
+  ExperimentConfig cfg = draw_params(c, draw);
 
   // No samplers and no horizon: once the last flow completes, recovery
   // timers cancel and the event set empties, so the run returns at drain
   // (or at the livelock valve).
-  RunSpec spec;
-  spec.fabric = params.fabric;
+  RunSpec& spec = cfg.run;
   spec.proto = c.proto;
-  spec.background_dctcp_fraction = c.mixed ? params.background_fraction : 0.0;
   spec.seed = mix(c.seed, case_salt(c) ^ 0xA5A5ULL);
   spec.shards = c.shards;
   spec.horizon = sim::TimePoint::max();
   spec.event_limit = kEventLimit;
   spec.audit_context = repro_line(c);
-
-  workload::TrafficConfig traffic;
-  traffic.load = params.load;
-  traffic.n_flows = params.n_flows;
-  traffic.n_hosts = spec.fabric.host_count();
-  traffic.host_rate = spec.fabric.link_rate;
-  sim::Rng flow_rng{spec.seed};
-  const auto flows =
-      workload::generate_traffic(params.spec, &workload::cdf(params.workload), traffic, flow_rng);
+  const auto flows = draw_schedule(cfg);
 
   PacketRun run{spec, flows};
   // Fault schedule: drawn after the topology (it needs the built port pool),
@@ -356,7 +339,7 @@ CaseResult run_case(const CaseConfig& c) {
   r.completed = run.recorder().completed().size();
   r.events = run.events();
   r.faulted = run.network().packets_faulted();
-  check_oracles(r, run, params.fabric);
+  check_oracles(r, run, spec.fabric);
   check_group_oracle(r, flows, run.recorder());
   return r;
 }

@@ -6,9 +6,15 @@
 #include "net/packet.hpp"
 #include "net/partition.hpp"
 #include "transport/endpoint.hpp"
-#include "workload/workloads.hpp"
 
 namespace amrt::harness {
+
+bool is_background_flow(net::FlowId id, double fraction) {
+  if (fraction <= 0.0) return false;
+  if (fraction >= 1.0) return true;
+  const auto cut = static_cast<net::FlowId>(fraction * 100.0 + 0.5);
+  return (id % 100) < cut;
+}
 
 std::size_t FabricSpec::host_count() const {
   switch (topology) {
@@ -95,6 +101,9 @@ void PacketRun::build(net::Partition& part) {
       c.multipath = f.multipath;
       leaf_spine_ = net::build_leaf_spine(network_, c);
       hosts_ = leaf_spine_.hosts;
+      for (const auto& leaf : leaf_spine_.leaf_down) {
+        host_downlinks_.insert(host_downlinks_.end(), leaf.begin(), leaf.end());
+      }
       base_rtt_ = leaf_spine_.base_rtt;
       if (spec_.shards > 1) part = net::partition_leaf_spine(network_, leaf_spine_, spec_.shards);
       return;
@@ -109,6 +118,9 @@ void PacketRun::build(net::Partition& part) {
       c.multipath = f.multipath;
       const net::FatTree topo = net::build_fat_tree(network_, c);
       hosts_ = topo.hosts;
+      for (const auto& edge : topo.edge_down) {
+        host_downlinks_.insert(host_downlinks_.end(), edge.begin(), edge.end());
+      }
       base_rtt_ = topo.base_rtt;
       if (spec_.shards > 1) part = net::partition_fat_tree(network_, topo, spec_.shards);
       return;
@@ -123,6 +135,7 @@ void PacketRun::build(net::Partition& part) {
       c.marker_factory = std::move(markers);
       line_ = net::build_line(network_, c);
       hosts_ = line_.hosts;
+      host_downlinks_ = line_.host_down;
       base_rtt_ = line_.base_rtt;
       return;
     }
@@ -179,17 +192,6 @@ flowsim::Fabric fluid_fabric(const RunSpec& spec) {
 }
 
 }  // namespace
-
-std::vector<workload::GeneratedFlow> draw_websearch(const RunSpec& spec, std::size_t n_flows,
-                                                    double load) {
-  workload::TrafficConfig traffic;
-  traffic.load = load;
-  traffic.n_flows = n_flows;
-  traffic.n_hosts = spec.fabric.host_count();
-  traffic.host_rate = spec.fabric.link_rate;
-  sim::Rng rng{spec.seed};
-  return workload::generate_traffic({}, &workload::cdf(workload::Kind::kWebSearch), traffic, rng);
-}
 
 flowsim::FlowSimConfig flow_sim_config(const RunSpec& spec) {
   const FabricSpec& f = spec.fabric;

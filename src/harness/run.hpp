@@ -3,7 +3,7 @@
 // the spec has no fidelity field.
 //
 //   RunSpec spec;                          // topology as data + transport
-//   auto flows = draw_websearch(spec, n, load);  // or generate_traffic
+//   auto flows = draw_schedule(cfg);       // cfg.run == spec (experiment.hpp)
 //   PacketRun run{spec, flows};            // build, endpoints, schedule
 //   ... optional hooks: a FaultInjector on run.network(), rate
 //       reservations on the ports of run.leaf_spine(), and for a figure's
@@ -13,10 +13,10 @@
 //   run.recorder().completed(), run.events(), run.now(), and the port and
 //   queue counters of run.network() ...
 //
-// PacketRun is the only packet-fabric builder: run_leaf_spine in every
+// PacketRun is the only packet-fabric builder: run_experiment in every
 // packet mode, the figure scenarios (harness/scenarios.hpp), bench_scale and
 // the scenario fuzzer call it. FlowRun is the only fluid-run builder outside
-// src/flowsim (DESIGN.md §15): run_leaf_spine at flow fidelity, mixed
+// src/flowsim (DESIGN.md §15): run_experiment at flow fidelity, mixed
 // fidelity's fluid background and bench_scale's flow rows call it, with the
 // same spec and schedule; run.flowsim() takes hooks before run().
 //
@@ -40,7 +40,6 @@
 #include "core/factory.hpp"
 #include "flowsim/fabric.hpp"
 #include "flowsim/flowsim.hpp"
-#include "harness/experiment.hpp"
 #include "harness/sharded.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -50,6 +49,15 @@
 #include "workload/traffic.hpp"
 
 namespace amrt::harness {
+
+// The horizon every harness run stops at unless told otherwise.
+inline constexpr sim::Duration kDefaultMaxSimTime = sim::Duration::seconds(30);
+
+// The mixed-transport dispatch rule, shared by the harness, the fuzzer and
+// the benches: a flow is DCTCP background iff its id falls in the first
+// round(fraction*100) residues mod 100. Pure in the id, so the sender and
+// receiver ends (and any post-processing) always agree.
+[[nodiscard]] bool is_background_flow(net::FlowId id, double fraction);
 
 enum class Topology : std::uint8_t { kLeafSpine, kLine, kFatTree };
 
@@ -102,6 +110,8 @@ class PacketRun {
   [[nodiscard]] net::Network& network() { return network_; }
   [[nodiscard]] const std::vector<net::Host*>& hosts() const { return hosts_; }
   [[nodiscard]] sim::Duration base_rtt() const { return base_rtt_; }
+  // The switch port down to each host, in host order, for every topology.
+  [[nodiscard]] const std::vector<net::PortId>& host_downlinks() const { return host_downlinks_; }
   // Port ids of the built fabric: leaf_spine() for kLeafSpine, line() for
   // kLine (each empty for the other topologies).
   [[nodiscard]] const net::LeafSpine& leaf_spine() const { return leaf_spine_; }
@@ -134,16 +144,11 @@ class PacketRun {
   std::unique_ptr<ShardedScenario> sharded_;      // shards > 1
   net::Network network_;
   std::vector<net::Host*> hosts_;
+  std::vector<net::PortId> host_downlinks_;
   sim::Duration base_rtt_ = sim::Duration::zero();
   net::LeafSpine leaf_spine_;
   net::Line line_;
 };
-
-// The legacy-engine web-search schedule for spec.fabric's hosts: n_flows at
-// `load`, drawn from a fresh sim::Rng{spec.seed}.
-[[nodiscard]] std::vector<workload::GeneratedFlow> draw_websearch(const RunSpec& spec,
-                                                                  std::size_t n_flows,
-                                                                  double load);
 
 // The flow-level engine's settings for spec.fabric: the packet path's base
 // RTT over the longest host-to-host path (4 links on a leaf-spine, 6 on a

@@ -24,6 +24,24 @@ unsigned resolve_threads(unsigned requested) {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }
+
+// The fabric's topology and the shape fields its builder reads.
+void write_fabric(std::ostream& os, const FabricSpec& f) {
+  switch (f.topology) {
+    case Topology::kLeafSpine:
+      os << ",\"topology\":\"leaf-spine\",\"leaves\":" << f.leaves << ",\"spines\":" << f.spines
+         << ",\"hosts_per_leaf\":" << f.hosts_per_leaf;
+      return;
+    case Topology::kFatTree:
+      os << ",\"topology\":\"fat-tree\",\"fat_k\":" << f.fat_k;
+      return;
+    case Topology::kLine:
+      os << ",\"topology\":\"line\",\"switches\":" << f.switches
+         << ",\"hosts\":" << f.host_switch.size();
+      return;
+  }
+}
+
 }  // namespace
 
 SweepRunner::SweepRunner(SweepOptions opts)
@@ -70,7 +88,7 @@ void SweepRunner::for_each(std::size_t n, const std::function<void(std::size_t)>
 }
 
 std::vector<ExperimentResult> SweepRunner::run(const std::vector<ExperimentConfig>& points) {
-  return map_points(points, [](const ExperimentConfig& cfg) { return run_leaf_spine(cfg); });
+  return map_points(points, [](const ExperimentConfig& cfg) { return run_experiment(cfg); });
 }
 
 SweepRunner make_bench_runner(const BenchOptions& opts, const char* tag) {
@@ -99,16 +117,14 @@ void write_results_json(std::ostream& os, const std::vector<ExperimentConfig>& p
   for (std::size_t i = 0; i < n; ++i) {
     const auto& c = points[i];
     const auto& r = results[i];
-    os << "  {\"proto\":\"" << transport::to_string(c.proto) << "\""
+    os << "  {\"proto\":\"" << transport::to_string(c.run.proto) << "\""
        << ",\"workload\":\"" << workload::abbrev(c.workload) << "\""
        << ",\"engine\":\"" << workload::to_string(c.engine.engine) << "\""
        << ",\"load\":" << c.load
        << ",\"n_flows\":" << c.n_flows
-       << ",\"seed\":" << c.seed
-       << ",\"leaves\":" << c.leaves
-       << ",\"spines\":" << c.spines
-       << ",\"hosts_per_leaf\":" << c.hosts_per_leaf
-       << ",\"afct_us\":" << r.fct_all.afct_us
+       << ",\"seed\":" << c.run.seed;
+    write_fabric(os, c.run.fabric);
+    os << ",\"afct_us\":" << r.fct_all.afct_us
        << ",\"p99_us\":" << r.fct_all.p99_us
        << ",\"small_afct_us\":" << r.fct_small.afct_us
        << ",\"large_afct_us\":" << r.fct_large.afct_us

@@ -60,7 +60,7 @@ class SweepRunner {
     return out;
   }
 
-  // Runs `run_leaf_spine` over every point.
+  // Runs `run_experiment` over every point.
   [[nodiscard]] std::vector<ExperimentResult> run(const std::vector<ExperimentConfig>& points);
 
  private:

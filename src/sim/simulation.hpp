@@ -1,40 +1,21 @@
 // The owning context of one simulation run.
 //
-// `Simulation` bundles the three pieces of per-run mutable state — the
-// event loop (`Scheduler`), the seeded random stream (`Rng`) and a trace
-// sink for run-scoped diagnostics — behind a single object that is threaded
-// through every constructor in `net::`, `transport::` and `harness::`.
+// `Simulation` bundles the per-run mutable state — the event loop
+// (`Scheduler`), the seeded random stream (`Rng`) and the audit ledger —
+// behind a single object that is threaded through every constructor in
+// `net::`, `transport::` and `harness::`.
 // Nothing a simulation touches lives outside its Simulation, which is what
 // lets `harness::SweepRunner` run many of them on concurrent threads with
 // bit-identical results to serial execution.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
 
 namespace amrt::sim {
-
-// Per-run diagnostic collector. Warnings are recorded on the owning
-// Simulation (bounded) and forwarded to the global leveled logger; under a
-// parallel sweep each run keeps its own tally instead of clobbering shared
-// state.
-class TraceSink {
- public:
-  void warn(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-  [[nodiscard]] std::uint64_t warn_count() const { return warns_; }
-  // First `kMaxStored` formatted warnings, for tests and result reports.
-  [[nodiscard]] const std::vector<std::string>& warnings() const { return stored_; }
-
- private:
-  static constexpr std::size_t kMaxStored = 64;
-  std::uint64_t warns_ = 0;
-  std::vector<std::string> stored_;
-};
 
 class Simulation {
  public:
@@ -50,7 +31,6 @@ class Simulation {
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] const Scheduler& scheduler() const { return sched_; }
   [[nodiscard]] Rng& rng() { return rng_; }
-  [[nodiscard]] TraceSink& trace() { return trace_; }
   [[nodiscard]] audit::Auditor& auditor() { return auditor_; }
   [[nodiscard]] const audit::Auditor& auditor() const { return auditor_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
@@ -75,7 +55,6 @@ class Simulation {
   std::uint64_t seed_;
   Scheduler sched_;
   Rng rng_;
-  TraceSink trace_;
   audit::Auditor auditor_;
 };
 

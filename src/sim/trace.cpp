@@ -1,21 +1,11 @@
 #include "sim/trace.hpp"
 
-#include <atomic>
 #include <cstdarg>
+#include <cstdio>
 
 namespace amrt::sim::trace {
 
-namespace {
-// Atomic so SweepRunner worker threads can log while another thread adjusts
-// the level; stderr writes themselves are serialized by stdio.
-std::atomic<Level> g_level{Level::kWarn};
-}
-
-Level level() { return g_level.load(std::memory_order_relaxed); }
-void set_level(Level lvl) { g_level.store(lvl, std::memory_order_relaxed); }
-
-void emit(Level lvl, const char* fmt, ...) {
-  if (static_cast<int>(lvl) > static_cast<int>(level())) return;
+void warn(const char* fmt, ...) {
   std::va_list args;
   va_start(args, fmt);
   std::vfprintf(stderr, fmt, args);

@@ -1,29 +1,10 @@
-// Minimal leveled logging for the simulator.
-//
-// Packet-level tracing is far too hot to leave enabled: AMRT_TRACE compiles
-// to nothing unless AMRT_ENABLE_TRACE is defined. Warnings/info are runtime
-// gated and used only on slow paths (setup, experiment summaries).
+// Warnings on slow paths (setup, experiment summaries), to stderr.
 #pragma once
-
-#include <cstdio>
-#include <string>
 
 namespace amrt::sim::trace {
 
-enum class Level { kOff = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
-
-Level level();
-void set_level(Level lvl);
-
-void emit(Level lvl, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+void warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace amrt::sim::trace
 
-#define AMRT_WARN(...) ::amrt::sim::trace::emit(::amrt::sim::trace::Level::kWarn, __VA_ARGS__)
-#define AMRT_INFO(...) ::amrt::sim::trace::emit(::amrt::sim::trace::Level::kInfo, __VA_ARGS__)
-
-#ifdef AMRT_ENABLE_TRACE
-#define AMRT_TRACE(...) ::amrt::sim::trace::emit(::amrt::sim::trace::Level::kDebug, __VA_ARGS__)
-#else
-#define AMRT_TRACE(...) static_cast<void>(0)
-#endif
+#define AMRT_WARN(...) ::amrt::sim::trace::warn(__VA_ARGS__)

@@ -20,7 +20,6 @@ class BinnedSeries {
 
   void add(sim::TimePoint at, double value);
 
-  [[nodiscard]] sim::Duration bin_width() const { return width_; }
   [[nodiscard]] std::size_t bins() const { return sums_.size(); }
   [[nodiscard]] double sum_at(std::size_t bin) const { return bin < sums_.size() ? sums_[bin] : 0.0; }
   [[nodiscard]] sim::TimePoint bin_start(std::size_t bin) const {
@@ -42,12 +41,10 @@ class FlowThroughputTracker {
 
   void record(std::uint64_t flow, std::uint64_t delta_bytes, sim::TimePoint at);
 
-  [[nodiscard]] bool has_flow(std::uint64_t flow) const { return series_.contains(flow); }
   // Gbps per bin for one flow (empty if never seen).
   [[nodiscard]] std::vector<double> gbps(std::uint64_t flow) const;
   // Aggregate Gbps per bin across all flows.
   [[nodiscard]] std::vector<double> total_gbps() const;
-  [[nodiscard]] sim::Duration bin_width() const { return width_; }
 
  private:
   sim::Duration width_;

@@ -21,18 +21,18 @@ struct GoldenRecord {
   std::int64_t end_ns;
 };
 
-// tests/golden_fct.inc and the run_leaf_spine pins: WebSearch, load 0.6,
+// tests/golden_fct.inc and the run_experiment golden pins: WebSearch, load 0.6,
 // 80 flows on a 2x2x4 leaf-spine, seed 42.
 inline harness::ExperimentConfig golden_cfg(transport::Protocol proto) {
   harness::ExperimentConfig cfg;
-  cfg.proto = proto;
+  cfg.run.proto = proto;
   cfg.workload = workload::Kind::kWebSearch;
   cfg.load = 0.6;
   cfg.n_flows = 80;
-  cfg.leaves = 2;
-  cfg.spines = 2;
-  cfg.hosts_per_leaf = 4;
-  cfg.seed = 42;
+  cfg.run.fabric.leaves = 2;
+  cfg.run.fabric.spines = 2;
+  cfg.run.fabric.hosts_per_leaf = 4;
+  cfg.run.seed = 42;
   return cfg;
 }
 
@@ -42,32 +42,36 @@ inline harness::ExperimentConfig golden_cfg(transport::Protocol proto) {
 inline harness::ExperimentConfig flow_golden_cfg() {
   harness::ExperimentConfig cfg = golden_cfg(transport::Protocol::kAmrt);
   cfg.fidelity = harness::Fidelity::kFlow;
-  cfg.background_dctcp_fraction = 0.25;
+  cfg.run.background_dctcp_fraction = 0.25;
   cfg.n_flows = 200;
-  cfg.leaves = 4;
-  cfg.spines = 1;
-  cfg.hosts_per_leaf = 8;
+  cfg.run.fabric.leaves = 4;
+  cfg.run.fabric.spines = 1;
+  cfg.run.fabric.hosts_per_leaf = 8;
   return cfg;
 }
 
-// The fat-tree flow goldens' fabric: k-ary with the stock 100us links, seed 42.
-inline harness::RunSpec fat_tree_spec(int k) {
-  harness::RunSpec spec;
-  spec.fabric.topology = harness::Topology::kFatTree;
-  spec.fabric.fat_k = k;
-  spec.fabric.link_delay = sim::Duration::microseconds(100);
-  spec.seed = 42;
-  return spec;
+// The fat-tree goldens' experiment: WebSearch at `load` on a k-ary fat-tree
+// with the stock 100us links, seed 42.
+inline harness::ExperimentConfig fat_tree_cfg(int k, std::size_t n_flows, double load) {
+  harness::ExperimentConfig cfg;
+  cfg.run.fabric.topology = harness::Topology::kFatTree;
+  cfg.run.fabric.fat_k = k;
+  cfg.run.fabric.link_delay = sim::Duration::microseconds(100);
+  cfg.run.seed = 42;
+  cfg.n_flows = n_flows;
+  cfg.load = load;
+  return cfg;
 }
 
-// kGoldenFlowFatTree*: WebSearch at `load` on fat_tree_spec(k), on a FlowRun
-// under `proto`. kTraditional has no transport: without one, the engine runs
-// directly on FlowRun's settings with every flow under it.
+// kGoldenFlowFatTree*: fat_tree_cfg on a FlowRun under `proto`.
+// kTraditional has no transport: without one, the engine runs directly on
+// FlowRun's settings with every flow under it.
 inline std::vector<stats::FlowRecord> fat_tree_records(int k,
                                                        std::optional<transport::Protocol> proto,
                                                        std::size_t n_flows, double load) {
-  harness::RunSpec spec = fat_tree_spec(k);
-  const auto flows = harness::draw_websearch(spec, n_flows, load);
+  harness::ExperimentConfig exp = fat_tree_cfg(k, n_flows, load);
+  const auto flows = harness::draw_schedule(exp);
+  harness::RunSpec& spec = exp.run;
   if (proto) {
     spec.proto = *proto;
     harness::FlowRun run{spec, flows};

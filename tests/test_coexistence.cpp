@@ -16,15 +16,15 @@ namespace {
 
 harness::ExperimentConfig small_leaf_spine(double background_fraction) {
   harness::ExperimentConfig cfg;
-  cfg.proto = transport::Protocol::kAmrt;
+  cfg.run.proto = transport::Protocol::kAmrt;
   cfg.workload = workload::Kind::kWebSearch;
   cfg.load = 0.5;
   cfg.n_flows = 60;
-  cfg.leaves = 2;
-  cfg.spines = 2;
-  cfg.hosts_per_leaf = 4;
-  cfg.seed = 7;
-  cfg.background_dctcp_fraction = background_fraction;
+  cfg.run.fabric.leaves = 2;
+  cfg.run.fabric.spines = 2;
+  cfg.run.fabric.hosts_per_leaf = 4;
+  cfg.run.seed = 7;
+  cfg.run.background_dctcp_fraction = background_fraction;
   return cfg;
 }
 
@@ -41,7 +41,7 @@ TEST(Coexistence, BackgroundFlowRuleIsPureAndMatchesTheFraction) {
 }
 
 TEST(Coexistence, MixedRunCompletesBothPopulations) {
-  const auto r = harness::run_leaf_spine(small_leaf_spine(0.25));
+  const auto r = harness::run_experiment(small_leaf_spine(0.25));
   EXPECT_EQ(r.flows_completed, r.flows_started);
   EXPECT_GT(r.fct_foreground.completed, 0u);
   EXPECT_GT(r.fct_background.completed, 0u);
@@ -60,8 +60,8 @@ TEST(Coexistence, MixedRunCompletesBothPopulations) {
 }
 
 TEST(Coexistence, ForegroundStaysWithinToleranceOfSolo) {
-  const auto solo = harness::run_leaf_spine(small_leaf_spine(0.0));
-  const auto mixed = harness::run_leaf_spine(small_leaf_spine(0.25));
+  const auto solo = harness::run_experiment(small_leaf_spine(0.0));
+  const auto mixed = harness::run_experiment(small_leaf_spine(0.25));
   ASSERT_EQ(solo.flows_completed, solo.flows_started);
   ASSERT_EQ(mixed.flows_completed, mixed.flows_started);
 
@@ -89,9 +89,9 @@ TEST(Coexistence, ZeroFractionIsByteIdenticalToSolo) {
   // background_dctcp_fraction = 0 must take the single-transport code path
   // exactly: same records, same utilization, same event count.
   auto cfg = small_leaf_spine(0.0);
-  const auto a = harness::run_leaf_spine(cfg);
-  cfg.background_dctcp_fraction = 0.0;
-  const auto b = harness::run_leaf_spine(cfg);
+  const auto a = harness::run_experiment(cfg);
+  cfg.run.background_dctcp_fraction = 0.0;
+  const auto b = harness::run_experiment(cfg);
   ASSERT_EQ(a.flow_records.size(), b.flow_records.size());
   for (std::size_t i = 0; i < a.flow_records.size(); ++i) {
     EXPECT_EQ(a.flow_records[i].flow, b.flow_records[i].flow);
@@ -101,8 +101,8 @@ TEST(Coexistence, ZeroFractionIsByteIdenticalToSolo) {
 }
 
 TEST(Coexistence, MixedRunIsDeterministic) {
-  const auto a = harness::run_leaf_spine(small_leaf_spine(0.25));
-  const auto b = harness::run_leaf_spine(small_leaf_spine(0.25));
+  const auto a = harness::run_experiment(small_leaf_spine(0.25));
+  const auto b = harness::run_experiment(small_leaf_spine(0.25));
   ASSERT_EQ(a.flow_records.size(), b.flow_records.size());
   for (std::size_t i = 0; i < a.flow_records.size(); ++i) {
     EXPECT_EQ(a.flow_records[i].flow, b.flow_records[i].flow);
@@ -113,33 +113,33 @@ TEST(Coexistence, MixedRunIsDeterministic) {
 }
 
 TEST(Coexistence, MixedModeRejectsUnsupportedCombinations) {
-  // One table for every combination harness::validate rejects; run_leaf_spine
+  // One table for every combination harness::validate rejects; run_experiment
   // must refuse each one before building anything.
   const struct {
     const char* name;
     void (*apply)(harness::ExperimentConfig&);
   } rejected[] = {
       {"mixed transports need AMRT",
-       [](harness::ExperimentConfig& c) { c.proto = transport::Protocol::kNdp; }},
+       [](harness::ExperimentConfig& c) { c.run.proto = transport::Protocol::kNdp; }},
       {"shards x faults",
        [](harness::ExperimentConfig& c) {
-         c.background_dctcp_fraction = 0.0;
-         c.shards = 2;
+         c.run.background_dctcp_fraction = 0.0;
+         c.run.shards = 2;
          c.fault_incidents = 1;
        }},
       {"trace engine without a path",
        [](harness::ExperimentConfig& c) { c.engine.engine = workload::Engine::kTrace; }},
       {"flow fidelity x shards",
        [](harness::ExperimentConfig& c) {
-         c.background_dctcp_fraction = 0.0;
+         c.run.background_dctcp_fraction = 0.0;
          c.fidelity = harness::Fidelity::kFlow;
-         c.shards = 2;
+         c.run.shards = 2;
        }},
       {"mixed fidelity x shards",
        [](harness::ExperimentConfig& c) {
-         c.background_dctcp_fraction = 0.0;
+         c.run.background_dctcp_fraction = 0.0;
          c.fidelity = harness::Fidelity::kMixed;
-         c.shards = 2;
+         c.run.shards = 2;
        }},
       {"flow fidelity x faults",
        [](harness::ExperimentConfig& c) {
@@ -148,9 +148,29 @@ TEST(Coexistence, MixedModeRejectsUnsupportedCombinations) {
        }},
       {"mixed fidelity x mixed transports",
        [](harness::ExperimentConfig& c) { c.fidelity = harness::Fidelity::kMixed; }},
+      {"mixed fidelity x fat-tree",
+       [](harness::ExperimentConfig& c) {
+         c.run.background_dctcp_fraction = 0.0;
+         c.fidelity = harness::Fidelity::kMixed;
+         c.run.fabric.topology = harness::Topology::kFatTree;
+       }},
+      {"a leaf-spine without spines",
+       [](harness::ExperimentConfig& c) { c.run.fabric.spines = 0; }},
+      {"an odd fat-tree k",
+       [](harness::ExperimentConfig& c) {
+         c.run.fabric.topology = harness::Topology::kFatTree;
+         c.run.fabric.fat_k = 3;
+       }},
+      {"fewer than two hosts",
+       [](harness::ExperimentConfig& c) {
+         c.run.fabric.leaves = 1;
+         c.run.fabric.hosts_per_leaf = 1;
+       }},
+      {"a zero link rate",
+       [](harness::ExperimentConfig& c) { c.run.fabric.link_rate = sim::Bandwidth::gbps(0); }},
       {"mixed fidelity needs a fraction in (0, 1)",
        [](harness::ExperimentConfig& c) {
-         c.background_dctcp_fraction = 0.0;
+         c.run.background_dctcp_fraction = 0.0;
          c.fidelity = harness::Fidelity::kMixed;
          c.flow_background_fraction = 1.0;
        }},
@@ -160,7 +180,7 @@ TEST(Coexistence, MixedModeRejectsUnsupportedCombinations) {
     auto cfg = small_leaf_spine(0.25);
     row.apply(cfg);
     EXPECT_THROW(harness::validate(cfg), std::invalid_argument) << row.name;
-    EXPECT_THROW((void)harness::run_leaf_spine(cfg), std::invalid_argument) << row.name;
+    EXPECT_THROW((void)harness::run_experiment(cfg), std::invalid_argument) << row.name;
   }
 }
 
@@ -169,9 +189,9 @@ TEST(Coexistence, MixedTransportsRunUnderShards) {
   // both populations completes across two shard threads, and the metrics
   // come from the same port and queue counters as a serial run.
   auto cfg = small_leaf_spine(0.25);
-  cfg.shards = 2;
+  cfg.run.shards = 2;
   EXPECT_NO_THROW(harness::validate(cfg));
-  const auto r = harness::run_leaf_spine(cfg);
+  const auto r = harness::run_experiment(cfg);
   EXPECT_EQ(r.flows_completed, r.flows_started);
   EXPECT_EQ(r.flows_started, cfg.n_flows);
   EXPECT_GT(r.fct_foreground.completed, 0u);

@@ -22,14 +22,14 @@ namespace {
 
 ExperimentConfig small_cfg(transport::Protocol proto, std::uint64_t seed) {
   ExperimentConfig cfg;
-  cfg.proto = proto;
+  cfg.run.proto = proto;
   cfg.workload = workload::Kind::kWebSearch;
   cfg.load = 0.5;
   cfg.n_flows = 60;
-  cfg.leaves = 2;
-  cfg.spines = 2;
-  cfg.hosts_per_leaf = 4;
-  cfg.seed = seed;
+  cfg.run.fabric.leaves = 2;
+  cfg.run.fabric.spines = 2;
+  cfg.run.fabric.hosts_per_leaf = 4;
+  cfg.run.seed = seed;
   return cfg;
 }
 
@@ -72,15 +72,15 @@ std::vector<ExperimentConfig> grid() {
 
 TEST(Determinism, SameSeedSameBytesAcrossSerialRuns) {
   const auto cfg = small_cfg(transport::Protocol::kAmrt, 7);
-  const auto r1 = harness::run_leaf_spine(cfg);
-  const auto r2 = harness::run_leaf_spine(cfg);
+  const auto r1 = harness::run_experiment(cfg);
+  const auto r2 = harness::run_experiment(cfg);
   ASSERT_GT(r1.flows_completed, 0u);
   expect_identical(r1, r2);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {
-  const auto r1 = harness::run_leaf_spine(small_cfg(transport::Protocol::kAmrt, 1));
-  const auto r2 = harness::run_leaf_spine(small_cfg(transport::Protocol::kAmrt, 2));
+  const auto r1 = harness::run_experiment(small_cfg(transport::Protocol::kAmrt, 1));
+  const auto r2 = harness::run_experiment(small_cfg(transport::Protocol::kAmrt, 2));
   EXPECT_NE(r1.events, r2.events);  // the seed must actually reach the run
 }
 
@@ -121,14 +121,14 @@ TEST(Determinism, Fig13StyleSweepSerialVsThreadsByteIdentical) {
                      transport::Protocol::kNdp, transport::Protocol::kAmrt}) {
     for (std::size_t n : {40u, 80u}) {
       ExperimentConfig cfg;
-      cfg.proto = proto;
+      cfg.run.proto = proto;
       cfg.workload = workload::Kind::kDataMining;
       cfg.load = 0.6;
       cfg.n_flows = n;
-      cfg.leaves = 2;
-      cfg.spines = 2;
-      cfg.hosts_per_leaf = 4;
-      cfg.seed = 13;
+      cfg.run.fabric.leaves = 2;
+      cfg.run.fabric.spines = 2;
+      cfg.run.fabric.hosts_per_leaf = 4;
+      cfg.run.seed = 13;
       points.push_back(cfg);
     }
   }
@@ -178,7 +178,7 @@ TEST(Determinism, GoldenSeedFctFixtureUnchanged) {
   };
   for (const auto& fixture : fixtures) {
     SCOPED_TRACE(transport::to_string(fixture.proto));
-    const auto r = harness::run_leaf_spine(golden::golden_cfg(fixture.proto));
+    const auto r = harness::run_experiment(golden::golden_cfg(fixture.proto));
 
     ASSERT_EQ(r.flow_records.size(), fixture.count);
     for (std::size_t i = 0; i < fixture.count; ++i) {

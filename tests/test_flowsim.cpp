@@ -637,7 +637,7 @@ TEST(FlowSimGolden, FlowFidelityFctFixtureUnchanged) {
   // flow-level results, and say so in the commit.
   {
     SCOPED_TRACE("oversubscribed leaf-spine");
-    expect_golden(harness::run_leaf_spine(golden::flow_golden_cfg()).flow_records,
+    expect_golden(harness::run_experiment(golden::flow_golden_cfg()).flow_records,
                   kGoldenFlowLeafSpine, std::size(kGoldenFlowLeafSpine));
   }
   // The k=8 runs at load 0.3 keep many small link-disjoint components

@@ -29,10 +29,10 @@ namespace {
 
 ExperimentConfig base_cfg(transport::Protocol proto, std::size_t n_flows, std::uint64_t seed) {
   ExperimentConfig cfg;  // default 4x4x8 leaf-spine, 10G links, 10us delay
-  cfg.proto = proto;
+  cfg.run.proto = proto;
   cfg.n_flows = n_flows;
   cfg.load = 0.5;
-  cfg.seed = seed;
+  cfg.run.seed = seed;
   return cfg;
 }
 
@@ -41,9 +41,9 @@ ExperimentConfig base_cfg(transport::Protocol proto, std::size_t n_flows, std::u
 void expect_fidelities_agree(ExperimentConfig cfg, const char* what, double avg_tol = 0.10,
                              double p99_tol = 0.25) {
   cfg.fidelity = Fidelity::kPacket;
-  const ExperimentResult packet = run_leaf_spine(cfg);
+  const ExperimentResult packet = run_experiment(cfg);
   cfg.fidelity = Fidelity::kFlow;
-  const ExperimentResult flow = run_leaf_spine(cfg);
+  const ExperimentResult flow = run_experiment(cfg);
 
   // Identical seeded workload on both sides: same flow count, same bytes.
   ASSERT_EQ(packet.flows_started, flow.flows_started) << what;
@@ -92,9 +92,9 @@ TEST(FlowsimValidation, SkewedCoflowEngine) {
   // Coflow completion times ride the same records; spot-check the group
   // tail agrees too (same ±25% band as the flow tail).
   cfg.fidelity = Fidelity::kPacket;
-  const ExperimentResult packet = run_leaf_spine(cfg);
+  const ExperimentResult packet = run_experiment(cfg);
   cfg.fidelity = Fidelity::kFlow;
-  const ExperimentResult flow = run_leaf_spine(cfg);
+  const ExperimentResult flow = run_experiment(cfg);
   ASSERT_GT(packet.group_stats.complete, 0u);
   ASSERT_EQ(packet.group_stats.complete, flow.group_stats.complete);
   EXPECT_LE(std::abs(flow.group_stats.p99_us / packet.group_stats.p99_us - 1.0), 0.25);
@@ -115,14 +115,14 @@ TEST(FlowsimValidation, TraceEngineReplay) {
   ExperimentConfig cfg = base_cfg(transport::Protocol::kAmrt, 150, 11);
   cfg.trace_out = path;
   cfg.fidelity = Fidelity::kPacket;
-  const ExperimentResult packet = run_leaf_spine(cfg);
+  const ExperimentResult packet = run_experiment(cfg);
   ASSERT_EQ(packet.flows_completed, packet.flows_started);
 
   ExperimentConfig replay = base_cfg(transport::Protocol::kAmrt, 150, 11);
   replay.engine.engine = workload::Engine::kTrace;
   replay.engine.trace_path = path;
   replay.fidelity = Fidelity::kFlow;
-  const ExperimentResult flow = run_leaf_spine(replay);
+  const ExperimentResult flow = run_experiment(replay);
   std::remove(path.c_str());
 
   ASSERT_EQ(flow.flows_started, packet.flows_started);
@@ -138,10 +138,10 @@ TEST(FlowsimValidation, MixedFidelityTracksPacket) {
   // close to the all-packet truth.
   ExperimentConfig cfg = base_cfg(transport::Protocol::kAmrt, 300, 7);
   cfg.fidelity = Fidelity::kPacket;
-  const ExperimentResult packet = run_leaf_spine(cfg);
+  const ExperimentResult packet = run_experiment(cfg);
   cfg.fidelity = Fidelity::kMixed;
   cfg.flow_background_fraction = 0.5;
-  const ExperimentResult mixed = run_leaf_spine(cfg);
+  const ExperimentResult mixed = run_experiment(cfg);
 
   ASSERT_EQ(mixed.flows_started, packet.flows_started);
   EXPECT_EQ(mixed.flows_completed, mixed.flows_started);
@@ -171,13 +171,15 @@ TEST(FlowsimValidation, FatTreeFlowMatchesPacket) {
   // websearch flow is about one BDP and FCTs are latency-dominated, which the
   // fluid model (built for bandwidth sharing) intentionally does not
   // capture — see DESIGN.md §15.
-  RunSpec spec;
+  ExperimentConfig cfg;
+  RunSpec& spec = cfg.run;
   spec.fabric.topology = Topology::kFatTree;
   spec.fabric.fat_k = 4;
   spec.fabric.link_delay = 10_us;
-  spec.proto = transport::Protocol::kAmrt;
   spec.seed = 1;
-  const auto flows = draw_websearch(spec, 300, 0.5);
+  cfg.n_flows = 300;
+  cfg.load = 0.5;
+  const auto flows = draw_schedule(cfg);
 
   PacketRun packet{spec, flows};
   packet.run();

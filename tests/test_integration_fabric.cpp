@@ -1,5 +1,5 @@
-// Integration tests of the full leaf-spine experiment pipeline
-// (workload generation -> fabric -> transports -> metrics).
+// Integration tests of the full experiment pipeline on a leaf-spine and a
+// fat-tree (workload generation -> fabric -> transports -> metrics).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,14 +14,14 @@ using transport::Protocol;
 namespace {
 ExperimentConfig tiny(Protocol proto) {
   ExperimentConfig cfg;
-  cfg.proto = proto;
+  cfg.run.proto = proto;
   cfg.workload = workload::Kind::kWebServer;
-  cfg.leaves = 2;
-  cfg.spines = 2;
-  cfg.hosts_per_leaf = 4;
+  cfg.run.fabric.leaves = 2;
+  cfg.run.fabric.spines = 2;
+  cfg.run.fabric.hosts_per_leaf = 4;
   cfg.n_flows = 60;
   cfg.load = 0.5;
-  cfg.link_delay = 5_us;
+  cfg.run.fabric.link_delay = 5_us;
   return cfg;
 }
 
@@ -33,7 +33,7 @@ std::string proto_name(const ::testing::TestParamInfo<Protocol>& info) {
 class Fabric : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(Fabric, AllFlowsComplete) {
-  const auto r = harness::run_leaf_spine(tiny(GetParam()));
+  const auto r = harness::run_experiment(tiny(GetParam()));
   EXPECT_EQ(r.flows_completed, 60u);
   EXPECT_EQ(r.flows_started, 60u);
   EXPECT_GT(r.fct_all.afct_us, 0.0);
@@ -43,19 +43,39 @@ TEST_P(Fabric, GoodputConservation) {
   // Delivered payload equals the sum of generated flow sizes: regenerate the
   // same flow list and compare.
   auto cfg = tiny(GetParam());
-  const auto r = harness::run_leaf_spine(cfg);
-  sim::Rng rng{cfg.seed};
-  workload::TrafficConfig traffic;
-  traffic.load = cfg.load;
-  traffic.n_flows = cfg.n_flows;
-  traffic.n_hosts = 8;
-  traffic.host_rate = cfg.link_rate;
+  const auto r = harness::run_experiment(cfg);
   std::uint64_t expected = 0;
-  for (const auto& f :
-       workload::generate_traffic({}, &workload::cdf(cfg.workload), traffic, rng)) {
-    expected += f.bytes;
-  }
+  for (const auto& f : harness::draw_schedule(cfg)) expected += f.bytes;
   EXPECT_EQ(r.bytes_delivered, expected);
+}
+
+TEST(FatTreeExperiment, CompletesEveryFlowInEveryMode) {
+  // A k=4 fat-tree runs through the same experiment runner as a leaf-spine:
+  // serial, sharded, faulted and at flow fidelity, with one downlink
+  // utilization per host.
+  ExperimentConfig base;
+  base.run.fabric.topology = harness::Topology::kFatTree;
+  base.run.fabric.fat_k = 4;
+  base.run.fabric.link_delay = 5_us;
+  base.n_flows = 60;
+  const struct {
+    const char* name;
+    void (*apply)(ExperimentConfig&);
+  } modes[] = {
+      {"packet", [](ExperimentConfig&) {}},
+      {"shards=2", [](ExperimentConfig& c) { c.run.shards = 2; }},
+      {"fault_incidents=2", [](ExperimentConfig& c) { c.fault_incidents = 2; }},
+      {"flow fidelity", [](ExperimentConfig& c) { c.fidelity = harness::Fidelity::kFlow; }},
+  };
+  for (const auto& mode : modes) {
+    ExperimentConfig cfg = base;
+    mode.apply(cfg);
+    const auto r = harness::run_experiment(cfg);
+    EXPECT_EQ(r.flows_started, 60u) << mode.name;
+    EXPECT_EQ(r.flows_completed, r.flows_started) << mode.name;
+    EXPECT_EQ(r.downlink_utilization.size(), 16u) << mode.name;
+    EXPECT_GT(r.mean_utilization, 0.0) << mode.name;
+  }
 }
 
 TEST(FabricHorizon, UnfinishedFlowsReportAsIncomplete) {
@@ -63,9 +83,9 @@ TEST(FabricHorizon, UnfinishedFlowsReportAsIncomplete) {
   // or before they even start, count against completion in both executors.
   for (const unsigned shards : {1u, 2u}) {
     auto cfg = tiny(Protocol::kAmrt);
-    cfg.shards = shards;
-    cfg.max_sim_time = 200_us;
-    const auto r = harness::run_leaf_spine(cfg);
+    cfg.run.shards = shards;
+    cfg.run.horizon = sim::TimePoint::zero() + 200_us;
+    const auto r = harness::run_experiment(cfg);
     EXPECT_EQ(r.flows_started, 60u) << shards << " shards";
     EXPECT_LT(r.flows_completed, r.flows_started) << shards << " shards";
     EXPECT_EQ(r.flow_records.size(), r.flows_completed) << shards << " shards";
@@ -78,8 +98,8 @@ TEST(FabricHorizon, DrainedRunReportsItsLastEventTime) {
   // 30 s horizon.
   for (const unsigned shards : {1u, 2u}) {
     auto cfg = tiny(Protocol::kAmrt);
-    cfg.shards = shards;
-    const auto r = harness::run_leaf_spine(cfg);
+    cfg.run.shards = shards;
+    const auto r = harness::run_experiment(cfg);
     ASSERT_EQ(r.flows_completed, r.flows_started) << shards << " shards";
     sim::TimePoint last_end = sim::TimePoint::zero();
     for (const auto& rec : r.flow_records) last_end = std::max(last_end, rec.end);
@@ -89,8 +109,8 @@ TEST(FabricHorizon, DrainedRunReportsItsLastEventTime) {
 }
 
 TEST_P(Fabric, DeterministicAcrossRuns) {
-  const auto a = harness::run_leaf_spine(tiny(GetParam()));
-  const auto b = harness::run_leaf_spine(tiny(GetParam()));
+  const auto a = harness::run_experiment(tiny(GetParam()));
+  const auto b = harness::run_experiment(tiny(GetParam()));
   EXPECT_DOUBLE_EQ(a.fct_all.afct_us, b.fct_all.afct_us);
   EXPECT_DOUBLE_EQ(a.fct_all.p99_us, b.fct_all.p99_us);
   EXPECT_EQ(a.events, b.events);
@@ -98,14 +118,14 @@ TEST_P(Fabric, DeterministicAcrossRuns) {
 
 TEST_P(Fabric, SeedChangesOutcome) {
   auto cfg = tiny(GetParam());
-  const auto a = harness::run_leaf_spine(cfg);
-  cfg.seed = 999;
-  const auto b = harness::run_leaf_spine(cfg);
+  const auto a = harness::run_experiment(cfg);
+  cfg.run.seed = 999;
+  const auto b = harness::run_experiment(cfg);
   EXPECT_NE(a.fct_all.afct_us, b.fct_all.afct_us);
 }
 
 TEST_P(Fabric, MetricsWithinPhysicalBounds) {
-  const auto r = harness::run_leaf_spine(tiny(GetParam()));
+  const auto r = harness::run_experiment(tiny(GetParam()));
   EXPECT_GE(r.mean_utilization, 0.0);
   EXPECT_LE(r.mean_utilization, 1.0);
   EXPECT_LE(r.fct_all.p50_us, r.fct_all.p99_us);
@@ -124,8 +144,8 @@ TEST(FabricLoad, HigherLoadSlowsFlows) {
   lo.n_flows = 120;
   auto hi = lo;
   hi.load = 0.9;
-  const auto rl = harness::run_leaf_spine(lo);
-  const auto rh = harness::run_leaf_spine(hi);
+  const auto rl = harness::run_experiment(lo);
+  const auto rh = harness::run_experiment(hi);
   EXPECT_EQ(rl.flows_completed, 120u);
   EXPECT_EQ(rh.flows_completed, 120u);
   // Temporal compression at 0.9 load must hurt tail latency.
@@ -136,12 +156,12 @@ TEST(FabricQueues, HomaGetsPriorityQueuesNdpTrims) {
   auto cfg = tiny(Protocol::kNdp);
   cfg.n_flows = 100;
   cfg.load = 0.9;
-  const auto ndp = harness::run_leaf_spine(cfg);
+  const auto ndp = harness::run_experiment(cfg);
   EXPECT_EQ(ndp.drops, 0u) << "NDP data is trimmed, not dropped";
   auto cfg2 = tiny(Protocol::kHoma);
   cfg2.n_flows = 100;
   cfg2.load = 0.9;
-  const auto homa = harness::run_leaf_spine(cfg2);
+  const auto homa = harness::run_experiment(cfg2);
   EXPECT_EQ(homa.trims, 0u);
 }
 
@@ -150,7 +170,7 @@ TEST(FabricWorkloads, EveryWorkloadRunsEndToEnd) {
     auto cfg = tiny(Protocol::kAmrt);
     cfg.workload = wk;
     cfg.n_flows = 25;
-    const auto r = harness::run_leaf_spine(cfg);
+    const auto r = harness::run_experiment(cfg);
     EXPECT_EQ(r.flows_completed, 25u) << workload::name(wk);
   }
 }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "golden_runs.hpp"
+#include "harness/experiment.hpp"
 #include "harness/run.hpp"
 #include "stats/fct.hpp"
 
@@ -36,15 +37,18 @@ struct RunOutput {
 // runner. The schedule is drawn from the seed before the fabric is built,
 // so topology, workload draws and flow schedule agree across shard counts.
 RunOutput run_fat_tree(unsigned shards, Protocol proto = Protocol::kAmrt) {
-  harness::RunSpec spec;
+  harness::ExperimentConfig cfg;
+  harness::RunSpec& spec = cfg.run;
   spec.fabric.topology = harness::Topology::kFatTree;
   spec.fabric.fat_k = 4;
   spec.fabric.link_delay = sim::Duration::microseconds(5);
   spec.proto = proto;
   spec.seed = kSeed;
   spec.shards = shards;
+  cfg.n_flows = kFlows;
+  cfg.load = kLoad;
 
-  const auto flows = harness::draw_websearch(spec, kFlows, kLoad);
+  const auto flows = harness::draw_schedule(cfg);
 
   harness::PacketRun run{spec, flows};
   run.run();
@@ -119,10 +123,10 @@ TEST(Sharded, LeafSpineUtilizationTracksSerial) {
   // own counters in both executors: a sharded run reports one downlink per
   // host and a fleet mean close to the serial one.
   auto cfg = golden::golden_cfg(Protocol::kAmrt);
-  const auto serial = harness::run_leaf_spine(cfg);
-  cfg.shards = 2;
-  const auto sharded = harness::run_leaf_spine(cfg);
-  const auto hosts = static_cast<std::size_t>(cfg.leaves * cfg.hosts_per_leaf);
+  const auto serial = harness::run_experiment(cfg);
+  cfg.run.shards = 2;
+  const auto sharded = harness::run_experiment(cfg);
+  const std::size_t hosts = cfg.run.fabric.host_count();
   ASSERT_EQ(serial.flows_completed, serial.flows_started);
   ASSERT_EQ(sharded.flows_completed, sharded.flows_started);
   EXPECT_EQ(serial.downlink_utilization.size(), hosts);

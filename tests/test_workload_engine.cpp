@@ -465,13 +465,13 @@ TEST(GroupBook, PartialGroupsDoNotCountAsComplete) {
 
 harness::ExperimentConfig tiny_fabric() {
   harness::ExperimentConfig cfg;
-  cfg.proto = transport::Protocol::kAmrt;
-  cfg.leaves = 2;
-  cfg.spines = 2;
-  cfg.hosts_per_leaf = 4;
+  cfg.run.proto = transport::Protocol::kAmrt;
+  cfg.run.fabric.leaves = 2;
+  cfg.run.fabric.spines = 2;
+  cfg.run.fabric.hosts_per_leaf = 4;
   cfg.load = 0.6;
   cfg.n_flows = 48;
-  cfg.seed = 42;
+  cfg.run.seed = 42;
   return cfg;
 }
 
@@ -481,7 +481,7 @@ TEST(HarnessEngine, FanoutRunReportsRequestStats) {
   cfg.engine.fanout = 4;
   cfg.engine.response_bytes = 20'000;
 
-  const auto r = harness::run_leaf_spine(cfg);
+  const auto r = harness::run_experiment(cfg);
   EXPECT_EQ(r.flows_completed, r.flows_started);
   EXPECT_EQ(r.request_stats.groups, 12u);  // 48 flows / fanout 4
   EXPECT_EQ(r.request_stats.complete, 12u);
@@ -499,7 +499,7 @@ TEST(HarnessEngine, FanoutRunReportsRequestStats) {
 }
 
 TEST(HarnessEngine, LegacyRunsLeaveGroupColumnsEmpty) {
-  const auto r = harness::run_leaf_spine(tiny_fabric());
+  const auto r = harness::run_experiment(tiny_fabric());
   std::stringstream csv;
   harness::write_fct_csv(csv, r.flow_records);
   std::string line;
@@ -515,13 +515,13 @@ TEST(HarnessEngine, TraceDumpReplaysWithIdenticalFctRecords) {
   const std::string path = testing::TempDir() + "dump_replay_trace.csv";
   auto cfg = tiny_fabric();
   cfg.trace_out = path;
-  const auto original = harness::run_leaf_spine(cfg);
+  const auto original = harness::run_experiment(cfg);
   ASSERT_EQ(original.flows_completed, original.flows_started);
 
   auto replay_cfg = tiny_fabric();
   replay_cfg.engine.engine = Engine::kTrace;
   replay_cfg.engine.trace_path = path;
-  const auto replay = harness::run_leaf_spine(replay_cfg);
+  const auto replay = harness::run_experiment(replay_cfg);
 
   ASSERT_EQ(original.flow_records.size(), replay.flow_records.size());
   for (std::size_t i = 0; i < original.flow_records.size(); ++i) {
@@ -538,15 +538,15 @@ TEST(HarnessEngine, TraceReplayComposesWithShards) {
   const std::string path = testing::TempDir() + "shard_replay_trace.csv";
   auto cfg = tiny_fabric();
   cfg.trace_out = path;
-  cfg.shards = 2;
-  const auto serial = harness::run_leaf_spine(cfg);
+  cfg.run.shards = 2;
+  const auto serial = harness::run_experiment(cfg);
   ASSERT_EQ(serial.flows_started, serial.flows_completed);
 
   auto replay_cfg = tiny_fabric();
   replay_cfg.engine.engine = Engine::kTrace;
   replay_cfg.engine.trace_path = path;
-  replay_cfg.shards = 2;
-  const auto replay = harness::run_leaf_spine(replay_cfg);
+  replay_cfg.run.shards = 2;
+  const auto replay = harness::run_experiment(replay_cfg);
   EXPECT_EQ(replay.flows_started, serial.flows_started);
   EXPECT_EQ(replay.flows_completed, replay.flows_started);
 }

@@ -1,4 +1,5 @@
-// amrt_sim — command-line front end for the leaf-spine experiment runner.
+// amrt_sim — command-line front end for the experiment runner
+// (harness::run_experiment).
 //
 // Runs one experiment point — or, with --seeds=N, a parallel sweep over N
 // consecutive seeds — and prints one result row per point, so it composes
@@ -9,14 +10,20 @@
 //            --hosts-per-leaf=40 --link-delay-us=100 --csv
 //   amrt_sim --proto=AMRT --seeds=8 --threads=4 --json=sweep.json
 //
-// All flags are optional; defaults match the laptop-scale fabric used by the
-// figure benches.
+// All flags are optional; defaults match the laptop-scale leaf-spine used by
+// the figure benches. A numeric flag must be a whole number of its type
+// (--flows=3x and --flows=-1 are rejected), and harness::validate rejects
+// what the harness cannot run; both exit with status 2.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
+#include "harness/options.hpp"
 #include "harness/sweep.hpp"
 #include "net/topology.hpp"
 #include "workload/flow_trace.hpp"
@@ -83,9 +90,22 @@ bool match(const std::string& arg, const char* prefix, std::string& value) {
   return false;
 }
 
+// The whole of `v` as a T (harness::parse_whole): trailing characters, a
+// sign on an unsigned flag, an out-of-range or a non-finite value throw.
+template <class T>
+T number(const std::string& v) {
+  const std::optional<T> n = harness::parse_whole<T>(v);
+  if (!n) throw std::invalid_argument("not a whole number of the flag's type");
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(*n)) throw std::invalid_argument("not finite");
+  }
+  return *n;
+}
+
 // A count flag that must be at least 1: zero is rejected, not clamped.
-std::size_t positive(const std::string& v) {
-  const std::size_t n = std::stoul(v);
+template <class T>
+T positive(const std::string& v) {
+  const T n = number<T>(v);
   if (n == 0) throw std::invalid_argument("must be at least 1");
   return n;
 }
@@ -94,9 +114,7 @@ std::size_t positive(const std::string& v) {
 
 int main(int argc, char** argv) {
   harness::ExperimentConfig cfg;
-  cfg.proto = transport::Protocol::kAmrt;
-  cfg.workload = workload::Kind::kWebSearch;
-  cfg.n_flows = 400;
+  harness::RunSpec& run = cfg.run;
   bool csv = false;
   std::string fct_csv_path;
   std::string json_path;
@@ -108,13 +126,13 @@ int main(int argc, char** argv) {
     std::string v;
     try {
       if (match(arg, "--proto=", v)) {
-        cfg.proto = transport::protocol_from_string(v);
+        run.proto = transport::protocol_from_string(v);
       } else if (match(arg, "--fidelity=", v)) {
         cfg.fidelity = harness::fidelity_from_string(v);
       } else if (match(arg, "--flow-background=", v)) {
-        cfg.flow_background_fraction = std::stod(v);
+        cfg.flow_background_fraction = number<double>(v);
       } else if (match(arg, "--mixed=", v)) {
-        cfg.background_dctcp_fraction = std::stod(v);
+        run.background_dctcp_fraction = number<double>(v);
       } else if (match(arg, "--workload=", v)) {
         cfg.workload = workload::kind_from_string(v);
       } else if (match(arg, "--workload-engine=", v)) {
@@ -124,21 +142,21 @@ int main(int argc, char** argv) {
       } else if (match(arg, "--arrivals=", v)) {
         cfg.engine.arrivals = workload::arrival_model_from_string(v);
       } else if (match(arg, "--hosts-per-rack=", v)) {
-        cfg.engine.skew.hosts_per_rack = std::stoul(v);
+        cfg.engine.skew.hosts_per_rack = number<std::size_t>(v);
       } else if (match(arg, "--hot-racks=", v)) {
-        cfg.engine.skew.hot_rack_fraction = std::stod(v);
+        cfg.engine.skew.hot_rack_fraction = number<double>(v);
       } else if (match(arg, "--hot-weight=", v)) {
-        cfg.engine.skew.hot_weight = std::stod(v);
+        cfg.engine.skew.hot_weight = number<double>(v);
       } else if (match(arg, "--locality=", v)) {
-        cfg.engine.skew.locality = std::stod(v);
+        cfg.engine.skew.locality = number<double>(v);
       } else if (match(arg, "--coflow=", v)) {
-        cfg.engine.coflow_fraction = std::stod(v);
+        cfg.engine.coflow_fraction = number<double>(v);
       } else if (match(arg, "--coflow-width=", v)) {
-        cfg.engine.coflow_width = std::stoul(v);
+        cfg.engine.coflow_width = number<std::size_t>(v);
       } else if (match(arg, "--fanout=", v)) {
-        cfg.engine.fanout = std::stoul(v);
+        cfg.engine.fanout = number<std::size_t>(v);
       } else if (match(arg, "--response-bytes=", v)) {
-        cfg.engine.response_bytes = std::stoull(v);
+        cfg.engine.response_bytes = number<std::uint64_t>(v);
       } else if (match(arg, "--trace=", v)) {
         cfg.engine.engine = workload::Engine::kTrace;
         cfg.engine.trace_path = v;
@@ -155,41 +173,41 @@ int main(int argc, char** argv) {
           return 1;
         }
       } else if (match(arg, "--load=", v)) {
-        cfg.load = std::stod(v);
+        cfg.load = number<double>(v);
       } else if (match(arg, "--flows=", v)) {
-        cfg.n_flows = std::stoul(v);
+        cfg.n_flows = number<std::size_t>(v);
       } else if (match(arg, "--leaves=", v)) {
-        cfg.leaves = std::stoi(v);
+        run.fabric.leaves = number<int>(v);
       } else if (match(arg, "--spines=", v)) {
-        cfg.spines = std::stoi(v);
+        run.fabric.spines = number<int>(v);
       } else if (match(arg, "--hosts-per-leaf=", v)) {
-        cfg.hosts_per_leaf = std::stoi(v);
+        run.fabric.hosts_per_leaf = number<int>(v);
       } else if (match(arg, "--link-gbps=", v)) {
-        cfg.link_rate = sim::Bandwidth::gbps(std::stoll(v));
+        run.fabric.link_rate = sim::Bandwidth::gbps(number<int>(v));
       } else if (match(arg, "--link-delay-us=", v)) {
-        cfg.link_delay = sim::Duration::microseconds(std::stoll(v));
+        run.fabric.link_delay = sim::Duration::microseconds(number<int>(v));
       } else if (match(arg, "--buffer-pkts=", v)) {
-        cfg.queues.buffer_pkts = std::stoul(v);
+        run.fabric.queues.buffer_pkts = number<std::size_t>(v);
       } else if (match(arg, "--overcommit=", v)) {
-        cfg.homa_overcommit = std::stoi(v);
+        run.transport.homa_overcommit = number<int>(v);
       } else if (match(arg, "--faults=", v)) {
-        cfg.fault_incidents = std::stoul(v);
+        cfg.fault_incidents = number<std::size_t>(v);
       } else if (match(arg, "--fault-seed=", v)) {
-        cfg.fault_seed = std::stoull(v);
+        cfg.fault_seed = number<std::uint64_t>(v);
       } else if (match(arg, "--seed=", v)) {
-        cfg.seed = std::stoull(v);
+        run.seed = number<std::uint64_t>(v);
       } else if (match(arg, "--shards=", v)) {
-        cfg.shards = static_cast<unsigned>(positive(v));
+        run.shards = positive<unsigned>(v);
       } else if (match(arg, "--seeds=", v)) {
-        n_seeds = positive(v);
+        n_seeds = positive<std::size_t>(v);
       } else if (match(arg, "--threads=", v)) {
-        threads = static_cast<unsigned>(std::stoul(v));
+        threads = number<unsigned>(v);
       } else if (match(arg, "--json=", v)) {
         json_path = v;
       } else if (match(arg, "--fct-csv=", v)) {
         fct_csv_path = v;
       } else if (arg == "--spray") {
-        cfg.multipath = net::MultipathMode::kPacketSpray;
+        run.fabric.multipath = net::MultipathMode::kPacketSpray;
       } else if (arg == "--csv") {
         csv = true;
       } else if (arg == "--help" || arg == "-h") {
@@ -221,7 +239,7 @@ int main(int argc, char** argv) {
   std::vector<harness::ExperimentConfig> points;
   for (std::size_t s = 0; s < n_seeds; ++s) {
     auto point = cfg;
-    point.seed = cfg.seed + s;
+    point.run.seed = run.seed + s;
     points.push_back(point);
   }
 
@@ -258,22 +276,23 @@ int main(int argc, char** argv) {
   if (csv) {
     std::printf("proto,workload,engine,load,flows,seed,afct_us,p99_us,small_afct_us,large_afct_us,"
                 "slowdown,utilization,max_queue,drops,trims,faulted,completed,events,wall_s,"
-                "groups,group_p99_us,requests,request_p99_us\n");
+                "groups,group_p99_us,requests,request_p99_us,incomplete\n");
     for (std::size_t i = 0; i < points.size(); ++i) {
       const auto& p = points[i];
       const auto& r = results[i];
       std::printf(
           "%s,%s,%s,%.2f,%zu,%llu,%.1f,%.1f,%.1f,%.1f,%.2f,%.4f,%zu,%llu,%llu,%llu,%zu,%llu,%.2f,"
-          "%zu,%.1f,%zu,%.1f\n",
-          transport::to_string(p.proto), workload::abbrev(p.workload),
+          "%zu,%.1f,%zu,%.1f,%zu\n",
+          transport::to_string(p.run.proto), workload::abbrev(p.workload),
           workload::to_string(p.engine.engine), p.load, p.n_flows,
-          static_cast<unsigned long long>(p.seed), r.fct_all.afct_us,
+          static_cast<unsigned long long>(p.run.seed), r.fct_all.afct_us,
           r.fct_all.p99_us, r.fct_small.afct_us, r.fct_large.afct_us,
           r.fct_all.mean_slowdown, r.mean_utilization, r.max_queue_pkts,
           static_cast<unsigned long long>(r.drops), static_cast<unsigned long long>(r.trims),
           static_cast<unsigned long long>(r.faulted), r.flows_completed,
           static_cast<unsigned long long>(r.events), r.wall_seconds, r.group_stats.groups,
-          r.group_stats.p99_us, r.request_stats.groups, r.request_stats.p99_us);
+          r.group_stats.p99_us, r.request_stats.groups, r.request_stats.p99_us,
+          r.flows_started - r.flows_completed);
     }
     return all_complete ? 0 : 1;
   }
@@ -281,9 +300,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     const auto& r = results[i];
-    std::printf("%s on %s, load %.2f, %zu flows (seed %llu)\n", transport::to_string(p.proto),
+    std::printf("%s on %s, load %.2f, %zu flows (seed %llu)\n", transport::to_string(p.run.proto),
                 workload::name(p.workload), p.load, p.n_flows,
-                static_cast<unsigned long long>(p.seed));
+                static_cast<unsigned long long>(p.run.seed));
     std::printf("  completed:    %zu/%zu flows (%llu drops, %llu trims, %llu faulted)\n",
                 r.flows_completed, r.flows_started, static_cast<unsigned long long>(r.drops),
                 static_cast<unsigned long long>(r.trims),
@@ -301,7 +320,7 @@ int main(int argc, char** argv) {
                   r.request_stats.complete, r.request_stats.groups, r.request_stats.p99_us,
                   r.request_stats.max_us);
     }
-    if (p.background_dctcp_fraction > 0.0) {
+    if (p.run.background_dctcp_fraction > 0.0) {
       std::printf("  foreground:   AMRT avg %.1fus, p99 %.1fus (%zu flows)\n",
                   r.fct_foreground.afct_us, r.fct_foreground.p99_us, r.fct_foreground.completed);
       std::printf("  background:   DCTCP avg %.1fus, p99 %.1fus (%zu flows)\n",

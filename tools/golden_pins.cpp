@@ -6,8 +6,8 @@
 //     transports, in every case class: plain, --faults, --shards 2,
 //     --shards 3, --mixed, --mixed --shards 2 and --workload-engine;
 //   * FNV digests (records + events + drops + trims + faulted) of
-//     run_leaf_spine on the golden config (tools/regen_golden_fct.cpp) in
-//     each execution mode: serial, shards=2, fault_incidents=3,
+//     run_experiment on the golden leaf-spine config
+//     (tools/regen_golden_fct.cpp) in each execution mode: serial, shards=2, fault_incidents=3,
 //     background_dctcp_fraction=0.3 and fidelity=kMixed;
 //   * records-only FNV digests (records + drops + trims + faulted; no
 //     events, utilization or sim time) of the same run serial under AMRT,
@@ -19,13 +19,17 @@
 //     NDP: a chain using all three paths, dynamic traffic with 4 staggered
 //     flows, many-to-many at responsive_ratio 0.5 and a 16-sender incast;
 //   * FNV digests over every ExperimentResult field but wall_seconds of
-//     run_leaf_spine on the golden config at flow fidelity (with and
+//     run_experiment on the golden config at flow fidelity (with and
 //     without background_dctcp_fraction=0.25) and at mixed fidelity, and of
 //     the k=4, 200-flow fat-tree flow run (records, events, recomputes,
 //     refills, bytes) under AMRT, pHost and DCTCP;
-//   * FNV digests (records + events + drops + trims + faulted) of the k=4,
-//     200-flow fat-tree packet run, serial and at shards=2, under AMRT and
-//     NDP.
+//   * FNV digests (records + events + drops + trims + faulted) of
+//     run_experiment on the k=4, 200-flow fat-tree, serial and at shards=2,
+//     under AMRT and NDP; first generated from PacketRun directly.
+//
+// The leaf-spine pins keep their "run_leaf_spine golden ..." labels from
+// before run_experiment served every topology, so the fixture lines stay
+// byte for byte.
 //
 //   build/tools/golden_pins > tests/golden_pins.inc    (or tools/regen_golden.sh)
 //
@@ -39,9 +43,9 @@
 
 #include "golden_runs.hpp"
 #include "harness/fuzz.hpp"
+#include "harness/experiment.hpp"
 #include "harness/run.hpp"
 #include "harness/scenarios.hpp"
-#include "net/network.hpp"
 
 using namespace amrt;
 
@@ -96,26 +100,27 @@ void emit_pin(const std::string& name, bool ok, const Fnv& fnv) {
               static_cast<unsigned long long>(fnv.h));
 }
 
-void emit_leaf_spine(const char* mode, const harness::ExperimentConfig& cfg) {
-  const harness::ExperimentResult r = harness::run_leaf_spine(cfg);
+// Records, events, drops, trims and faulted packets. `label` names the run:
+// the leaf-spine pins keep their historical "run_leaf_spine golden" labels.
+void emit_run(const std::string& label, const harness::ExperimentConfig& cfg) {
+  const harness::ExperimentResult r = harness::run_experiment(cfg);
   Fnv fnv;
   fnv.add_all(r.flow_records, r.events, r.drops, r.trims, r.faulted);
-  emit_pin(std::string{"run_leaf_spine golden "} + mode, r.flows_completed == r.flows_started,
-           fnv);
+  emit_pin(label, r.flows_completed == r.flows_started, fnv);
 }
 
 // What the fabric did, not how the run observed it: records, drops, trims
 // and faulted packets.
-void emit_leaf_spine_records(const std::string& mode, const harness::ExperimentConfig& cfg) {
-  const harness::ExperimentResult r = harness::run_leaf_spine(cfg);
+void emit_run_records(const std::string& mode, const harness::ExperimentConfig& cfg) {
+  const harness::ExperimentResult r = harness::run_experiment(cfg);
   Fnv fnv;
   fnv.add_all(r.flow_records, r.drops, r.trims, r.faulted);
   emit_pin("run_leaf_spine golden records " + mode, r.flows_completed == r.flows_started, fnv);
 }
 
 // Every field of the result but wall_seconds, doubles bit-cast.
-void emit_leaf_spine_all_fields(const char* mode, const harness::ExperimentConfig& cfg) {
-  const harness::ExperimentResult r = harness::run_leaf_spine(cfg);
+void emit_run_all_fields(const char* mode, const harness::ExperimentConfig& cfg) {
+  const harness::ExperimentResult r = harness::run_experiment(cfg);
   Fnv fnv;
   fnv.add_all(r.fct_all, r.fct_small, r.fct_large, r.fct_foreground, r.fct_background,
               r.mean_utilization, r.downlink_utilization, r.max_queue_pkts, r.drops, r.trims,
@@ -128,10 +133,10 @@ void emit_leaf_spine_all_fields(const char* mode, const harness::ExperimentConfi
 // The k=4, 200-flow fat-tree flow run of the flow golden fixture under one
 // transport's rate model: records, events, recomputes, refills and bytes.
 void emit_fat_tree_flow(transport::Protocol proto) {
-  harness::RunSpec spec = golden::fat_tree_spec(4);
-  spec.proto = proto;
-  const auto flows = harness::draw_websearch(spec, 200, 0.6);
-  harness::FlowRun run{spec, flows};
+  harness::ExperimentConfig cfg = golden::fat_tree_cfg(4, 200, 0.6);
+  cfg.run.proto = proto;
+  const auto flows = harness::draw_schedule(cfg);
+  harness::FlowRun run{cfg.run, flows};
   run.run();
   const flowsim::FlowSimResult& r = run.result();
   Fnv fnv;
@@ -142,29 +147,14 @@ void emit_fat_tree_flow(transport::Protocol proto) {
 }
 
 // The k=4, 200-flow fat-tree packet run under one transport, serial or
-// sharded: records, events, drops, trims and faulted packets, as the
-// run_leaf_spine pins hash them.
+// sharded, hashed as emit_run hashes the leaf-spine runs.
 void emit_fat_tree_packet(transport::Protocol proto, unsigned shards) {
-  harness::RunSpec spec = golden::fat_tree_spec(4);
-  spec.proto = proto;
-  spec.shards = shards;
-  const auto flows = harness::draw_websearch(spec, 200, 0.6);
-  harness::PacketRun run{spec, flows};
-  run.run();
-  std::uint64_t drops = 0;
-  std::uint64_t trims = 0;
-  for (const auto& sw : run.network().switches()) {
-    for (int p = 0; p < sw.port_count(); ++p) {
-      drops += sw.port(p).queue().stats().dropped;
-      trims += sw.port(p).queue().stats().trimmed;
-    }
-  }
-  Fnv fnv;
-  fnv.add_all(run.recorder().completed(), run.events(), drops, trims,
-              run.network().packets_faulted());
-  emit_pin(std::string{"fat-tree packet k=4 flows=200 "} + transport::to_string(proto) +
+  harness::ExperimentConfig cfg = golden::fat_tree_cfg(4, 200, 0.6);
+  cfg.run.proto = proto;
+  cfg.run.shards = shards;
+  emit_run(std::string{"fat-tree packet k=4 flows=200 "} + transport::to_string(proto) +
                (shards > 1 ? " shards=" + std::to_string(shards) : std::string{" serial"}),
-           run.recorder().completed().size() == flows.size(), fnv);
+           cfg);
 }
 
 void emit_timeline(const std::string& name, const harness::TimelineResult& r) {
@@ -262,30 +252,33 @@ int main() {
     return cfg;
   };
   using Cfg = harness::ExperimentConfig;
+  auto emit_leaf_spine = [](const std::string& mode, const Cfg& cfg) {
+    emit_run("run_leaf_spine golden " + mode, cfg);
+  };
   emit_leaf_spine("serial", golden_with([](Cfg&) {}));
-  emit_leaf_spine("shards=2", golden_with([](Cfg& c) { c.shards = 2; }));
+  emit_leaf_spine("shards=2", golden_with([](Cfg& c) { c.run.shards = 2; }));
   emit_leaf_spine("fault_incidents=3", golden_with([](Cfg& c) { c.fault_incidents = 3; }));
   emit_leaf_spine("background_dctcp_fraction=0.3",
-                  golden_with([](Cfg& c) { c.background_dctcp_fraction = 0.3; }));
+                  golden_with([](Cfg& c) { c.run.background_dctcp_fraction = 0.3; }));
   const Cfg mixed_fidelity = golden_with([](Cfg& c) { c.fidelity = harness::Fidelity::kMixed; });
   emit_leaf_spine("fidelity=mixed", mixed_fidelity);
   for (const transport::Protocol proto :
        {transport::Protocol::kAmrt, transport::Protocol::kPhost, transport::Protocol::kHoma,
         transport::Protocol::kNdp, transport::Protocol::kDctcp}) {
-    emit_leaf_spine_records(std::string{"serial "} + transport::to_string(proto),
-                            golden::golden_cfg(proto));
+    emit_run_records(std::string{"serial "} + transport::to_string(proto),
+                     golden::golden_cfg(proto));
   }
-  emit_leaf_spine_records("fault_incidents=3", golden_with([](Cfg& c) { c.fault_incidents = 3; }));
-  emit_leaf_spine_records("background_dctcp_fraction=0.3",
-                          golden_with([](Cfg& c) { c.background_dctcp_fraction = 0.3; }));
-  emit_leaf_spine_records("fidelity=mixed", mixed_fidelity);
+  emit_run_records("fault_incidents=3", golden_with([](Cfg& c) { c.fault_incidents = 3; }));
+  emit_run_records("background_dctcp_fraction=0.3",
+                   golden_with([](Cfg& c) { c.run.background_dctcp_fraction = 0.3; }));
+  emit_run_records("fidelity=mixed", mixed_fidelity);
   emit_scenarios();
 
   Cfg flow = golden_with([](Cfg& c) { c.fidelity = harness::Fidelity::kFlow; });
-  emit_leaf_spine_all_fields("fidelity=flow", flow);
-  flow.background_dctcp_fraction = 0.25;
-  emit_leaf_spine_all_fields("fidelity=flow background_dctcp_fraction=0.25", flow);
-  emit_leaf_spine_all_fields("fidelity=mixed", mixed_fidelity);
+  emit_run_all_fields("fidelity=flow", flow);
+  flow.run.background_dctcp_fraction = 0.25;
+  emit_run_all_fields("fidelity=flow background_dctcp_fraction=0.25", flow);
+  emit_run_all_fields("fidelity=mixed", mixed_fidelity);
   for (const transport::Protocol proto :
        {transport::Protocol::kAmrt, transport::Protocol::kPhost, transport::Protocol::kDctcp}) {
     emit_fat_tree_flow(proto);

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Rebuilds the golden fixtures from the release build: the packet-level
 # tests/golden_fct.inc, the flow-level tests/golden_flow_fct.inc and the
-# run-pipeline pins tests/golden_pins.inc (fuzz case hashes, run_leaf_spine
-# digests in every execution mode, figure-scenario digests and flow-run
-# digests). Run from the
-# repo root after a change that is *supposed* to alter observable results:
+# run-pipeline pins tests/golden_pins.inc (fuzz case hashes, run_experiment
+# digests of the leaf-spine golden config in every execution mode and of a
+# k=4 fat-tree serial and sharded, figure-scenario digests and flow-run
+# digests). Run from the repo root after a change that is *supposed* to alter
+# observable results:
 #
 #   cmake --build build --target regen_golden_fct golden_pins && tools/regen_golden.sh
 #

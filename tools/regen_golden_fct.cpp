@@ -36,7 +36,7 @@ void emit_records(const char* name, const std::vector<stats::FlowRecord>& record
 
 void emit(const char* suffix, transport::Protocol proto) {
   const std::string name = std::string{"kGoldenFct"} + suffix;
-  emit_records(name.c_str(), harness::run_leaf_spine(golden::golden_cfg(proto)).flow_records);
+  emit_records(name.c_str(), harness::run_experiment(golden::golden_cfg(proto)).flow_records);
 }
 
 int emit_flow() {
@@ -53,7 +53,7 @@ int emit_flow() {
       "// alter flow-level results, and say so in the commit.\n"
       "// Fields: flow id, bytes, start ns, end ns.\n");
   emit_records("kGoldenFlowLeafSpine",
-               harness::run_leaf_spine(golden::flow_golden_cfg()).flow_records);
+               harness::run_experiment(golden::flow_golden_cfg()).flow_records);
   using transport::Protocol;
   const struct {
     const char* name;
