@@ -110,9 +110,9 @@ ExperimentConfig draw_params(const CaseConfig& c, sim::Rng& rng) {
     if (rng.bernoulli(0.5)) {
       p.engine.engine = workload::Engine::kSkewed;
       p.engine.pairs = rng.bernoulli(0.5) ? workload::PairModel::kHotRack
-                                        : workload::PairModel::kPermutation;
+                                          : workload::PairModel::kPermutation;
       p.engine.arrivals = rng.bernoulli(0.5) ? workload::ArrivalModel::kPoisson
-                                           : workload::ArrivalModel::kFixedRate;
+                                             : workload::ArrivalModel::kFixedRate;
       p.engine.skew.hosts_per_rack = static_cast<std::size_t>(rng.uniform_int(2, 4));
       p.engine.skew.hot_rack_fraction = rng.uniform(0.2, 0.6);
       p.engine.skew.hot_weight = rng.uniform(0.5, 0.9);
