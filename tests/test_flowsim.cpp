@@ -535,6 +535,51 @@ TEST(FlowSim, BusyWindowsSpanEachLinksFirstAndLastStreamedInstant) {
   }
 }
 
+TEST(FlowSim, FractionalDrainCompletesAtTheNextNanosecond) {
+  // 4'000'001 bytes at 4C drain in exactly 1'000'000.25 ns. Completions
+  // land on whole nanoseconds, so the flow ends at the first one at which
+  // it has drained: the ceiling, never the rounded-down instant.
+  const Outcome out = run_specs(one_leaf(2), {{1, 0, 1, 4'000'001}});
+  EXPECT_EQ(out.end_ns.at(1), 1'000'001);
+  EXPECT_EQ(out.result.completed, 1u);
+}
+
+namespace {
+
+// Sums each flow's on_flow_progress bytes.
+struct ProgressSums final : stats::FlowObserver {
+  std::map<std::uint64_t, std::uint64_t> bytes;
+  void on_flow_started(std::uint64_t, std::uint64_t, TimePoint) override {}
+  void on_flow_progress(std::uint64_t flow, std::uint64_t delta, TimePoint) override {
+    bytes[flow] += delta;
+  }
+  void on_flow_completed(std::uint64_t, TimePoint) override {}
+};
+
+}  // namespace
+
+TEST(FlowSim, HorizonSettlesEveryActiveFlow) {
+  // a (0->1, 2e7) runs at 4C until b (2->1, 1e6) joins at 0.25 ms and cuts
+  // it to 2C; b drains at 0.75 ms and a returns to 4C until the 1.5 ms
+  // horizon: ∫rate·dt = 1e6 + 1e6 + 3e6 bytes, every one of them reported
+  // and counted on a's links although a's rate last changed at 0.75 ms.
+  const Fabric f = one_leaf(3);
+  FlowSimConfig cfg = exact_config();
+  cfg.max_time = TimePoint::zero() + 1500_us;
+  FlowSim fs{f, cfg};
+  fs.add_flow(1, 0, 1, 20'000'000, TimePoint::zero(), RateModel::kInstant);
+  fs.add_flow(2, 2, 1, 1'000'000, TimePoint::zero() + 250_us, RateModel::kInstant);
+  ProgressSums obs;
+  const FlowSimResult r = fs.run(&obs);
+  EXPECT_EQ(r.completed, 1u);
+  EXPECT_EQ(r.end_time, cfg.max_time);
+  const double a_bytes = 4 * kC * 250e-6 + 2 * kC * 500e-6 + 4 * kC * 750e-6;
+  EXPECT_NEAR(static_cast<double>(obs.bytes.at(1)), a_bytes, a_bytes * 1e-12);
+  EXPECT_EQ(obs.bytes.at(2), 1'000'000u);
+  EXPECT_NEAR(fs.link_bytes(f.host_up(0)), a_bytes, a_bytes * 1e-12);
+  EXPECT_NEAR(fs.link_bytes(f.host_down(1)), a_bytes + 1e6, (a_bytes + 1e6) * 1e-12);
+}
+
 // ---------------------------------------------------------------------------
 // Component-local recomputes: only the flows that share a link, transitively,
 // with an arrival or a completion are water-filled again. Every link of

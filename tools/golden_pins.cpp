@@ -1,5 +1,5 @@
 // Regenerates tests/golden_pins.inc: run fingerprints that the FCT fixtures
-// do not cover. Six families:
+// do not cover. Seven families:
 //
 //   * scenario_fuzz case hashes (FNV over records, drops, trims, events and
 //     faulted packets) for seeds 1-3 x every topology x the four default
@@ -25,7 +25,11 @@
 //     refills, bytes) under AMRT, pHost and DCTCP;
 //   * FNV digests (records + events + drops + trims + faulted) of
 //     run_experiment on the k=4, 200-flow fat-tree, serial and at shards=2,
-//     under AMRT and NDP; first generated from PacketRun directly.
+//     under AMRT and NDP; first generated from PacketRun directly;
+//   * records-only FNV digests (records, recomputes, refills, bytes; no
+//     events, utilization or sim time) of the same k=4 fat-tree flow runs
+//     and of the two leaf-spine flow-fidelity runs: what a change to how the
+//     fluid loop steps through time must leave alone.
 //
 // The leaf-spine pins keep their "run_leaf_spine golden ..." labels from
 // before run_experiment served every topology, so the fixture lines stay
@@ -144,6 +148,20 @@ void emit_fat_tree_flow(transport::Protocol proto) {
               run.recorder().bytes_delivered());
   emit_pin(std::string{"fat-tree flow k=4 flows=200 "} + transport::to_string(proto),
            run.recorder().completed().size() == flows.size(), fnv);
+}
+
+// What a flow-level run computed, not how many events it took: records,
+// recomputes, refills and bytes (no events, utilization or sim time), on
+// the FlowRun that run_experiment builds at flow fidelity.
+void emit_flow_records(const std::string& label, const harness::ExperimentConfig& cfg) {
+  const auto flows = harness::draw_schedule(cfg);
+  harness::FlowRun run{cfg.run, flows};
+  run.run();
+  const flowsim::FlowSimResult& r = run.result();
+  Fnv fnv;
+  fnv.add_all(run.recorder().completed(), r.recomputes, r.flows_refilled,
+              run.recorder().bytes_delivered());
+  emit_pin(label, run.recorder().completed().size() == flows.size(), fnv);
 }
 
 // The k=4, 200-flow fat-tree packet run under one transport, serial or
@@ -286,6 +304,19 @@ int main() {
   for (const transport::Protocol proto : {transport::Protocol::kAmrt, transport::Protocol::kNdp}) {
     for (const unsigned shards : {1u, 2u}) emit_fat_tree_packet(proto, shards);
   }
+  for (const transport::Protocol proto :
+       {transport::Protocol::kAmrt, transport::Protocol::kPhost, transport::Protocol::kDctcp}) {
+    harness::ExperimentConfig cfg = golden::fat_tree_cfg(4, 200, 0.6);
+    cfg.run.proto = proto;
+    emit_flow_records(std::string{"fat-tree flow records k=4 flows=200 "} +
+                          transport::to_string(proto),
+                      cfg);
+  }
+  flow.run.background_dctcp_fraction = 0.0;
+  emit_flow_records("run_leaf_spine golden records fidelity=flow", flow);
+  flow.run.background_dctcp_fraction = 0.25;
+  emit_flow_records("run_leaf_spine golden records fidelity=flow background_dctcp_fraction=0.25",
+                    flow);
   std::printf("};\n");
   return 0;
 }
