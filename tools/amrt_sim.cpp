@@ -13,7 +13,10 @@
 // All flags are optional; defaults match the laptop-scale leaf-spine used by
 // the figure benches. A numeric flag must be a whole number of its type
 // (--flows=3x and --flows=-1 are rejected), and harness::validate rejects
-// what the harness cannot run; both exit with status 2.
+// what the harness cannot run; both exit with status 2, as does a --trace
+// file that cannot be read or parsed. The `flows` column and the header's
+// flow count are the drawn schedule's size (a trace's row count), not
+// --flows.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -251,7 +254,13 @@ int main(int argc, char** argv) {
     };
   }
   harness::SweepRunner runner{sopts};
-  const auto results = runner.run(points);
+  std::vector<harness::ExperimentResult> results;
+  try {
+    results = runner.run(points);
+  } catch (const workload::TraceError& e) {  // --trace names an unreadable or malformed file
+    std::fprintf(stderr, "amrt_sim: %s\n", e.what());
+    return 2;
+  }
 
   if (!fct_csv_path.empty()) {
     std::ofstream out{fct_csv_path};
@@ -284,7 +293,7 @@ int main(int argc, char** argv) {
           "%s,%s,%s,%.2f,%zu,%llu,%.1f,%.1f,%.1f,%.1f,%.2f,%.4f,%zu,%llu,%llu,%llu,%zu,%llu,%.2f,"
           "%zu,%.1f,%zu,%.1f,%zu\n",
           transport::to_string(p.run.proto), workload::abbrev(p.workload),
-          workload::to_string(p.engine.engine), p.load, p.n_flows,
+          workload::to_string(p.engine.engine), p.load, r.flows_started,
           static_cast<unsigned long long>(p.run.seed), r.fct_all.afct_us,
           r.fct_all.p99_us, r.fct_small.afct_us, r.fct_large.afct_us,
           r.fct_all.mean_slowdown, r.mean_utilization, r.max_queue_pkts,
@@ -301,7 +310,7 @@ int main(int argc, char** argv) {
     const auto& p = points[i];
     const auto& r = results[i];
     std::printf("%s on %s, load %.2f, %zu flows (seed %llu)\n", transport::to_string(p.run.proto),
-                workload::name(p.workload), p.load, p.n_flows,
+                workload::name(p.workload), p.load, r.flows_started,
                 static_cast<unsigned long long>(p.run.seed));
     std::printf("  completed:    %zu/%zu flows (%llu drops, %llu trims, %llu faulted)\n",
                 r.flows_completed, r.flows_started, static_cast<unsigned long long>(r.drops),
