@@ -86,10 +86,9 @@ class FlowSim {
 
   // Mixed fidelity: accumulate the mean used bandwidth (payload bytes/sec)
   // of every link into fixed `bin` windows starting at t=0. Call before
-  // run(); read back with link_usage()/usage_bins().
+  // run(); read back with link_usage().
   void record_link_usage(sim::Duration bin);
   [[nodiscard]] const std::vector<std::vector<double>>& link_usage() const { return usage_; }
-  [[nodiscard]] sim::Duration usage_bin() const { return usage_bin_; }
 
   // Per-link lifetime counters (for utilization summaries), complete once
   // run() returns.

@@ -24,7 +24,6 @@ class Host final : public Node {
 
   // Installs the transport stack; the host takes ownership.
   void attach(std::unique_ptr<PacketSink> sink);
-  [[nodiscard]] bool has_sink() const { return sink_ != nullptr; }
 
   // Transmits via the NIC (subject to its queue and line rate). This is the
   // audited injection point: everything a transport puts on the wire enters

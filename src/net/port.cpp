@@ -72,7 +72,6 @@ void EgressPort::set_link_up(bool up) {
 
 void EgressPort::set_rate_scale(double scale) {
   if (scale <= 0.0 || scale > 1.0) throw std::invalid_argument("rate scale must be in (0, 1]");
-  rate_scale_ = scale;
   effective_rate_ =
       sim::Bandwidth::bps(static_cast<std::int64_t>(static_cast<double>(cfg_.rate.bits_per_second()) * scale));
   // The memoized serialization times were computed at the old rate.

@@ -70,9 +70,6 @@ class EgressPort {
   // "lossy control plane" lever). `seed` makes the per-port stream
   // deterministic; prob <= 0 disarms it.
   void set_drop_prob(double prob, std::uint64_t seed);
-  [[nodiscard]] bool link_up() const { return link_up_; }
-  [[nodiscard]] double rate_scale() const { return rate_scale_; }
-  [[nodiscard]] double drop_prob() const { return drop_prob_; }
   // Packets this port's faults consumed (flushed, refused-down, blackholed).
   [[nodiscard]] std::uint64_t packets_faulted() const { return packets_faulted_; }
 
@@ -154,10 +151,9 @@ class EgressPort {
   // the same as an engine made up front; fault_rng_ is created and re-seeded
   // by every set_drop_prob(prob > 0, seed).
   std::unique_ptr<sim::Rng> jitter_rng_;
-  // Fault state (src/fault). effective_rate_ = cfg_.rate * rate_scale_, kept
-  // materialized so the healthy fast path pays nothing.
+  // Fault state (src/fault). effective_rate_ = cfg_.rate * the rate scale,
+  // kept materialized so the healthy fast path pays nothing.
   sim::Bandwidth effective_rate_;
-  double rate_scale_ = 1.0;
   double drop_prob_ = 0.0;
   bool link_up_ = true;
   std::unique_ptr<sim::Rng> fault_rng_;

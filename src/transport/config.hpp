@@ -107,7 +107,6 @@ struct TransportConfig {
     if (loss_timeout > sim::Duration::zero()) return loss_timeout;
     return p == Protocol::kAmrt ? base_rtt : base_rtt * 3;
   }
-  [[nodiscard]] sim::Duration phost_downgrade_timeout() const { return base_rtt * 3; }
   [[nodiscard]] std::uint32_t dctcp_cwnd_cap_pkts() const {
     if (dctcp_cwnd_cap != 0) return dctcp_cwnd_cap;
     // Generous by design: the cap is a sanity bound (audited), not the

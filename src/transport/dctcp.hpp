@@ -71,7 +71,6 @@ class DctcpCc {
       ssthresh_ = cwnd_;  // marks end slow start
       ++cuts_;
     }
-    ++windows_;
     open_window();
     return true;
   }
@@ -93,7 +92,6 @@ class DctcpCc {
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] double cap() const { return cap_; }
   [[nodiscard]] bool in_slow_start() const { return cwnd_ < ssthresh_; }
-  [[nodiscard]] std::uint64_t windows_closed() const { return windows_; }
   [[nodiscard]] std::uint64_t cuts() const { return cuts_; }
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
 
@@ -111,7 +109,6 @@ class DctcpCc {
   std::uint32_t window_len_ = 0;  // snapshot of cwnd when the window opened
   std::uint32_t acks_ = 0;
   std::uint32_t marks_ = 0;
-  std::uint64_t windows_ = 0;
   std::uint64_t cuts_ = 0;
   std::uint64_t timeouts_ = 0;
 };

@@ -17,8 +17,6 @@ class NdpEndpoint final : public ReceiverDrivenEndpoint {
       : ReceiverDrivenEndpoint{sim, host, cfg, observer, Protocol::kNdp},
         pull_spacing_{cfg.host_rate.tx_time(net::kMtuBytes)} {}
 
-  [[nodiscard]] std::size_t pull_queue_depth() const { return pull_queue_.size(); }
-
  protected:
   void after_arrival(ReceiverFlow& flow, const net::Packet& pkt, bool fresh) override;
   bool detect_holes() const override { return false; }  // trimming names losses

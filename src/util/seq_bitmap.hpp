@@ -40,10 +40,6 @@ class SeqBitmap {
     words_[seq >> 5] |= std::uint64_t{1} << shift_got(seq);
   }
 
-  [[nodiscard]] bool repair_pending(std::uint32_t seq) const {
-    assert(seq < n_);
-    return (words_[seq >> 5] >> shift_rep(seq)) & 1u;
-  }
   // Marks `seq` repair-pending; returns true if it was newly marked.
   bool mark_repair(std::uint32_t seq) {
     assert(seq < n_);
