@@ -12,6 +12,7 @@
 #include "harness/sweep.hpp"
 #include "stats/fct.hpp"
 #include "stats/group.hpp"
+#include "util/hash.hpp"
 #include "workload/traffic.hpp"
 #include "workload/workloads.hpp"
 
@@ -21,14 +22,11 @@ namespace {
 
 using transport::Protocol;
 
-// Splitmix-style finalizer: one seed, salted per (topo, protocol), yields
-// independent parameter streams so `--seed 7 --topo chain --transport ndp`
-// shares nothing with the same seed on another axis.
+// One seed, salted per (topo, protocol), yields independent parameter
+// streams so `--seed 7 --topo chain --transport ndp` shares nothing with the
+// same seed on another axis.
 std::uint64_t mix(std::uint64_t seed, std::uint64_t salt) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (salt + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return util::mix64(seed + util::kGamma * salt);
 }
 
 std::uint64_t case_salt(const CaseConfig& c) {

@@ -8,14 +8,6 @@
 
 namespace amrt::net {
 
-std::uint64_t ecmp_hash(FlowId flow) {
-  // SplitMix64 finalizer: cheap and well distributed.
-  std::uint64_t x = flow + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 namespace {
 void check_set_size(NodeId dst, std::size_t ports) {
   if (ports > RoutingTable::kMaxSetPorts) {

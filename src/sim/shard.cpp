@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/hash.hpp"
+
 namespace amrt::sim {
 
 std::uint64_t ShardGroup::derive_seed(std::uint64_t seed, unsigned shard) {
   if (shard == 0) return seed;  // the master stream is the serial stream
-  // Splitmix64 finalizer over (seed, shard): adjacent shard indices map to
+  // Splitmix64 over (seed, shard): adjacent shard indices map to
   // statistically independent streams even for small seeds.
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(shard) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return util::mix64(seed + util::kGamma * shard);
 }
 
 ShardGroup::ShardGroup(std::uint64_t seed, unsigned n) {

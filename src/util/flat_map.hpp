@@ -18,8 +18,8 @@
 //     mutating — the transport layer takes a single handle per event and
 //     never inserts while holding one.
 //   * Keys must be trivially hashable integers (FlowId, NodeId values); the
-//     default hash is the SplitMix64 finalizer, which is enough to make
-//     sequential ids collide no worse than random ones.
+//     default hash is the SplitMix64 finalizer (util/hash.hpp), which is
+//     enough to make sequential ids collide no worse than random ones.
 #pragma once
 
 #include <cassert>
@@ -28,16 +28,9 @@
 #include <utility>
 #include <vector>
 
-namespace amrt::util {
+#include "util/hash.hpp"
 
-// SplitMix64 finalizer: the cheapest hash with full avalanche. Sequential
-// keys (flow ids are sequential) spread uniformly across slots.
-[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+namespace amrt::util {
 
 struct Mix64Hash {
   [[nodiscard]] constexpr std::uint64_t operator()(std::uint64_t key) const { return mix64(key); }
