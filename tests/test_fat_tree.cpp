@@ -3,8 +3,10 @@
 // end-to-end payload conservation on a small fabric under every transport.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/factory.hpp"
@@ -168,6 +170,37 @@ TEST(FatTree, K16RoutesAreInternedInWiringOrder) {
       ASSERT_EQ(ports_of(topo.cores[c], dst), std::vector<net::PortId>{topo.core_down[c][dst_pod]})
           << "core " << c << " host " << hi;
     }
+  }
+}
+
+TEST(FatTree, InterPodFlowsUseEveryAggCorePair) {
+  // The agg tier picks its core from other bits of the flow hash than the
+  // edge tier used for the agg (util::ecmp_pick), so flows leaving one
+  // edge switch for another pod cross every (agg, core) pair, not k/2 of
+  // the (k/2)^2.
+  for (const int k : {4, 8}) {
+    sim::Simulation sim;
+    net::Network network{sim};
+    const auto half = static_cast<std::size_t>(k / 2);
+    const auto topo = make_fabric(network, k);
+    net::Packet pkt;
+    pkt.dst = topo.hosts.back()->id();  // the last pod; edge 0 is in pod 0
+    std::set<std::pair<std::size_t, std::size_t>> pairs;
+    for (net::FlowId f = 0; f < 20000; ++f) {
+      pkt.flow = f;
+      const net::PortId up = topo.edges[0]->routes().select(pkt);
+      const auto& edge_up = topo.edge_up[0];
+      const auto a = static_cast<std::size_t>(
+          std::find(edge_up.begin(), edge_up.end(), up) - edge_up.begin());
+      ASSERT_LT(a, half);
+      const net::PortId core_up = topo.aggs[a]->routes().select(pkt);
+      const auto& agg_up = topo.agg_up[a];
+      const auto j = static_cast<std::size_t>(
+          std::find(agg_up.begin(), agg_up.end(), core_up) - agg_up.begin());
+      ASSERT_LT(j, half);
+      pairs.emplace(a, j);
+    }
+    EXPECT_EQ(pairs.size(), half * half) << "k=" << k;
   }
 }
 
