@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <iterator>
 #include <map>
 #include <string>
@@ -612,6 +613,178 @@ TEST(FlowSimWaterFill, CoBottleneckRoundingOnInexactCapacities) {
       {6, 7'690'910},  {7, 11'000'000}, {8, 5'520'000},  {9, 6'570'000},  {10, 7'410'000},
       {11, 8'040'000}, {12, 8'460'000}, {13, 8'670'000}, {14, 11'600'000}};
   EXPECT_EQ(end_ns(f, flows), expected);
+}
+
+TEST(FlowSimWaterFill, SingleFlowCapTiesASharedLinkAndPositionDecides) {
+  // host_down(0) carries C/3 over seven flows into host 0, so its share is
+  // s = (C/3)/7. 1->0 is alone on host_up(1), whose capacity is that same
+  // double: a tie between a single-flow cap and a shared link. If
+  // host_up(1) wins, 1->0 freezes at s and host_down(0)'s other six split
+  // what is left, (C/3 - s)/6, an ulp below s; if host_down(0) wins, all
+  // seven freeze at s. Only first-use position breaks the tie, and the
+  // horizon (every flow still active) leaves each host_up(src) holding
+  // exactly rate * T bytes.
+  const double third = kC / 3.0;
+  const double s = third / 7.0;
+  const double rest = (third - s) / 6.0;
+  ASSERT_NE(rest, s);  // the rounding that makes the winner visible
+  Fabric f = one_leaf(8);
+  set_payload(f, f.host_down(0), third);
+  set_payload(f, f.host_up(1), s);
+  FlowSimConfig cfg = exact_config();
+  cfg.max_time = TimePoint::zero() + 1_ms;
+  const double secs = (cfg.max_time - TimePoint::zero()).to_seconds();
+  // `first` is the source whose flow arrives first, and so is listed first.
+  const auto run = [&](std::size_t first) {
+    FlowSim fs{f, cfg};
+    fs.add_flow(0, first, 0, 1'000'000'000, TimePoint::zero(), RateModel::kInstant);
+    for (std::size_t src = 1; src <= 7; ++src) {
+      if (src == first) continue;
+      fs.add_flow(src, src, 0, 1'000'000'000, TimePoint::zero(), RateModel::kInstant);
+    }
+    EXPECT_EQ(fs.run(nullptr).completed, 0u);
+    std::vector<double> bytes;
+    for (std::size_t src = 1; src <= 7; ++src) bytes.push_back(fs.link_bytes(f.host_up(src)));
+    return bytes;
+  };
+  {
+    SCOPED_TRACE("1->0 first: host_up(1) precedes host_down(0), the cap wins");
+    const std::vector<double> expected{s * secs,    rest * secs, rest * secs, rest * secs,
+                                       rest * secs, rest * secs, rest * secs};
+    EXPECT_EQ(run(1), expected);
+  }
+  {
+    SCOPED_TRACE("2->0 first: host_down(0) precedes host_up(1), the shared link wins");
+    EXPECT_EQ(run(2), std::vector<double>(7, s * secs));
+  }
+}
+
+TEST(FlowSimWaterFill, SingleFlowCapWinsOnlyAfterAStaleTopCatchesUp) {
+  // host_down(0) (0.5C: g 1->0 and a 3->0) is the first bottleneck, at
+  // 0.25C. host_up(1) (2C: g and h 1->2) started at C; freezing g raises
+  // it to 1.75C, but its key still reads C. h is alone on host_down(2),
+  // a 1.5C cap: below host_up(1)'s share, above its lagging key. h gets
+  // 1.5C and drains 1.5e6 at 1 ms; g and a drain 1e6 at 0.25C by 4 ms.
+  Fabric f = one_leaf(4);
+  set_payload(f, f.host_down(0), 0.5 * kC);
+  set_payload(f, f.host_up(1), 2 * kC);
+  set_payload(f, f.host_down(2), 1.5 * kC);
+  const auto ends = end_ns(f, {{1, 1, 0, 1'000'000},    // g
+                               {2, 1, 2, 1'500'000},    // h
+                               {3, 3, 0, 1'000'000}});  // a
+  EXPECT_EQ(ends.at(1), 4'000'000);
+  EXPECT_EQ(ends.at(2), 1'000'000);
+  EXPECT_EQ(ends.at(3), 4'000'000);
+}
+
+namespace {
+
+// FNV-1a over 64-bit words: doubles by their bits.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xFFu;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+};
+
+// Digests every observer callback in the order it arrives.
+struct DigestObserver final : stats::FlowObserver {
+  Fnv fnv;
+  void on_flow_started(std::uint64_t flow, std::uint64_t bytes, TimePoint at) override {
+    fnv.add(std::uint64_t{1});
+    fnv.add(flow);
+    fnv.add(bytes);
+    fnv.add(static_cast<std::uint64_t>(at.ns()));
+  }
+  void on_flow_progress(std::uint64_t flow, std::uint64_t delta, TimePoint at) override {
+    fnv.add(std::uint64_t{2});
+    fnv.add(flow);
+    fnv.add(delta);
+    fnv.add(static_cast<std::uint64_t>(at.ns()));
+  }
+  void on_flow_completed(std::uint64_t flow, TimePoint at) override {
+    fnv.add(std::uint64_t{3});
+    fnv.add(flow);
+    fnv.add(static_cast<std::uint64_t>(at.ns()));
+  }
+};
+
+// A seeded run on a k-ary fat-tree where about a third of the links are
+// degraded to a random 10-90% of 10 Gb/s: single-flow links are then often
+// a flow's tightest cap, and caps tie or interleave with shared links'
+// shares. Poisson arrivals at half the hosts' capacity, exponential sizes.
+// Digests every callback, the result counters and every link's bytes and
+// busy window.
+std::uint64_t degraded_fat_tree_digest(int k, RateModel model, std::size_t n_flows,
+                                       std::uint64_t seed) {
+  sim::Rng rng{seed};
+  Fabric f = Fabric::fat_tree(k, Bandwidth::gbps(10));
+  for (LinkId l = 0; l < f.link_count(); ++l) {
+    if (rng.bernoulli(0.3)) f.set_capacity_bps(l, kCapBps * rng.uniform(0.1, 0.9));
+  }
+  constexpr double kMeanBytes = 300'000.0;
+  const double gap_ns =
+      kMeanBytes / (0.5 * static_cast<double>(f.n_hosts()) * kCapBps / 8.0) * 1e9;
+  FlowSim fs{f, quiet_config()};
+  double at_ns = 0.0;
+  for (std::size_t i = 0; i < n_flows; ++i) {
+    at_ns += rng.exponential(gap_ns);
+    const std::size_t src = rng.index(f.n_hosts());
+    std::size_t dst = rng.index(f.n_hosts() - 1);
+    if (dst >= src) ++dst;
+    const auto bytes = static_cast<std::uint64_t>(rng.exponential(kMeanBytes)) + 1;
+    fs.add_flow(i, src, dst, bytes,
+                TimePoint::zero() + Duration::nanoseconds(static_cast<std::int64_t>(at_ns)),
+                model);
+  }
+  DigestObserver obs;
+  const FlowSimResult r = fs.run(&obs);
+  EXPECT_EQ(r.completed, n_flows);
+  Fnv& d = obs.fnv;
+  for (const std::uint64_t v : {r.events, r.recomputes, r.flows_refilled,
+                                static_cast<std::uint64_t>(r.completed),
+                                static_cast<std::uint64_t>(r.end_time.ns())}) {
+    d.add(v);
+  }
+  for (LinkId l = 0; l < f.link_count(); ++l) {
+    d.add(fs.link_bytes(l));
+    d.add(static_cast<std::uint64_t>(fs.link_first_busy(l).ns()));
+    d.add(static_cast<std::uint64_t>(fs.link_last_busy(l).ns()));
+  }
+  return d.h;
+}
+
+}  // namespace
+
+TEST(FlowSimWaterFill, DegradedFatTreeDigestsUnchanged) {
+  // Uniform fabrics rarely let a single-flow link bind, so the golden
+  // fixtures do not reach that path; these runs do, at every recompute
+  // size. Any change to which link is the bottleneck, or to the order of
+  // a subtraction, moves a digest.
+  const struct {
+    int k;
+    RateModel model;
+    std::size_t flows;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  } runs[] = {
+      {4, RateModel::kInstant, 400, 11, 11938049850883595117ULL},
+      {4, RateModel::kAmrtGrantClock, 400, 12, 12940851211227893518ULL},
+      {8, RateModel::kInstant, 1500, 13, 9224156109998657284ULL},
+      {8, RateModel::kAmrtGrantClock, 1500, 14, 13447732368074378037ULL},
+  };
+  for (const auto& run : runs) {
+    SCOPED_TRACE(std::string{"k="} + std::to_string(run.k) + " " + to_string(run.model));
+    EXPECT_EQ(degraded_fat_tree_digest(run.k, run.model, run.flows, run.seed), run.digest);
+  }
 }
 
 TEST(FlowSim, BusyWindowsSpanEachLinksFirstAndLastStreamedInstant) {
