@@ -61,8 +61,9 @@ would use, one process each for --seconds, and alternates which side goes
 first. For every end-to-end metric in BENCHMARK.json it prints each side's
 median and quartiles over the pairs (one value per process: the median of
 its timed runs), how many pairs the candidate won or tied, and the
-baseline's interquartile range. It exits non-zero if any input's flow-record
-digest differs between or within the sides, or any run reports an error.
+baseline's interquartile range. It prints that table in every case, then
+exits non-zero if any input's flow-record digest differs between or within
+the sides, or any run reports an error.
 """
 
 import argparse
@@ -157,9 +158,9 @@ def summarize_perfbench(pairs, metrics):
     """Checks and summarizes interleaved perfbench pairs.
 
     `pairs` holds one (baseline_runs, test_runs) tuple of run records per
-    pair; `metrics` is end_to_end_metrics()'s list. Exits with a message if
-    any input's digest differs or any run reports an error; otherwise prints
-    one line per metric and returns {metric: pair_stats(...)}.
+    pair; `metrics` is end_to_end_metrics()'s list. Prints one line per
+    metric, then exits with a message if any input's digest differs or any
+    run reports an error; otherwise returns {metric: pair_stats(...)}.
     """
     digests, problems = {}, []
     for base_runs, test_runs in pairs:
@@ -172,8 +173,6 @@ def summarize_perfbench(pairs, metrics):
             seen = ", ".join(f"{d} ({'/'.join(sorted(sides))})"
                              for d, sides in sorted(digests[seed].items()))
             problems.append(f"input {seed}: digests differ: {seen}")
-    if problems:
-        sys.exit("FAIL:\n  " + "\n  ".join(problems))
 
     def per_process(runs, name):
         return statistics.median(r[name] for r in runs if not r["warmup"])
@@ -194,12 +193,14 @@ def summarize_perfbench(pairs, metrics):
         print(f"{name:<12}  {bm:>9.4g} [{b1:.4g}, {b3:.4g}] {unit:<3}  "
               f"{tm:>9.4g} [{t1:.4g}, {t3:.4g}] {unit:<3}  {delta}  "
               f"{st['wins']:>2}/{st['pairs']:<3}  {st['ties']:>4}  {st['base_iqr']:>9.4g}")
-    inputs = len(digests)
     print("\nper pair, baseline -> candidate:")
     for name, _, _ in metrics:
         print(f"  {name}: " + ", ".join(f"{b:.4g}->{t:.4g}" for b, t in out[name]["values"]))
+    checked = "see FAIL below" if problems else f"digests equal on all {len(digests)} inputs"
     print(f"\n({len(pairs)} interleaved pairs; wins count pairs where the candidate is "
-          f"better; digests equal on all {inputs} inputs)")
+          f"better; {checked})", flush=True)
+    if problems:
+        sys.exit("FAIL:\n  " + "\n  ".join(problems))
     return out
 
 

@@ -202,8 +202,10 @@ def perfbench_process(seed, digest, wall_s, rss):
 METRICS = [("wall_s", "s", True), ("peak_rss_mb", "MB", True)]
 
 
-def summarize(pairs):
-    out = io.StringIO()
+def summarize(pairs, printed=None):
+    """summarize_perfbench's result and exit message (one is None); what it
+    printed is written to `printed` if given."""
+    out = printed if printed is not None else io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
             return bench_compare.summarize_perfbench(pairs, METRICS), None
@@ -248,6 +250,22 @@ class PerfbenchSummaryTest(unittest.TestCase):
         self.assertIn("input 1000: digests differ", failure)
         self.assertIn("aaaa (baseline)", failure)
         self.assertIn("bbbb (test)", failure)
+
+    def test_digest_mismatch_still_prints_every_metric(self):
+        # A change that moves outcomes on purpose must still be measurable:
+        # the table and the per-pair values come before the failing exit.
+        pairs = [(perfbench_process(1000, "aaaa", 2.0, 20.0),
+                  perfbench_process(1000, "bbbb", 1.0, 19.0))]
+        printed = io.StringIO()
+        stats, failure = summarize(pairs, printed)
+        self.assertIsNone(stats)
+        self.assertIn("input 1000: digests differ", failure)
+        text = printed.getvalue()
+        self.assertRegex(text, r"(?m)^wall_s .*-50\.0%")
+        self.assertRegex(text, r"(?m)^peak_rss_mb ")
+        self.assertIn("wall_s: 2->1", text)
+        self.assertIn("see FAIL below", text)
+        self.assertNotIn("digests equal", text)
 
     def test_digest_mismatch_on_a_later_input_exits(self):
         base = perfbench_process(1000, "aaaa", 1.0, 20.0)
