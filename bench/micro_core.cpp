@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/anti_ecn.hpp"
 #include "core/factory.hpp"
@@ -144,9 +145,8 @@ BENCHMARK(BM_AntiEcnMarker);
 void BM_SwitchForward(benchmark::State& state) {
   net::RoutingTable table;
   constexpr std::uint32_t kDsts = 16;
-  for (std::uint32_t d = 0; d < kDsts; ++d) {
-    for (int p = 0; p < 4; ++p) table.add_route(net::NodeId{d}, p);
-  }
+  const std::vector<net::PortId> ports{0, 1, 2, 3};
+  for (std::uint32_t d = 0; d < kDsts; ++d) table.set_routes(net::NodeId{d}, ports);
   net::Packet pkt = make_pkt(0);
   std::uint64_t flow = 0;
   int sink = 0;
@@ -223,8 +223,8 @@ void BM_ReceiverArrival(benchmark::State& state) {
     const net::HostId dst_id = network.add_host(rate, delay, qf(true));
     const net::PortId src_down = network.attach_host(src_id, sw, qf(false), mf ? mf() : nullptr);
     const net::PortId dst_down = network.attach_host(dst_id, sw, qf(false), mf ? mf() : nullptr);
-    network.switch_at(sw).routes().add_route(network.id_of(src_id), src_down);
-    network.switch_at(sw).routes().add_route(network.id_of(dst_id), dst_down);
+    network.switch_at(sw).routes().set_routes(network.id_of(src_id), {&src_down, 1});
+    network.switch_at(sw).routes().set_routes(network.id_of(dst_id), {&dst_down, 1});
     net::Host& src = network.host(src_id);
     net::Host& dst = network.host(dst_id);
 

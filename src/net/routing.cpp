@@ -8,66 +8,26 @@
 
 namespace amrt::net {
 
-namespace {
-void check_set_size(NodeId dst, std::size_t ports) {
-  if (ports > RoutingTable::kMaxSetPorts) {
-    throw std::length_error("RoutingTable: more than " +
-                            std::to_string(RoutingTable::kMaxSetPorts) + " ports toward node " +
-                            std::to_string(dst.value));
-  }
-}
-}  // namespace
-
-void RoutingTable::add_route(NodeId dst, PortId port) {
-  const Entry e = dst.value < entries_.size() ? entries_[dst.value] : Entry{};
-  check_set_size(dst, e.count + 1);
-  install(dst, intern_extended(e.offset, e.count, port), e.count + 1);
-}
-
 void RoutingTable::set_routes(NodeId dst, std::span<const PortId> ports) {
   if (ports.empty()) throw std::invalid_argument("RoutingTable::set_routes: empty ECMP set");
-  check_set_size(dst, ports.size());
-  std::uint32_t offset = 0;
-  for (std::uint32_t i = 0; i < ports.size(); ++i) offset = intern_extended(offset, i, ports[i]);
-  install(dst, offset, static_cast<std::uint32_t>(ports.size()));
-}
-
-void RoutingTable::install(NodeId dst, std::uint32_t offset, std::uint32_t count) {
-  if (dst.value >= entries_.size()) entries_.resize(dst.value + 1);
-  Entry& e = entries_[dst.value];
-  if (e.count == 0) ++dst_count_;
-  e.offset = offset;
-  e.count = count;
-  dirty_ = true;
-}
-
-std::uint32_t RoutingTable::intern_extended(std::uint32_t offset, std::uint32_t count,
-                                            PortId port) {
-  const std::uint32_t end = offset + count;
-  const std::uint64_t key = (std::uint64_t{end} << 32) | static_cast<std::uint32_t>(port);
-  Memo& memo = memo_[count % kMemoSlots];
-  if (memo.key == key) return memo.offset;
-  auto [child, inserted] = interned_.try_emplace(key);
-  if (inserted) {
-    const bool copy = end != pool_.size();
-    if (pool_.size() + (copy ? count : 0) + 1 > kMaxPoolPorts) {
-      interned_.erase(key);
+  if (ports.size() > kMaxSetPorts) {
+    throw std::length_error("RoutingTable: more than " + std::to_string(kMaxSetPorts) +
+                            " ports toward node " + std::to_string(dst.value));
+  }
+  const std::size_t n = ports.size();
+  if (pool_.size() < n || !std::equal(ports.begin(), ports.end(), pool_.end() - n)) {
+    if (pool_.size() + n > kMaxPoolPorts) {
       throw std::length_error("RoutingTable: port pool would pass " +
                               std::to_string(kMaxPoolPorts) + " ports");
     }
-    if (copy) {
-      // The parent set is not at the pool's end: copy it there (after the
-      // resize, which may move the source).
-      const auto at = static_cast<std::uint32_t>(pool_.size());
-      pool_.resize(at + count);
-      std::copy_n(pool_.begin() + offset, count, pool_.begin() + at);
-      offset = at;
-    }
-    pool_.push_back(port);
-    *child = offset;
+    pool_.insert(pool_.end(), ports.begin(), ports.end());
   }
-  memo = Memo{key, *child};
-  return *child;
+  if (dst.value >= entries_.size()) entries_.resize(dst.value + 1);
+  Entry& e = entries_[dst.value];
+  if (e.count == 0) ++dst_count_;
+  e.offset = static_cast<std::uint32_t>(pool_.size() - n);
+  e.count = static_cast<std::uint32_t>(n);
+  dirty_ = true;
 }
 
 // The entries and pool are always current; a mutation leaves only the view

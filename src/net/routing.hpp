@@ -10,13 +10,14 @@
 // dense small integers per topology, so the table is a flat array of 4-byte
 // {offset, count} entries into one shared port pool — a forward is two
 // indexed loads, the SplitMix64 flow hash and one modulo, with no hashing
-// into a map and no node allocation. The pool holds each distinct ECMP set
-// once (an edge switch of a k=16 fat-tree has 9 sets for its 1024
-// destinations), interned as routes are wired. The table keeps nothing per
-// flow: a switch's state is fixed by its topology, not by its traffic.
+// into a map and no node allocation. A set equal to the pool's last ports
+// points at them instead of being stored again; the builders wire
+// destinations that share a set back to back, so an edge switch of a k=16
+// fat-tree stores 16 ports for its 1024 destinations. The table keeps
+// nothing per flow: a switch's state is fixed by its topology, not by its
+// traffic.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <span>
@@ -24,7 +25,6 @@
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
-#include "util/flat_map.hpp"
 #include "util/hash.hpp"
 
 namespace amrt::net {
@@ -67,14 +67,12 @@ class RoutingTable {
   static constexpr std::size_t kMaxSetPorts = 255;
   static constexpr std::size_t kMaxPoolPorts = std::size_t{1} << 24;
 
-  // Registers `port` as one of the equal-cost next hops toward `dst`,
-  // after the ones already registered. Mutating the table restarts the
-  // spray cursors on the next select().
-  void add_route(NodeId dst, PortId port);
-  // Installs `ports` (non-empty, in order) as the whole ECMP set toward
-  // `dst`, replacing any earlier one. Equivalent to add_route per port on a
-  // fresh destination, at one entry store: the builders wire uplink sets
-  // with it.
+  // Installs `ports` (non-empty, in order; a one-port span for a single
+  // next hop) as the whole ECMP set toward `dst`, replacing any earlier
+  // one. If the pool's last ports equal `ports` the entry points at them;
+  // otherwise the set is appended, so `ports` must not view this table's
+  // own pool. Mutating the table restarts the spray cursors on the next
+  // select().
   void set_routes(NodeId dst, std::span<const PortId> ports);
   // Sizes the entry array for destinations [0, n) up front, so builders that
   // know their node count wire without growth slack.
@@ -128,8 +126,8 @@ class RoutingTable {
   [[nodiscard]] std::span<const PortId> ports_for(NodeId dst) const;
   [[nodiscard]] bool knows(NodeId dst) const { return !ports_for(dst).empty(); }
   [[nodiscard]] std::size_t destinations() const { return dst_count_; }
-  // Ports stored in the shared pool: the sum of the distinct ECMP sets'
-  // sizes (plus prefixes shared with them), not of the per-destination ones.
+  // Ports stored in the shared pool: one copy per run of destinations
+  // wired back to back with the same set, not one per destination.
   [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
 
   // Wiring-time validation: throws std::logic_error if `dst` has no route.
@@ -148,33 +146,12 @@ class RoutingTable {
   // dead port's `faulted` counter instead of aborting the run.
   void refresh_link_view() const;
   [[noreturn]] static void die_unknown_destination(NodeId dst);
-  // Stores `dst`'s set as `count` ports at pool `offset`.
-  void install(NodeId dst, std::uint32_t offset, std::uint32_t count);
-  // Interns the set "pool_[offset, offset + count) followed by `port`" and
-  // returns its offset (its count is count + 1).
-  [[nodiscard]] std::uint32_t intern_extended(std::uint32_t offset, std::uint32_t count,
-                                              PortId port);
 
-  // Per-destination sets into pool_, kept current by add_route/set_routes.
+  // Per-destination sets into pool_, kept current by set_routes.
   std::vector<Entry> entries_;
   std::size_t dst_count_ = 0;
   mutable bool dirty_ = false;
-
-  // Interned ECMP sets. Every set is built one port at a time, and each new
-  // set either extends in place a run that ends at the pool's end or is
-  // copied there, so it always ends past every older set: a set's end index
-  // names it. `interned_` maps (parent's end << 32 | added port) to the
-  // child's offset; the empty set ends at 0. `memo_` caches the last lookup
-  // per parent size, which the builders' "same ports for the next
-  // destination" wiring hits almost every time.
-  struct Memo {
-    std::uint64_t key = ~std::uint64_t{0};
-    std::uint32_t offset = 0;
-  };
-  static constexpr std::size_t kMemoSlots = 8;
   std::vector<PortId> pool_;
-  util::FlatMap<std::uint64_t, std::uint32_t> interned_;
-  std::array<Memo, kMemoSlots> memo_{};
 
   // The view select() reads: the full tables above, or (between a link
   // transition and full recovery) the filtered alive_* copies. Each view

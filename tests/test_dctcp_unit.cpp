@@ -268,8 +268,8 @@ struct MiniFabric {
     const net::HostId hb = network.add_host(rate, delay, net::EgressQueue::drop_tail(64));
     const net::PortId down_a = network.attach_host(ha, sw, net::EgressQueue::drop_tail(64));
     const net::PortId down_b = network.attach_host(hb, sw, net::EgressQueue::drop_tail(64));
-    network.switch_at(sw).routes().add_route(network.id_of(ha), down_a);
-    network.switch_at(sw).routes().add_route(network.id_of(hb), down_b);
+    network.switch_at(sw).routes().set_routes(network.id_of(ha), {&down_a, 1});
+    network.switch_at(sw).routes().set_routes(network.id_of(hb), {&down_b, 1});
     a = &network.host(ha);
     b = &network.host(hb);
     tcfg.host_rate = rate;
@@ -386,8 +386,8 @@ TEST(DctcpEndToEnd, MixedEndpointRoutesFlowsByPopulation) {
   const net::HostId hb = network.add_host(rate, delay, qf(true));
   const net::PortId down_a = network.attach_host(ha, sw, qf(false), mf());
   const net::PortId down_b = network.attach_host(hb, sw, qf(false), mf());
-  network.switch_at(sw).routes().add_route(network.id_of(ha), down_a);
-  network.switch_at(sw).routes().add_route(network.id_of(hb), down_b);
+  network.switch_at(sw).routes().set_routes(network.id_of(ha), {&down_a, 1});
+  network.switch_at(sw).routes().set_routes(network.id_of(hb), {&down_b, 1});
   net::Host& a = network.host(ha);
   net::Host& b = network.host(hb);
 

@@ -131,10 +131,11 @@ TEST(FatTree, EcmpRoutesAreCompleteAtEveryTier) {
 }
 
 TEST(FatTree, K16RoutesAreInternedInWiringOrder) {
-  // Every switch stores each distinct ECMP set once (an edge has its k/2
-  // host ports and one uplink fan), so its pool stays a few dozen ports
-  // instead of ~k/2 per destination. Each set lists its ports in wiring
-  // order: uplinks in the order the builder cabled them.
+  // The builder wires destinations that share a set back to back, so a
+  // switch stores each run of them once (an edge has its k/2 host ports and
+  // one uplink fan) and its pool stays a few dozen ports instead of ~k/2
+  // per destination. Each set lists its ports in wiring order: uplinks in
+  // the order the builder cabled them.
   sim::Simulation sim;
   net::Network network{sim};
   const int k = 16;

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "harness/csv.hpp"
 #include "harness/options.hpp"
@@ -122,7 +123,7 @@ net::Packet data_to(net::NodeId dst, net::FlowId flow) {
 
 TEST(Multipath, SprayRoundRobinsDataPackets) {
   net::RoutingTable rt;
-  for (int p = 0; p < 4; ++p) rt.add_route(net::NodeId{1}, p);
+  rt.set_routes(net::NodeId{1}, std::vector<net::PortId>{0, 1, 2, 3});
   rt.set_mode(net::MultipathMode::kPacketSpray);
   std::set<int> used;
   for (int i = 0; i < 4; ++i) used.insert(rt.select(data_to(net::NodeId{1}, 7)));
@@ -131,7 +132,7 @@ TEST(Multipath, SprayRoundRobinsDataPackets) {
 
 TEST(Multipath, SprayKeepsControlOnHashedPath) {
   net::RoutingTable rt;
-  for (int p = 0; p < 4; ++p) rt.add_route(net::NodeId{1}, p);
+  rt.set_routes(net::NodeId{1}, std::vector<net::PortId>{0, 1, 2, 3});
   rt.set_mode(net::MultipathMode::kPacketSpray);
   net::Packet grant;
   grant.flow = 7;
@@ -143,7 +144,7 @@ TEST(Multipath, SprayKeepsControlOnHashedPath) {
 
 TEST(Multipath, PerFlowModeIsDefaultAndStable) {
   net::RoutingTable rt;
-  for (int p = 0; p < 4; ++p) rt.add_route(net::NodeId{1}, p);
+  rt.set_routes(net::NodeId{1}, std::vector<net::PortId>{0, 1, 2, 3});
   EXPECT_EQ(rt.mode(), net::MultipathMode::kPerFlowEcmp);
   const int first = rt.select(data_to(net::NodeId{1}, 7));
   for (int i = 0; i < 8; ++i) EXPECT_EQ(rt.select(data_to(net::NodeId{1}, 7)), first);

@@ -24,8 +24,8 @@ struct Rig {
     const HostId hb = net.add_host(Bandwidth::gbps(10), 1_us, EgressQueue::drop_tail(4096));
     const PortId a_down = net.attach_host(ha, s, EgressQueue::drop_tail(256));
     const PortId b_down = net.attach_host(hb, s, EgressQueue::drop_tail(256));
-    net.switch_at(s).routes().add_route(net.id_of(ha), a_down);
-    net.switch_at(s).routes().add_route(net.id_of(hb), b_down);
+    net.switch_at(s).routes().set_routes(net.id_of(ha), {&a_down, 1});
+    net.switch_at(s).routes().set_routes(net.id_of(hb), {&b_down, 1});
     sw = &net.switch_at(s);
     a = &net.host(ha);
     b = &net.host(hb);
