@@ -3,22 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/hash.hpp"
-
 namespace amrt::sim {
-
-std::uint64_t ShardGroup::derive_seed(std::uint64_t seed, unsigned shard) {
-  if (shard == 0) return seed;  // the master stream is the serial stream
-  // Splitmix64 over (seed, shard): adjacent shard indices map to
-  // statistically independent streams even for small seeds.
-  return util::mix64(seed + util::kGamma * shard);
-}
 
 ShardGroup::ShardGroup(std::uint64_t seed, unsigned n) {
   if (n == 0) throw std::invalid_argument("ShardGroup requires at least one shard");
   sims_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    sims_.push_back(std::make_unique<Simulation>(derive_seed(seed, i)));
+    sims_.push_back(std::make_unique<Simulation>(seed));
   }
 }
 

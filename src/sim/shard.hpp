@@ -1,11 +1,9 @@
 // Per-shard simulation contexts for partitioned (multi-threaded) runs.
 //
-// A sharded run owns one `Simulation` per shard. Shard 0 is the *master*:
-// it carries the run's seed unchanged, so everything built against it —
-// topology wiring, workload draws, flow schedules — is bit-identical to a
-// serial run with the same seed. Shards 1..n-1 get independent streams
-// derived from the master seed with a splitmix finalizer, so a given shard
-// count is reproducible run-to-run and no two shards share an RNG.
+// A sharded run owns one `Simulation` per shard, each built from the run's
+// seed. Shard 0 is the *master*: everything built against it — topology
+// wiring, workload draws, flow schedules — is bit-identical to a serial run
+// with the same seed. No code draws from another shard's stream.
 //
 // The group only owns contexts; the partition map and the barrier-driven
 // execution loop live in net/partition.hpp (they need the network layer).
@@ -21,7 +19,7 @@ namespace amrt::sim {
 
 class ShardGroup {
  public:
-  // `n` must be >= 1; shard 0 is seeded with `seed` exactly.
+  // `n` must be >= 1; every shard is seeded with `seed`.
   explicit ShardGroup(std::uint64_t seed, unsigned n);
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
@@ -38,9 +36,6 @@ class ShardGroup {
   [[nodiscard]] EventQueue::WheelStats wheel_stats() const;
   // Latest virtual clock across shards (the run's end time at drain).
   [[nodiscard]] TimePoint now_max() const;
-
-  // The stream-derivation function, exposed so tests can pin it down.
-  [[nodiscard]] static std::uint64_t derive_seed(std::uint64_t seed, unsigned shard);
 
  private:
   std::vector<std::unique_ptr<Simulation>> sims_;

@@ -19,7 +19,7 @@ namespace amrt::sim {
 
 class Simulation {
  public:
-  explicit Simulation(std::uint64_t seed = 1) : seed_{seed}, rng_{seed} {
+  explicit Simulation(std::uint64_t seed = 1) : rng_{seed} {
     // The auditor lives and dies with the run (per-Simulation state, so
     // parallel sweeps never share a check path). In builds without
     // AMRT_AUDIT this binds a stateless stub and compiles to nothing.
@@ -33,7 +33,6 @@ class Simulation {
   [[nodiscard]] Rng& rng() { return rng_; }
   [[nodiscard]] audit::Auditor& auditor() { return auditor_; }
   [[nodiscard]] const audit::Auditor& auditor() const { return auditor_; }
-  [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   // Clock and event-loop conveniences, so most callers never name the
   // scheduler explicitly.
@@ -52,7 +51,6 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_processed() const { return sched_.events_processed(); }
 
  private:
-  std::uint64_t seed_;
   Scheduler sched_;
   Rng rng_;
   audit::Auditor auditor_;

