@@ -26,7 +26,11 @@ benchmark) instead of running anything:
 
     python3 tools/bench_compare.py --scale old.json new.json
 
-which prints per-transport deltas of wall time, events/sec and peak RSS.
+which prints per-transport deltas of wall time, events/sec and peak RSS,
+and both files' `context` when they differ. A run is deterministic per
+mode, so it exits non-zero if a row's events, delivered_pkts or completed
+differ between the files (events are compared only between rows of equal
+shard counts: a sharded run fires other events by design).
 
 A third mode diffs two bench_coexist JSON reports (the mixed-transport
 leaf-spine macro benchmark, DESIGN.md section 13):
@@ -224,8 +228,9 @@ def compare_perfbench(args):
     summarize_perfbench(pairs, metrics)
 
 
-def load_scale_report(path):
-    """bench_scale JSON -> {name: row dict}, skipping aggregate rows."""
+def load_report(path):
+    """bench JSON -> (its context dict, {name: row dict}), skipping
+    aggregate rows."""
     with open(path) as f:
         doc = json.load(f)
     rows = {}
@@ -233,7 +238,21 @@ def load_scale_report(path):
         if b.get("run_type", "iteration") != "iteration":
             continue
         rows[b["name"]] = b
-    return rows
+    return doc.get("context", {}), rows
+
+
+# What a bench_scale row's run produced, not how fast: equal across builds
+# of the same schedule unless the simulation itself changed.
+SCALE_OUTCOMES = ("events", "delivered_pkts", "completed")
+
+
+def moved_outcomes(b, t):
+    """The outcomes two rows of one name both report and disagree on, as
+    "key old -> new" strings; events only when their shard counts agree."""
+    keys = [k for k in SCALE_OUTCOMES if k in b and k in t]
+    if b.get("shards", 1) != t.get("shards", 1):
+        keys = [k for k in keys if k != "events"]
+    return [f"{k} {b[k]} -> {t[k]}" for k in keys if b[k] != t[k]]
 
 
 def ratio_of(new, old):
@@ -253,11 +272,15 @@ def fmt_ratio(ratio, width=6):
 
 
 def compare_scale(baseline_path, test_path, fail_above):
-    base = load_scale_report(baseline_path)
-    test = load_scale_report(test_path)
+    base_ctx, base = load_report(baseline_path)
+    test_ctx, test = load_report(test_path)
     names = sorted(set(base) & set(test))
     if not names:
         sys.exit("error: the two reports share no benchmark names")
+    if base_ctx != test_ctx:
+        print("contexts differ:")
+        print(f"  baseline:  {json.dumps(base_ctx, sort_keys=True)}")
+        print(f"  candidate: {json.dumps(test_ctx, sort_keys=True)}")
     gone = sorted(set(base) - set(test))
     if gone:
         print(f"(benchmarks present only in the baseline: {', '.join(gone)})")
@@ -268,11 +291,13 @@ def compare_scale(baseline_path, test_path, fail_above):
     print(header)
     print("-" * len(header))
     worst = 0.0
+    moved = []
     for name in names:
         b, t = base[name], test[name]
         ratio = ratio_of(t.get("real_time", 0), b.get("real_time", 0))
         if ratio is not None:
             worst = max(worst, ratio)
+        moved += [f"{name}: {m}" for m in moved_outcomes(b, t)]
         print(f"{name:<{wname}}  {b.get('real_time', 0):>8.1f}ms  "
               f"{t.get('real_time', 0):>8.1f}ms  "
               f"{fmt_ratio(ratio)}  "
@@ -284,13 +309,16 @@ def compare_scale(baseline_path, test_path, fail_above):
         t = test[name]
         print(f"new: {name}  {t.get('real_time', 0):.1f}ms  "
               f"{t.get('events_per_second', 0) / 1e6:.2f}Mev/s")
+    failures = [f"outcome moved: {m}" for m in moved]
     if fail_above is not None and worst > fail_above:
-        sys.exit(f"FAIL: worst ratio {worst:.3f} exceeds --fail-above {fail_above}")
+        failures.append(f"worst ratio {worst:.3f} exceeds --fail-above {fail_above}")
+    if failures:
+        sys.exit("FAIL:\n  " + "\n  ".join(failures))
 
 
 def compare_coexist(baseline_path, test_path, fail_above):
-    base = load_scale_report(baseline_path)
-    test = load_scale_report(test_path)
+    _, base = load_report(baseline_path)
+    _, test = load_report(test_path)
     names = sorted(set(base) & set(test))
     if not names:
         sys.exit("error: the two reports share no benchmark names")
@@ -331,8 +359,8 @@ def compare_coexist(baseline_path, test_path, fail_above):
 
 
 def compare_fanout(baseline_path, test_path, fail_above):
-    base = load_scale_report(baseline_path)
-    test = load_scale_report(test_path)
+    _, base = load_report(baseline_path)
+    _, test = load_report(test_path)
     names = sorted(set(base) & set(test))
     if not names:
         sys.exit("error: the two reports share no benchmark names")

@@ -29,23 +29,26 @@ bench_compare = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_compare)
 
 
-def write_report(tmpdir, name, rows):
+def write_report(tmpdir, name, rows, context=None):
     path = os.path.join(tmpdir, name)
+    doc = {"benchmarks": rows}
+    if context is not None:
+        doc["context"] = context
     with open(path, "w") as f:
-        json.dump({"benchmarks": rows}, f)
+        json.dump(doc, f)
     return path
 
 
-def run_compare(fn, base_rows, test_rows, fail_above=None):
+def run_compare(fn, base_rows, test_rows, fail_above=None, contexts=(None, None)):
     """Runs one compare_* function on crafted reports.
 
-    Returns (exit_code_or_None, captured_stdout). SystemExit with a string
-    message maps to exit code 1 (that is what sys.exit does).
+    Returns (exit_code_or_None, captured_stdout, exit_message). SystemExit
+    with a string message maps to exit code 1 (that is what sys.exit does).
     """
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        base = write_report(tmp, "base.json", base_rows)
-        test = write_report(tmp, "test.json", test_rows)
+        base = write_report(tmp, "base.json", base_rows, contexts[0])
+        test = write_report(tmp, "test.json", test_rows, contexts[1])
         try:
             with contextlib.redirect_stdout(out):
                 fn(base, test, fail_above)
@@ -109,6 +112,66 @@ class CompareScaleTest(unittest.TestCase):
         test = [{"name": "a", "real_time": 500.0}]
         code, _, _ = run_compare(bench_compare.compare_scale, base, test)
         self.assertIsNone(code)
+
+
+def scale_row(name, real_time, events=1000, delivered_pkts=500, completed=40, shards=1):
+    return {"name": name, "real_time": real_time, "events": events,
+            "delivered_pkts": delivered_pkts, "completed": completed, "shards": shards}
+
+
+class CompareScaleOutcomesTest(unittest.TestCase):
+    def test_equal_outcomes_pass(self):
+        base = [scale_row("a", 10.0), scale_row("a/flow", 1.0, events=80)]
+        test = [scale_row("a", 8.0), scale_row("a/flow", 0.9, events=80)]
+        code, out, _ = run_compare(bench_compare.compare_scale, base, test)
+        self.assertIsNone(code, out)
+        self.assertNotIn("contexts differ", out)
+
+    def test_each_moved_outcome_is_flagged_and_fails(self):
+        for key in ("events", "delivered_pkts", "completed"):
+            with self.subTest(key=key):
+                moved = scale_row("a/flow", 1.0)
+                moved[key] += 1
+                code, out, msg = run_compare(bench_compare.compare_scale,
+                                             [scale_row("a/flow", 1.0), scale_row("b", 2.0)],
+                                             [moved, scale_row("b", 2.0)])
+                self.assertEqual(code, 1)
+                self.assertIn(f"outcome moved: a/flow: {key} ", msg)
+                self.assertNotIn("b:", msg)
+                self.assertIn("a/flow", out)  # the table still prints first
+
+    def test_events_of_other_shard_counts_are_not_compared(self):
+        base = [scale_row("a", 10.0, events=1000)]
+        test = [scale_row("a", 5.0, events=1129, shards=4)]
+        code, out, _ = run_compare(bench_compare.compare_scale, base, test)
+        self.assertIsNone(code, out)
+        test[0]["completed"] -= 1
+        code, _, msg = run_compare(bench_compare.compare_scale, base, test)
+        self.assertEqual(code, 1)
+        self.assertIn("completed 40 -> 39", msg)
+
+    def test_outcome_and_ratio_failures_are_both_named(self):
+        code, _, msg = run_compare(bench_compare.compare_scale, [scale_row("a", 10.0)],
+                                   [scale_row("a", 20.0, completed=39)], fail_above=1.5)
+        self.assertEqual(code, 1)
+        self.assertIn("completed 40 -> 39", msg)
+        self.assertIn("2.000", msg)
+
+    def test_differing_contexts_print_both(self):
+        base_ctx = {"k": 16, "flows": 2000, "cpu": "old box"}
+        test_ctx = {"k": 16, "flows": 2000, "cpu": "new box"}
+        code, out, _ = run_compare(bench_compare.compare_scale, [scale_row("a", 1.0)],
+                                   [scale_row("a", 1.0)], contexts=(base_ctx, test_ctx))
+        self.assertIsNone(code)
+        self.assertIn("contexts differ", out)
+        self.assertIn('"cpu": "old box"', out)
+        self.assertIn('"cpu": "new box"', out)
+
+    def test_equal_contexts_print_nothing(self):
+        ctx = {"k": 16, "flows": 2000}
+        _, out, _ = run_compare(bench_compare.compare_scale, [scale_row("a", 1.0)],
+                                [scale_row("a", 1.0)], contexts=(ctx, dict(ctx)))
+        self.assertNotIn("contexts differ", out)
 
 
 class CompareCoexistTest(unittest.TestCase):
