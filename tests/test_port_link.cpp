@@ -1,7 +1,9 @@
 // Unit tests for EgressPort serialization/propagation (src/net/port.hpp).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "net/port.hpp"
@@ -231,4 +233,135 @@ TEST(EgressPort, RearmedBlackholeReplaysTheSeededStream) {
   EXPECT_EQ(rig.port.packets_faulted(), expected_lost.size());
   EXPECT_FALSE(expected_lost.empty());
   EXPECT_EQ(rig.queue.stats().dropped, 0u);
+}
+
+namespace {
+
+// Drives one port through the three kinds of arrival and renders what came
+// out: the queue's counters, the port's counters and every delivered packet
+// as "flow.seq[T][C]@ns" (T: trimmed, C: CE). A probe marker sets CE on a
+// packet iff its queue still holds packets when the packet starts
+// transmitting, so the pins also cover what a marker sees.
+//
+//   t = 0       a data packet at an idle port with an empty queue, then a
+//               burst of 11 data packets (flow 2 unscheduled; priority
+//               seq % 3) and 2 control packets (flow 3) while it is busy;
+//   t = 50 us   a data packet at an idle port, a second one at exactly its
+//               busy_until_ (the queue empty, so the port idle again) and a
+//               control packet at exactly the second's busy_until_;
+//   t = 100 us  two data packets, so the port wakes at 101.2 us with one
+//               queued, and one arrival at 101.2 us before that wakeup fires
+//               and one after it.
+std::string drive_arrivals(EgressQueue q) {
+  struct CeIfBacklogged final : DequeueMarker {
+    const EgressQueue* queue = nullptr;
+    void bind_queue(const EgressQueue& bound) override { queue = &bound; }
+    void on_dequeue(Packet& pkt, TimePoint, TimePoint, Bandwidth) override {
+      pkt.ce = !queue->empty();
+    }
+  };
+  PortRig rig{{Bandwidth::gbps(10), 1_us}, std::move(q)};
+  rig.port.add_marker(std::make_unique<CeIfBacklogged>());
+  auto data = [](FlowId flow, std::uint32_t seq) {
+    Packet p = data_pkt(seq);
+    p.flow = flow;
+    p.unscheduled = flow == 2;
+    p.priority = static_cast<std::uint8_t>(seq % 3);
+    return p;
+  };
+  auto ctrl = [](std::uint32_t seq) {
+    Packet p;
+    p.flow = 3;
+    p.seq = seq;
+    p.type = PacketType::kGrant;
+    p.wire_bytes = kCtrlBytes;
+    return p;
+  };
+  auto arrive_at = [&rig](TimePoint t, Packet p) {
+    rig.sched.at(t, [&rig, p]() mutable { rig.port.enqueue(std::move(p)); });
+  };
+
+  const TimePoint t0 = TimePoint::zero();
+  arrive_at(t0, data(1, 0));
+  for (Packet p : {data(1, 1), data(2, 0), ctrl(0), data(2, 1), data(1, 2), data(1, 3),
+                   data(2, 2), data(1, 4), data(1, 5), data(1, 6), data(1, 7), ctrl(1),
+                   data(1, 8)}) {
+    arrive_at(t0, p);
+  }
+  const TimePoint t1 = t0 + 50_us;
+  arrive_at(t1, data(4, 0));
+  arrive_at(t1 + 1200_ns, data(4, 1));
+  arrive_at(t1 + 2400_ns, ctrl(2));
+  const TimePoint t2 = t0 + 100_us;
+  arrive_at(t2 + 1200_ns, data(5, 2));  // queued before the wakeup: fires first
+  rig.sched.at(t2, [&] {
+    rig.port.enqueue(data(5, 0));
+    rig.port.enqueue(data(5, 1));       // arms the wakeup at t2 + 1200 ns
+    arrive_at(t2 + 1200_ns, data(5, 3));  // queued after the wakeup: fires after it
+  });
+  rig.sched.run();
+
+  const QueueStats& s = rig.queue.stats();
+  std::string out = "enq=" + std::to_string(s.enqueued) + " deq=" + std::to_string(s.dequeued) +
+                    " drop=" + std::to_string(s.dropped) + " trim=" + std::to_string(s.trimmed) +
+                    " max=" + std::to_string(s.max_data_pkts) +
+                    " in=" + std::to_string(s.data_bytes_in) +
+                    " sent=" + std::to_string(rig.port.packets_sent()) + "/" +
+                    std::to_string(rig.port.bytes_sent()) + " |";
+  for (std::size_t i = 0; i < rig.sink.arrivals.size(); ++i) {
+    const Packet& p = rig.sink.arrivals[i].first;
+    out += " " + std::to_string(p.flow) + "." + std::to_string(p.seq) + (p.trimmed ? "T" : "") +
+           (p.ce ? "C" : "") + "@" + std::to_string(rig.sink.times[i].ns());
+  }
+  return out;
+}
+
+}  // namespace
+
+// Pins every discipline's counters and delivered sequence, at an idle port,
+// at a busy port and at exactly busy_until_. Zero limits are pinned too:
+// drop_tail(0) drops every data packet and trimming(0) trims every one, at
+// an idle port as at a busy one.
+TEST(EgressPort, ArrivalKindsPinnedPerDiscipline) {
+  struct Case {
+    const char* name;
+    EgressQueue queue;
+    const char* want;
+  };
+  const Case cases[] = {
+      {"drop_tail(4)", EgressQueue::drop_tail(4),
+       "enq=21 deq=14 drop=7 trim=0 max=4 in=16500 sent=14/16692 |"
+       " 1.0@2200 3.0C@2252 3.1C@2304 1.1C@3504 2.0C@4704 2.1C@5904 1.2@7104"
+       " 4.0@52200 4.1@53400 3.2@53452 5.0@102200 5.1C@103400 5.2C@104600"
+       " 5.3@105800"},
+      {"drop_tail(0)", EgressQueue::drop_tail(0),
+       "enq=21 deq=3 drop=18 trim=0 max=0 in=0 sent=3/192 |"
+       " 3.0@1052 3.1@1104 3.2@53452"},
+      {"trimming(8)", EgressQueue::trimming(8),
+       "enq=21 deq=21 drop=0 trim=3 max=8 in=22500 sent=21/22884 |"
+       " 1.0@2200 3.0C@2252 1.6TC@2304 1.7TC@2356 3.1C@2408 1.8TC@2460"
+       " 1.1C@3660 2.0C@4860 2.1C@6060 1.2C@7260 1.3C@8460 2.2C@9660"
+       " 1.4C@10860 1.5@12060 4.0@52200 4.1@53400 3.2@53452 5.0@102200"
+       " 5.1C@103400 5.2C@104600 5.3@105800"},
+      {"trimming(0)", EgressQueue::trimming(0),
+       "enq=21 deq=21 drop=0 trim=18 max=0 in=0 sent=21/1344 |"
+       " 1.0T@1052 1.1TC@1104 2.0TC@1156 3.0C@1208 2.1TC@1260 1.2TC@1312"
+       " 1.3TC@1364 2.2TC@1416 1.4TC@1468 1.5TC@1520 1.6TC@1572 1.7TC@1624"
+       " 3.1C@1676 1.8T@1728 4.0T@51052 4.1T@52252 3.2@53452 5.0T@101052"
+       " 5.1T@101104 5.2T@102252 5.3T@102304"},
+      {"selective_drop(4)", EgressQueue::selective_drop(4),
+       "enq=21 deq=14 drop=7 trim=0 max=4 in=19500 sent=14/16692 |"
+       " 1.0@2200 3.0C@2252 3.1C@2304 1.1C@3504 1.2C@4704 1.3C@5904 1.4@7104"
+       " 4.0@52200 4.1@53400 3.2@53452 5.0@102200 5.1C@103400 5.2C@104600"
+       " 5.3@105800"},
+      {"strict_priority(3, 4)", EgressQueue::strict_priority(3, 4),
+       "enq=21 deq=14 drop=7 trim=0 max=4 in=16500 sent=14/16692 |"
+       " 1.0@2200 3.0C@2252 3.1C@2304 2.0C@3504 1.1C@4704 2.1C@5904 1.2@7104"
+       " 4.0@52200 4.1@53400 3.2@53452 5.0@102200 5.1C@103400 5.3C@104600"
+       " 5.2@105800"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(drive_arrivals(c.queue), c.want);
+  }
 }
