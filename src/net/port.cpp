@@ -44,11 +44,16 @@ void EgressPort::enqueue(Packet&& pkt) {
     eat_faulted(std::move(pkt), audit::DropReason::kBlackhole);
     return;
   }
-  queue_->enqueue(std::move(pkt));
-  if (!busy()) {
-    start_next_transmission();
-  } else {
+  if (busy()) {
+    queue_->enqueue(std::move(pkt));
     ensure_wakeup();
+  } else if (queue_->pass_through(pkt)) {
+    // Idle port, empty queue: the packet would be queued and dequeued at
+    // once, so it skips the ring (DESIGN.md §8).
+    transmit(std::move(pkt));
+  } else {
+    queue_->enqueue(std::move(pkt));
+    start_next_transmission();
   }
 }
 
@@ -114,9 +119,10 @@ void EgressPort::deliver_to_peer(Packet&& pkt) {
 
 void EgressPort::start_next_transmission() {
   assert(!busy());
-  auto next = queue_->dequeue();
-  if (!next) return;
+  if (auto next = queue_->dequeue()) transmit(std::move(*next));
+}
 
+void EgressPort::transmit(Packet&& pkt) {
   const sim::TimePoint tx_start = sched_->now();
   // Most ports (all NICs, and every non-AMRT switch port) have no markers:
   // skip the loop outright rather than pay its setup per packet.
@@ -124,14 +130,14 @@ void EgressPort::start_next_transmission() {
     for (auto& marker : markers_) {
       // Markers measure against the actual draining rate, so Eq. 2's spare
       // bandwidth stays honest when a fault degrades the link.
-      marker->on_dequeue(*next, tx_start, last_tx_end_, effective_rate_);
+      marker->on_dequeue(pkt, tx_start, last_tx_end_, effective_rate_);
     }
   }
 
-  sim::Duration tx = tx_time_for(next->wire_bytes);
+  sim::Duration tx = tx_time_for(pkt.wire_bytes);
   if (packets_sent_ == 0) first_tx_start_ = tx_start;
   busy_time_ += tx;
-  bytes_sent_ += next->wire_bytes;
+  bytes_sent_ += pkt.wire_bytes;
   ++packets_sent_;
   if (cfg_.tx_jitter > sim::Duration::zero()) {
     if (!jitter_rng_) jitter_rng_ = std::make_unique<sim::Rng>(cfg_.jitter_seed);
@@ -155,9 +161,9 @@ void EgressPort::start_next_transmission() {
     // so no event is scheduled here. The delivery timestamp rides along and
     // the receiving shard injects it at its next window — the conservative
     // lookahead guarantees that window hasn't started yet.
-    outbox_->push((tx_start + tx + cfg_.delay).ns(), this, std::move(*next));
+    outbox_->push((tx_start + tx + cfg_.delay).ns(), this, std::move(pkt));
   } else if (net_ != nullptr || peer_node_ != nullptr) {
-    auto deliver = [this, p = std::move(*next)]() mutable { deliver_to_peer(std::move(p)); };
+    auto deliver = [this, p = std::move(pkt)]() mutable { deliver_to_peer(std::move(p)); };
     static_assert(sim::InplaceCallback::fits_inline<decltype(deliver)>(),
                   "a delivery event must not allocate");
     sched_->after(tx + cfg_.delay, std::move(deliver));

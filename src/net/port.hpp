@@ -107,6 +107,9 @@ class EgressPort {
 
  private:
   void start_next_transmission();
+  // Starts serializing `pkt`, which has left the queue (or passed it by):
+  // markers, counters, the wakeup for what waits behind it and the delivery.
+  void transmit(Packet&& pkt);
   // Serialization time at this port's (fixed) rate, memoized by packet size.
   // Traffic is almost entirely two sizes — full-MTU data and small control
   // frames — so a two-entry MRU cache turns the 128-bit division in

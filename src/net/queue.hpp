@@ -39,6 +39,9 @@ struct QueueStats {
   std::uint64_t trimmed = 0;
   std::size_t max_data_pkts = 0;     // high-water mark of the data bands
   std::uint64_t data_bytes_in = 0;   // accepted data-band bytes
+  // Of `enqueued` (and `dequeued`): arrivals that went straight to an idle
+  // port's serializer without entering a band (pass_through()).
+  std::uint64_t passed = 0;
 };
 
 class EgressQueue {
@@ -66,6 +69,12 @@ class EgressQueue {
   inline void enqueue(Packet&& pkt);
   // Control band first, then the data bands in priority order.
   [[nodiscard]] inline std::optional<Packet> dequeue();
+  // An arrival at an idle port: if the queue is empty and would admit `pkt`
+  // (a control packet, or data under a non-zero limit), counts it exactly as
+  // enqueue() and then dequeue() would, without touching a band, and returns
+  // true; the caller transmits `pkt` itself. Otherwise changes nothing and
+  // returns false.
+  [[nodiscard]] inline bool pass_through(const Packet& pkt);
 
   [[nodiscard]] std::size_t control_pkts() const { return control_.size(); }
   [[nodiscard]] std::size_t data_pkts() const { return data_pkts_; }
@@ -151,19 +160,47 @@ class EgressQueue {
     push_control(std::move(pkt));
   }
 
-  // Admission into the control band (direct control packets and trimmed
-  // headers) — the control-band admit hook fires here.
-  void push_control(Packet&& pkt) {
-#ifdef AMRT_AUDIT
-    const std::uint32_t wire = pkt.wire_bytes;
-#endif
-    control_.push_back(std::move(pkt));
+  // --- admission and departure accounting ---------------------------------
+  // enqueue(), dequeue() and pass_through() count through these, so each
+  // statistic and audit hook is written once. `depth` is total_pkts() just
+  // after the packet was admitted or left.
+
+  void count_admit(std::uint32_t wire, std::size_t depth) {
 #ifdef AMRT_AUDIT
     if (audit_ != nullptr) {
-      audit_->on_queue_admit(audit_slot_, wire, total_pkts(), stats_.enqueued, stats_.dequeued,
+      audit_->on_queue_admit(audit_slot_, wire, depth, stats_.enqueued, stats_.dequeued,
                              stats_.dropped);
     }
 #endif
+    (void)wire;
+    (void)depth;
+  }
+
+  // `data_depth`: the data bands' packet count with this one admitted.
+  void count_data_admit(std::uint32_t wire, std::size_t data_depth, std::size_t depth) {
+    stats_.data_bytes_in += wire;
+    if (data_depth > stats_.max_data_pkts) stats_.max_data_pkts = data_depth;
+    count_admit(wire, depth);
+  }
+
+  void count_dequeue(std::uint32_t wire, std::size_t depth) {
+    ++stats_.dequeued;
+#ifdef AMRT_AUDIT
+    if (audit_ != nullptr) {
+      audit_->on_queue_dequeue(audit_slot_, wire, depth, stats_.enqueued, stats_.dequeued,
+                               stats_.dropped);
+    }
+#endif
+    (void)wire;
+    (void)depth;
+  }
+
+  // Admission into the control band (direct control packets and trimmed
+  // headers) — the control-band admit hook fires here.
+  void push_control(Packet&& pkt) {
+    const std::uint32_t wire = pkt.wire_bytes;
+    control_.push_back(std::move(pkt));
+    count_admit(wire, total_pkts());
   }
 
   // Admits a data packet, or applies the overflow policy at the limit.
@@ -203,32 +240,32 @@ inline void EgressQueue::enqueue(Packet&& pkt) {
     push_control(std::move(pkt));
     return;
   }
-  const auto bytes = pkt.wire_bytes;
-  if (admit(std::move(pkt))) {
-    stats_.data_bytes_in += bytes;
-    if (data_pkts_ > stats_.max_data_pkts) stats_.max_data_pkts = data_pkts_;
-#ifdef AMRT_AUDIT
-    if (audit_ != nullptr) {
-      audit_->on_queue_admit(audit_slot_, bytes, total_pkts(), stats_.enqueued, stats_.dequeued,
-                             stats_.dropped);
-    }
-#endif
-  }
+  const std::uint32_t bytes = pkt.wire_bytes;
+  if (admit(std::move(pkt))) count_data_admit(bytes, data_pkts_, total_pkts());
 }
 
 inline std::optional<Packet> EgressQueue::dequeue() {
   std::optional<Packet> pkt =
       control_.empty() ? pop_data() : std::optional<Packet>{control_.pop_front()};
-  if (pkt) {
-    ++stats_.dequeued;
-#ifdef AMRT_AUDIT
-    if (audit_ != nullptr) {
-      audit_->on_queue_dequeue(audit_slot_, pkt->wire_bytes, total_pkts(), stats_.enqueued,
-                               stats_.dequeued, stats_.dropped);
-    }
-#endif
-  }
+  if (pkt) count_dequeue(pkt->wire_bytes, total_pkts());
   return pkt;
+}
+
+// The packet would enter an empty band and be the one dequeue() returns
+// next, so the counts are those of a depth-1 admission and a departure that
+// leaves the queue empty; no overflow policy is reached below the limit.
+inline bool EgressQueue::pass_through(const Packet& pkt) {
+  const bool control = pkt.is_control();
+  if (!empty() || !(control || limit_ > 0)) return false;
+  ++stats_.enqueued;
+  ++stats_.passed;
+  if (control) {
+    count_admit(pkt.wire_bytes, 1);
+  } else {
+    count_data_admit(pkt.wire_bytes, 1, 1);
+  }
+  count_dequeue(pkt.wire_bytes, 0);
+  return true;
 }
 
 // Factory signature used by topology builders: experiments pick a discipline

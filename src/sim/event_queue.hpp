@@ -152,6 +152,11 @@ class EventQueue {
     // bucket the entry lives in.
     const Entry top = *head;
     consume_head();
+    // Start the load of the next record now, so its miss overlaps this
+    // callback instead of the next peek_live() (DESIGN.md §7). The prefetch
+    // sits here, not in a helper: GCC 12 treats a function whose only effect
+    // is a prefetch as pure and deletes the call.
+    if (const Record* next = cursor_record()) __builtin_prefetch(next);
     const std::uint32_t slot = entry_slot(top);
     --live_;
     if ((slot & kRawFlag) != 0) {
@@ -272,6 +277,15 @@ class EventQueue {
   void consume_head() {
     ++drain_idx_;
     --entry_count_;
+  }
+  // The callback record of the entry at the drain cursor, if the cursor's
+  // bucket has one left and it is not on the raw lane (whose side records
+  // are small and dense); else nullptr.
+  [[nodiscard]] const Record* cursor_record() {
+    const std::vector<Entry>& b = buckets_[cur_];
+    if (drain_idx_ >= b.size()) return nullptr;
+    const std::uint32_t slot = entry_slot(b[drain_idx_]);
+    return (slot & kRawFlag) == 0 ? &record(slot) : nullptr;
   }
 
   // Keeps the bucket (when, seq)-sorted. Pushes mostly carry later
