@@ -15,7 +15,9 @@
 // spilled past its near window (summed over shards), and the fabric's fixed
 // state: build_ms, the time to construct the run (fabric, endpoints and the
 // flow schedule), and fixed_rss_mb, the resident set once that is done and
-// before the first event. Every row, and every repeat of one, runs in a
+// before the first event, and idle_share, the share of queue arrivals
+// (switch and NIC ports together) that found their port idle and its queue
+// empty and went straight to the serializer. Every row, and every repeat of one, runs in a
 // forked child of a parent that has run nothing, so its peak RSS (the
 // child's ru_maxrss from wait4) and fixed_rss_mb are its own, not what an
 // earlier run left behind.
@@ -33,8 +35,11 @@
 // (see net/partition.hpp); flow rows are serial. --repeat R reports the
 // repeat with the median wall time. --fidelity flow runs the flow-level
 // fast path (src/flowsim) on the same spec and schedule; both emits a
-// packet row and a "/flow"-suffixed row per transport, which is how the
-// committed baselines/scale_k16_flow.json headroom figure is produced. --check
+// packet row per transport and a "/flow"-suffixed row per distinct fluid
+// rate model, named after every transport that shares it (pHost, Homa and
+// NDP all run ideal max-min, so "pHost+Homa+NDP/flow" is one run). That is
+// how the committed baselines/scale_k16_flow.json headroom figure is
+// produced. --check
 // shrinks the fabric (k=4, a few hundred flows) and exits non-zero unless
 // every flow completes under every requested transport — the scale_smoke /
 // shard_smoke ctests run exactly that in a few seconds. Packet rows stop at
@@ -94,6 +99,7 @@ struct RunResult {
   long peak_rss_kb = 0;
   double build_ms = 0.0;  // packet rows: constructing the run
   long fixed_rss_kb = 0;  // packet rows: resident set before the first event
+  double idle_share = 0.0;  // packet rows: queue arrivals passed to an idle port
   unsigned shards = 1;
   bool flow = false;  // a flow-fidelity row
   double flows_per_refill = 0.0;  // flow rows: flows water-filled per recompute
@@ -164,6 +170,15 @@ RunResult run_packet(const Options& opt, transport::Protocol proto) {
   r.fixed_rss_kb = fixed_rss_kb;
   r.shards = opt.shards;
   r.wheel = run.wheel_stats();
+  std::uint64_t passed = 0;
+  std::uint64_t enqueued = 0;
+  net::Network& network = run.network();
+  for (std::size_t p = 0; p < network.port_count(); ++p) {
+    const net::QueueStats& q = network.port_at(static_cast<net::PortId>(p)).queue().stats();
+    passed += q.passed;
+    enqueued += q.enqueued;
+  }
+  r.idle_share = enqueued > 0 ? static_cast<double>(passed) / static_cast<double>(enqueued) : 0.0;
   return r;
 }
 
@@ -287,7 +302,7 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<Row>& resu
                    "     \"delivered_pkts\": %llu, \"delivered_pkts_per_second\": %.0f,\n"
                    "     \"wheel_bucket_ns\": %lld, \"wheel_regears\": %llu,\n"
                    "     \"wheel_mean_bucket\": %.1f, \"wheel_far_spills\": %llu,\n"
-                   "     \"build_ms\": %.1f, \"fixed_rss_mb\": %.1f,\n",
+                   "     \"build_ms\": %.1f, \"fixed_rss_mb\": %.1f, \"idle_share\": %.3f,\n",
                    static_cast<unsigned long long>(r.events), eps,
                    eps / static_cast<double>(r.shards == 0 ? 1 : r.shards),
                    static_cast<unsigned long long>(r.delivered_pkts),
@@ -295,7 +310,7 @@ void print_json(std::FILE* out, const Options& opt, const std::vector<Row>& resu
                    static_cast<long long>(r.wheel.bucket_ns),
                    static_cast<unsigned long long>(r.wheel.regears), r.wheel.mean_bucket(),
                    static_cast<unsigned long long>(r.wheel.far_spills), r.build_ms,
-                   static_cast<double>(r.fixed_rss_kb) / 1024.0);
+                   static_cast<double>(r.fixed_rss_kb) / 1024.0, r.idle_share);
     }
     std::fprintf(out, "     \"flows\": %zu, \"completed\": %zu, \"peak_rss_mb\": %.1f}%s\n",
                  r.flows, r.completed, static_cast<double>(r.peak_rss_kb) / 1024.0,
@@ -380,7 +395,7 @@ int main(int argc, char** argv) {
   std::vector<Row> results;
   bool ok = true;
   auto report = [&](const std::string& name, const RunResult& r) {
-    char rate[224];
+    char rate[256];
     if (r.flow) {
       std::snprintf(rate, sizeof rate,
                     "%.3f ms/event, %.0f flows/s, %.1f flows/refill, heap %.1f entries "
@@ -391,12 +406,12 @@ int main(int argc, char** argv) {
     } else {
       std::snprintf(rate, sizeof rate,
                     "%.2fM ev/s, %u shard%s, wheel %lld ns, %llu regears, %.1f/bucket, "
-                    "%llu far, build %.1f ms, fixed rss %.1f MB",
+                    "%llu far, build %.1f ms, fixed rss %.1f MB, idle share %.3f",
                     r.real_ms > 0 ? static_cast<double>(r.events) / r.real_ms / 1e3 : 0.0,
                     r.shards, r.shards == 1 ? "" : "s", static_cast<long long>(r.wheel.bucket_ns),
                     static_cast<unsigned long long>(r.wheel.regears), r.wheel.mean_bucket(),
                     static_cast<unsigned long long>(r.wheel.far_spills), r.build_ms,
-                    static_cast<double>(r.fixed_rss_kb) / 1024.0);
+                    static_cast<double>(r.fixed_rss_kb) / 1024.0, r.idle_share);
     }
     std::fprintf(stderr,
                  "%-28s %9.1f ms  %12llu events (%s)  %9llu pkts  %zu/%zu flows  rss %.1f MB\n",
@@ -410,9 +425,21 @@ int main(int argc, char** argv) {
     }
     results.push_back({name, r});
   };
-  for (const auto proto : opt.protocols) {
+  for (std::size_t i = 0; i < opt.protocols.size(); ++i) {
+    const auto proto = opt.protocols[i];
     if (opt.run_packet) report(row_name(opt, proto), run_repeated(opt, proto, false));
-    if (opt.run_flow) report(row_name(opt, proto) + "/flow", run_repeated(opt, proto, true));
+    if (!opt.run_flow) continue;
+    // One flow row per rate model, at its first transport, named after all
+    // the transports that share it.
+    const flowsim::RateModel model = harness::rate_model(proto);
+    std::string name = row_name(opt, proto);
+    bool first = true;
+    for (std::size_t j = 0; j < opt.protocols.size(); ++j) {
+      if (harness::rate_model(opt.protocols[j]) != model) continue;
+      if (j < i) first = false;
+      if (j > i) name += std::string{"+"} + transport::to_string(opt.protocols[j]);
+    }
+    if (first) report(name + "/flow", run_repeated(opt, proto, true));
   }
 
   if (!opt.json_path.empty()) {

@@ -170,16 +170,13 @@ stats::FctRecorder& PacketRun::serial_recorder() {
   return *recorder_;
 }
 
-namespace {
-
-// The packet transport's fluid analogue. pHost, Homa and NDP schedule at wire
-// speed per grant and re-pace within an RTT of any share change, so theirs is
-// the ideal max-min rate.
 flowsim::RateModel rate_model(transport::Protocol proto) {
   if (proto == transport::Protocol::kAmrt) return flowsim::RateModel::kAmrtGrantClock;
   if (proto == transport::Protocol::kDctcp) return flowsim::RateModel::kDctcpThreshold;
   return flowsim::RateModel::kInstant;
 }
+
+namespace {
 
 flowsim::Fabric fluid_fabric(const RunSpec& spec) {
   const FabricSpec& f = spec.fabric;

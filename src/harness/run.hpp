@@ -157,12 +157,17 @@ class PacketRun {
 // and spec.horizon as the stop. Throws std::invalid_argument for kLine.
 [[nodiscard]] flowsim::FlowSimConfig flow_sim_config(const RunSpec& spec);
 
+// The packet transport's fluid analogue: AMRT the anti-ECN grant clock,
+// DCTCP the threshold-ECN ramp. pHost, Homa and NDP schedule at wire speed
+// per grant and re-pace within an RTT of any share change, so theirs is the
+// ideal max-min rate.
+[[nodiscard]] flowsim::RateModel rate_model(transport::Protocol proto);
+
 class FlowRun {
  public:
-  // Every flow runs under its transport's fluid analogue: AMRT the anti-ECN
-  // grant clock, DCTCP the threshold-ECN ramp, pHost/Homa/NDP instant
-  // max-min; flows that is_background_flow(id, spec.background_dctcp_fraction)
-  // picks out run the DCTCP ramp. Throws std::invalid_argument for kLine or
+  // Every flow runs under rate_model(spec.proto); flows that
+  // is_background_flow(id, spec.background_dctcp_fraction) picks out run the
+  // DCTCP ramp. Throws std::invalid_argument for kLine or
   // shards > 1.
   FlowRun(const RunSpec& spec, const std::vector<workload::GeneratedFlow>& flows);
   FlowRun(const FlowRun&) = delete;
