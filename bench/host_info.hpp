@@ -1,5 +1,7 @@
 // Host facts for the macro benchmarks' JSON context, so a committed baseline
-// names the machine it came from: logical CPUs, CPU model and compiler.
+// names the machine it came from: logical CPUs, CPU model, compiler, and the
+// 1-minute load average when the program started (a shared host's load
+// moves wall times).
 #pragma once
 
 #include <cstdio>
@@ -21,6 +23,19 @@ inline std::string cpu_model() {
   return "unknown";
 }
 
+// The first field of /proc/loadavg, or -1 where it cannot be read.
+inline double load_average_1m() {
+  double load = -1.0;
+  if (std::FILE* f = std::fopen("/proc/loadavg", "r")) {
+    if (std::fscanf(f, "%lf", &load) != 1) load = -1.0;
+    std::fclose(f);
+  }
+  return load;
+}
+
+// Read during static initialization, before main() runs anything.
+inline const double kLoadAtStart = load_average_1m();
+
 inline const char* compiler() {
 #if defined(__clang__)
   return "clang " __clang_version__;
@@ -31,11 +46,12 @@ inline const char* compiler() {
 #endif
 }
 
-// Writes `"nproc": N, "cpu": "...", "compiler": "..."`, the context fields
-// every benchmark report shares (no surrounding braces or separators).
+// Writes `"nproc": N, "cpu": "...", "compiler": "...", "load1": L`, the
+// context fields every benchmark report shares (no surrounding braces or
+// separators).
 inline void print_host_fields(std::FILE* out) {
-  std::fprintf(out, "\"nproc\": %u, \"cpu\": \"%s\", \"compiler\": \"%s\"",
-               std::thread::hardware_concurrency(), cpu_model().c_str(), compiler());
+  std::fprintf(out, "\"nproc\": %u, \"cpu\": \"%s\", \"compiler\": \"%s\", \"load1\": %.2f",
+               std::thread::hardware_concurrency(), cpu_model().c_str(), compiler(), kLoadAtStart);
 }
 
 }  // namespace amrt::bench
