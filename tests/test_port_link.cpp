@@ -365,3 +365,43 @@ TEST(EgressPort, ArrivalKindsPinnedPerDiscipline) {
     EXPECT_EQ(drive_arrivals(c.queue), c.want);
   }
 }
+
+// QueueStats::passed counts exactly the arrivals that went straight to an
+// idle port's serializer: not one queued behind a busy port, not a data
+// packet that a zero limit drops or trims, but a control packet at the
+// same zero-limit port. Each case sends a full-size data packet to an idle
+// port, then a small data packet and a grant back to back, then a grant to
+// the idle port again.
+TEST(EgressPort, PassedCountsOnlyArrivalsThatSkipTheQueue) {
+  Packet grant;
+  grant.type = PacketType::kGrant;
+  grant.wire_bytes = kCtrlBytes;
+  struct Case {
+    const char* name;
+    EgressQueue queue;
+    std::uint64_t passed_first;  // after the first data packet
+    std::uint64_t passed_all;
+  };
+  const Case cases[] = {
+      // Data, data and the last grant pass; the first grant waits.
+      {"drop_tail(4)", EgressQueue::drop_tail(4), 1, 3},
+      // Both data packets drop, so the port stays idle for both grants.
+      {"drop_tail(0)", EgressQueue::drop_tail(0), 0, 2},
+      // Both data packets are trimmed through the queue; the first grant
+      // waits behind the second header.
+      {"trimming(0)", EgressQueue::trimming(0), 0, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, c.queue};
+    rig.port.enqueue(data_pkt(0));
+    EXPECT_EQ(rig.queue.stats().passed, c.passed_first);
+    rig.sched.run();
+    rig.port.enqueue(data_pkt(1, kCtrlBytes + kHeaderBytes));
+    rig.port.enqueue(Packet{grant});
+    rig.sched.run();
+    rig.port.enqueue(Packet{grant});
+    EXPECT_EQ(rig.queue.stats().passed, c.passed_all);
+    EXPECT_EQ(rig.queue.stats().enqueued, 4u);
+  }
+}
