@@ -396,6 +396,10 @@ TEST(EgressPort, PassedCountsOnlyArrivalsThatSkipTheQueue) {
     PortRig rig{{Bandwidth::gbps(10), Duration::zero()}, c.queue};
     rig.port.enqueue(data_pkt(0));
     EXPECT_EQ(rig.queue.stats().passed, c.passed_first);
+    // A passed data packet is counted in and out as a depth-1 admission.
+    EXPECT_EQ(rig.queue.stats().max_data_pkts, c.passed_first);
+    EXPECT_EQ(rig.queue.stats().data_bytes_in, c.passed_first * kMtuBytes);
+    EXPECT_EQ(rig.queue.stats().dequeued, rig.port.packets_sent());
     rig.sched.run();
     rig.port.enqueue(data_pkt(1, kCtrlBytes + kHeaderBytes));
     rig.port.enqueue(Packet{grant});
