@@ -17,10 +17,10 @@
 // flow schedule), and fixed_rss_mb, the resident set once that is done and
 // before the first event, and idle_share, the share of queue arrivals
 // (switch and NIC ports together) that found their port idle and its queue
-// empty and went straight to the serializer. Every row, and every repeat of one, runs in a
-// forked child of a parent that has run nothing, so its peak RSS (the
-// child's ru_maxrss from wait4) and fixed_rss_mb are its own, not what an
-// earlier run left behind.
+// empty and went straight to the serializer. Every row, and every repeat of
+// one, runs in a forked child of a parent that has run nothing, so its peak
+// RSS (the child's ru_maxrss from wait4) and fixed_rss_mb are its own, not
+// what an earlier run left behind.
 // The JSON context names the host (nproc, CPU model, compiler), so a
 // committed baseline says which machine it came from.
 //
@@ -39,12 +39,11 @@
 // rate model, named after every transport that shares it (pHost, Homa and
 // NDP all run ideal max-min, so "pHost+Homa+NDP/flow" is one run). That is
 // how the committed baselines/scale_k16_flow.json headroom figure is
-// produced. --check
-// shrinks the fabric (k=4, a few hundred flows) and exits non-zero unless
-// every flow completes under every requested transport — the scale_smoke /
-// shard_smoke ctests run exactly that in a few seconds. Packet rows stop at
-// the harness's default 30 s horizon, so a run that strands flows reports
-// FAIL and exits 1 instead of running forever.
+// produced. --check shrinks the fabric (k=4, a few hundred flows) and exits
+// non-zero unless every flow completes under every requested transport —
+// the scale_smoke / shard_smoke ctests run exactly that in a few seconds.
+// Packet rows stop at the harness's default 30 s horizon, so a run that
+// strands flows reports FAIL and exits 1 instead of running forever.
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
