@@ -167,8 +167,7 @@ class FlowRun {
  public:
   // Every flow runs under rate_model(spec.proto); flows that
   // is_background_flow(id, spec.background_dctcp_fraction) picks out run the
-  // DCTCP ramp. Throws std::invalid_argument for kLine or
-  // shards > 1.
+  // DCTCP ramp. Throws std::invalid_argument for kLine or shards > 1.
   FlowRun(const RunSpec& spec, const std::vector<workload::GeneratedFlow>& flows);
   FlowRun(const FlowRun&) = delete;
   FlowRun& operator=(const FlowRun&) = delete;
